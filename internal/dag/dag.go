@@ -88,14 +88,8 @@ func (g *Graph) AddPseudoTask(name string) TaskID {
 // duplicate edges, or negative data volumes. Cycle detection is deferred to
 // Validate so graphs can be built in any order.
 func (g *Graph) AddEdge(u, v TaskID, data float64) error {
-	if !g.valid(u) || !g.valid(v) {
-		return fmt.Errorf("dag: edge (%d -> %d) references unknown task (graph has %d tasks)", u, v, len(g.tasks))
-	}
-	if u == v {
-		return fmt.Errorf("dag: self-loop on task %d", u)
-	}
-	if data < 0 {
-		return fmt.Errorf("dag: negative data volume %g on edge (%d -> %d)", data, u, v)
+	if err := g.checkEdge(u, v, data); err != nil {
+		return err
 	}
 	for _, a := range g.succs[u] {
 		if a.Task == v {
@@ -105,6 +99,21 @@ func (g *Graph) AddEdge(u, v TaskID, data float64) error {
 	g.succs[u] = append(g.succs[u], Arc{Task: v, Data: data})
 	g.preds[v] = append(g.preds[v], Arc{Task: u, Data: data})
 	g.edges++
+	return nil
+}
+
+// checkEdge applies AddEdge's per-edge checks: endpoints in range, no
+// self-loop, non-negative data.
+func (g *Graph) checkEdge(u, v TaskID, data float64) error {
+	if !g.valid(u) || !g.valid(v) {
+		return fmt.Errorf("dag: edge (%d -> %d) references unknown task (graph has %d tasks)", u, v, len(g.tasks))
+	}
+	if u == v {
+		return fmt.Errorf("dag: self-loop on task %d", u)
+	}
+	if data < 0 {
+		return fmt.Errorf("dag: negative data volume %g on edge (%d -> %d)", data, u, v)
+	}
 	return nil
 }
 

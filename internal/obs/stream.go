@@ -310,7 +310,7 @@ func (h *Hub) publishDecision(traceID string, ev Event) {
 	h.Publish(StreamEvent{
 		Kind:    KindDecision,
 		TraceID: traceID,
-		Name:    string(ev.Type),
+		Name:    ev.Type.String(),
 		Proc:    ev.Proc,
 		Time:    ev.Time,
 		Data:    data,

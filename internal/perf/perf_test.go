@@ -109,7 +109,8 @@ func TestSuiteShape(t *testing.T) {
 		t.Errorf("suite has %d quick and %d hot benches; the CI gate needs both populated", quick, hot)
 	}
 	for _, name := range []string{"solver/hdlts/v1k", "solver/hdlts/v10k", "solver/hdlts/v100k",
-		"hash/canonical/v1k", "wal/submit_fsync", "service/schedule_roundtrip", "phase/timer_tick"} {
+		"hash/canonical/v1k", "wal/submit_fsync", "service/schedule_roundtrip", "phase/timer_tick",
+		"layer/decode/v100", "layer/decode/v1k", "layer/canonical/v100", "layer/canonical/v1k", "layer/encode/v1k"} {
 		if !seen[name] {
 			t.Errorf("canonical bench %q missing from the suite", name)
 		}

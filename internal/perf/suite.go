@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -45,8 +47,18 @@ func Suite() []Bench {
 		{Name: "solver/pets/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("pets", 1000)},
 		{Name: "solver/peft/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("peft", 1000)},
 		{Name: "phase/timer_tick", HotPath: true, Quick: true, Benchtime: "500000x", F: phaseTickBench},
-		// Not hot-gated: encoding/json's pooled encoder states make
-		// allocs/op vary by ±1 with GC timing.
+		// Codec layers, named after the server spans they time
+		// (schedule.decode, the canonicalise half of schedule.hash,
+		// schedule.encode). Hot-gated: a quiet return to reflection
+		// shows up as an allocs/op increase.
+		{Name: "layer/decode/v100", HotPath: true, Quick: true, Benchtime: "200x", F: layerBench(100, decodeLayer)},
+		{Name: "layer/decode/v1k", HotPath: true, Quick: true, Benchtime: "50x", F: layerBench(1000, decodeLayer)},
+		{Name: "layer/canonical/v100", HotPath: true, Quick: true, Benchtime: "200x", F: layerBench(100, canonicalLayer)},
+		{Name: "layer/canonical/v1k", HotPath: true, Quick: true, Benchtime: "50x", F: layerBench(1000, canonicalLayer)},
+		{Name: "layer/encode/v1k", HotPath: true, Quick: true, Benchtime: "50x", F: layerBench(1000, encodeLayer)},
+		// Not hot-gated: the sync.Pool buffers behind canonicalisation are
+		// cached per P, so allocs/op varies with goroutine migration unless
+		// the bench pins GOMAXPROCS as layerBench does.
 		{Name: "hash/canonical/v1k", Quick: true, F: hashBench(1000)},
 		{Name: "wal/submit_fsync", Quick: true, F: walBench},
 		{Name: "service/schedule_roundtrip", Quick: true, F: serviceBench},
@@ -135,6 +147,59 @@ func hashBench(v int) func(*testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := server.CanonicalHash("HDLTS", pr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// A codec layer is set up once per problem and then timed; the returned
+// op must not retain anything between calls.
+type codecLayer func(b *testing.B, pr *sched.Problem) (op func() error)
+
+func decodeLayer(b *testing.B, pr *sched.Problem) func() error {
+	canon, err := server.CanonicalProblemJSON(pr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func() error {
+		_, err := sched.ReadProblemJSON(bytes.NewReader(canon))
+		return err
+	}
+}
+
+func canonicalLayer(_ *testing.B, pr *sched.Problem) func() error {
+	return func() error {
+		_, err := server.CanonicalProblemJSON(pr)
+		return err
+	}
+}
+
+func encodeLayer(b *testing.B, pr *sched.Problem) func() error {
+	sc, err := registry.MustGet("hdlts").Schedule(pr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func() error { return sc.WriteScheduleJSON(io.Discard, "HDLTS") }
+}
+
+// layerBench times one codec layer over the fixed problem of the given
+// size. GOMAXPROCS is pinned to 1 and GC disabled while it runs: the
+// codec's sync.Pool buffers are cached per P, and a goroutine migrating
+// between Ps (or a GC emptying the pool) would otherwise make allocs/op
+// vary between runs and trip the strict hot-path gate.
+func layerBench(v int, layer codecLayer) func(*testing.B) {
+	return func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		op := layer(b, problem(v))
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -54,10 +54,14 @@ func NewWithBandwidth(b [][]float64) (*Platform, error) {
 	if p == 0 {
 		return nil, errors.New("platform: empty bandwidth matrix")
 	}
+	// Check every row's length before any entry: the symmetry check reads
+	// b[j][i] for rows not yet visited.
 	for i := range b {
 		if len(b[i]) != p {
 			return nil, fmt.Errorf("platform: bandwidth row %d has %d entries, want %d", i, len(b[i]), p)
 		}
+	}
+	for i := range b {
 		for j := range b[i] {
 			if i == j {
 				continue

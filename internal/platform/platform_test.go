@@ -146,3 +146,12 @@ func TestPlatformString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestNewWithBandwidthRaggedLaterRow is a regression test: a short row
+// after a full one used to panic in the symmetry check instead of
+// failing validation.
+func TestNewWithBandwidthRaggedLaterRow(t *testing.T) {
+	if _, err := NewWithBandwidth([][]float64{{0, 1}, {}}); err == nil {
+		t.Fatal("ragged bandwidth matrix accepted")
+	}
+}

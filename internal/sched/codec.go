@@ -1,84 +1,310 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"hdlts/internal/dag"
 	"hdlts/internal/platform"
+	"hdlts/internal/wire"
 )
 
-// jsonProblem is the on-disk representation of a Problem: the workflow, the
-// processor count (with optional pairwise bandwidth), and the W matrix as
-// per-task rows.
-type jsonProblem struct {
-	Graph     *dag.Graph  `json:"graph"`
-	Procs     int         `json:"procs"`
-	Bandwidth [][]float64 `json:"bandwidth,omitempty"`
-	Costs     [][]float64 `json:"costs"`
-}
+// The problem's wire form is {"graph": {...}, "procs": n,
+// "bandwidth": [[...]]?, "costs": [[...]]}: the workflow (dag's wire
+// form), the processor count, the pairwise bandwidth matrix when it is
+// not uniform, and the W matrix as per-task rows. Its indented rendering
+// (WriteJSON) is canonical: it keys the job result cache, so its bytes
+// must never change.
 
-// WriteJSON serialises the problem as indented JSON.
-func (pr *Problem) WriteJSON(w io.Writer) error {
-	jp := jsonProblem{Graph: pr.G, Procs: pr.NumProcs()}
-	for t := 0; t < pr.NumTasks(); t++ {
-		jp.Costs = append(jp.Costs, pr.W.Row(t))
-	}
-	// Emit the bandwidth matrix only when it is non-uniform.
-	nonUniform := false
-	for a := 0; a < pr.NumProcs() && !nonUniform; a++ {
-		for b := 0; b < pr.NumProcs(); b++ {
-			if a != b && pr.P.Bandwidth(platform.Proc(a), platform.Proc(b)) != 1 {
-				nonUniform = true
-				break
-			}
-		}
-	}
-	if nonUniform {
-		jp.Bandwidth = make([][]float64, pr.NumProcs())
-		for a := 0; a < pr.NumProcs(); a++ {
-			jp.Bandwidth[a] = make([]float64, pr.NumProcs())
-			for b := 0; b < pr.NumProcs(); b++ {
-				if a != b {
-					jp.Bandwidth[a][b] = pr.P.Bandwidth(platform.Proc(a), platform.Proc(b))
+// appendJSON writes the problem as one value into w.
+func (pr *Problem) appendJSON(w *wire.Writer) {
+	procs := pr.NumProcs()
+	w.BeginObject()
+	w.Key("graph")
+	pr.G.AppendJSON(w)
+	w.Key("procs")
+	w.Int(procs)
+	if !pr.uniformBandwidth() {
+		w.Key("bandwidth")
+		w.BeginArray()
+		for a := 0; a < procs; a++ {
+			w.BeginArray()
+			for b := 0; b < procs; b++ {
+				if a == b {
+					w.Float(0)
+				} else {
+					w.Float(pr.P.Bandwidth(platform.Proc(a), platform.Proc(b)))
 				}
 			}
+			w.EndArray()
 		}
+		w.EndArray()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jp)
+	w.Key("costs")
+	if pr.NumTasks() == 0 {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for t := 0; t < pr.NumTasks(); t++ {
+			w.BeginArray()
+			for _, v := range pr.W.RowView(t) {
+				w.Float(v)
+			}
+			w.EndArray()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
-// ReadProblemJSON deserialises and validates a problem written by WriteJSON.
+// uniformBandwidth reports whether every link has bandwidth 1, in which
+// case the wire form omits the bandwidth matrix.
+func (pr *Problem) uniformBandwidth() bool {
+	for a := 0; a < pr.NumProcs(); a++ {
+		for b := 0; b < pr.NumProcs(); b++ {
+			if a != b && pr.P.Bandwidth(platform.Proc(a), platform.Proc(b)) != 1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// WriteJSON serialises the problem in its canonical indented form.
+func (pr *Problem) WriteJSON(w io.Writer) error {
+	jw := wire.GetWriter(true)
+	defer jw.Free()
+	if err := pr.AppendCanonical(jw); err != nil {
+		return err
+	}
+	_, err := w.Write(jw.Bytes())
+	return err
+}
+
+// AppendCanonical writes the canonical form, trailing newline included,
+// into an empty indented Writer.
+func (pr *Problem) AppendCanonical(w *wire.Writer) error {
+	pr.appendJSON(w)
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("sched: encode problem: %w", err)
+	}
+	w.Newline()
+	return nil
+}
+
+// ReadProblemJSON deserialises and validates the first JSON value in r as
+// a problem; anything after it is ignored.
 func ReadProblemJSON(r io.Reader) (*Problem, error) {
-	var jp jsonProblem
-	if err := json.NewDecoder(r).Decode(&jp); err != nil {
+	data, release, err := wire.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("sched: decode problem: %w", err)
 	}
-	if jp.Graph == nil {
+	defer release()
+	return ScanProblem(wire.NewScanner(data))
+}
+
+// ScanProblem decodes and validates one problem value at the scanner's
+// cursor, parsing numbers straight into the graph, the flat cost matrix
+// and the bandwidth matrix. It consumes the whole value even when the
+// problem is invalid, so a caller embedding the problem in a larger
+// document can keep reading; when the document itself is malformed the
+// error wraps s.Err().
+//
+// The accepted input is exactly encoding/json's for the wire form: keys
+// match case-insensitively, unknown keys are skipped, a repeated key
+// decodes over the earlier value (array elements merge slot by slot, as
+// reflection does), null leaves a number unchanged and empties an array,
+// and "procs" must be an integer. "procs" is ignored when a bandwidth
+// matrix is given.
+func ScanProblem(s *wire.Scanner) (*Problem, error) {
+	r := problemReader{s: s}
+	r.value()
+	if s.Err() != nil {
+		return nil, fmt.Errorf("sched: decode problem: %w", s.Err())
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("sched: decode problem: %w", r.err)
+	}
+	if r.graph == nil {
 		return nil, fmt.Errorf("sched: problem file has no graph")
 	}
 	var pl *platform.Platform
 	var err error
-	if jp.Bandwidth != nil {
-		// Re-fill the (ignored) diagonal so validation passes.
-		for i := range jp.Bandwidth {
-			if i < len(jp.Bandwidth[i]) {
-				jp.Bandwidth[i][i] = 1
-			}
-		}
-		pl, err = platform.NewWithBandwidth(jp.Bandwidth)
+	if r.bandwidth.set {
+		pl, err = platform.NewWithBandwidth(r.bandwidth.rows())
 	} else {
-		pl, err = platform.NewUniform(jp.Procs)
+		pl, err = platform.NewUniform(r.procs)
 	}
 	if err != nil {
 		return nil, err
 	}
-	w, err := platform.CostsFromRows(jp.Costs)
+	var w *platform.Costs
+	if flat, procs, ok := r.costs.flat(); ok {
+		w, err = platform.CostsFromFlat(r.costs.n, procs, flat)
+	} else {
+		w, err = platform.CostsFromRows(r.costs.rows())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return NewProblem(jp.Graph, pl, w)
+	return newProblem(r.graph, pl, w) // dag.ScanJSON validated the graph
+}
+
+type problemReader struct {
+	s         *wire.Scanner
+	err       error // first non-syntax error; the scan continues past it
+	graph     *dag.Graph
+	procs     int
+	bandwidth matrix
+	costs     matrix
+}
+
+func (r *problemReader) fail(err error) {
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *problemReader) value() {
+	s := r.s
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+		return
+	case wire.Object:
+	default:
+		s.Skip()
+		r.fail(fmt.Errorf("cannot decode %s into a problem", k))
+		return
+	}
+	obj := s.Object()
+	for obj.Next() {
+		switch {
+		case obj.Is("graph"):
+			if s.Null() {
+				r.graph = nil
+				continue
+			}
+			g, err := dag.ScanJSON(s)
+			r.fail(err)
+			r.graph = g
+		case obj.Is("bandwidth"):
+			r.bandwidth.scan(r)
+		case obj.Is("costs"):
+			r.costs.scan(r)
+		case obj.Is("procs"):
+			r.fail(s.IntInto(&r.procs))
+		default:
+			s.Skip()
+		}
+	}
+}
+
+// matrix decodes a [][]float64 value into one flat arena. Row i occupies
+// vals[start:start+hi], where hi counts every element the row has ever
+// held: a repeated key decodes element (i, j) over the old one and a null
+// element keeps it, as encoding/json does when decoding into an existing
+// slice. In the usual single, rectangular decode the rows are laid out
+// back to back and the arena is the row-major matrix itself.
+type matrix struct {
+	vals  []float64
+	slots []rowSlot
+	n     int  // rows in the current value
+	set   bool // a non-null array was decoded last
+}
+
+type rowSlot struct{ start, hi, n int }
+
+func (m *matrix) scan(r *problemReader) {
+	s := r.s
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+		m.slots, m.n, m.set = m.slots[:0], 0, false
+		return
+	case wire.Array:
+	default:
+		s.Skip()
+		r.fail(fmt.Errorf("cannot decode %s into a matrix", k))
+		return
+	}
+	m.set = true
+	arr := s.Array()
+	i := 0
+	for ; arr.Next(); i++ {
+		if i == len(m.slots) {
+			m.slots = append(m.slots, rowSlot{start: len(m.vals)})
+		}
+		m.row(r, &m.slots[i])
+	}
+	if i == 0 {
+		m.slots = m.slots[:0]
+	}
+	m.n = i
+}
+
+func (m *matrix) row(r *problemReader, rs *rowSlot) {
+	s := r.s
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+		rs.hi, rs.n = 0, 0
+		return
+	case wire.Array:
+	default:
+		s.Skip()
+		r.fail(fmt.Errorf("cannot decode %s into a matrix row", k))
+		return
+	}
+	arr := s.Array()
+	j := 0
+	for ; arr.Next(); j++ {
+		if j < rs.hi {
+			r.fail(s.FloatInto(&m.vals[rs.start+j]))
+			continue
+		}
+		var v float64
+		r.fail(s.FloatInto(&v))
+		if rs.start+rs.hi != len(m.vals) {
+			// The row must grow but another row follows it in the
+			// arena: move it to the end.
+			start := len(m.vals)
+			m.vals = append(m.vals, m.vals[rs.start:rs.start+rs.hi]...)
+			rs.start = start
+		}
+		m.vals = append(m.vals, v)
+		rs.hi++
+	}
+	if j == 0 {
+		rs.hi = 0
+	}
+	rs.n = j
+}
+
+// flat returns the decoded matrix as one row-major slice when its rows
+// are equally long and laid out back to back.
+func (m *matrix) flat() (vals []float64, width int, ok bool) {
+	if m.n == 0 {
+		return nil, 0, false
+	}
+	width = m.slots[0].n
+	for i, rs := range m.slots[:m.n] {
+		if rs.n != width || rs.start != i*width {
+			return nil, 0, false
+		}
+	}
+	return m.vals[: m.n*width : m.n*width], width, true
+}
+
+// rows returns the decoded matrix as row views into the arena, nil for a
+// null or absent value.
+func (m *matrix) rows() [][]float64 {
+	if !m.set {
+		return nil
+	}
+	out := make([][]float64, m.n)
+	for i, rs := range m.slots[:m.n] {
+		out[i] = m.vals[rs.start : rs.start+rs.n]
+	}
+	return out
 }

@@ -67,6 +67,11 @@ func NewProblem(g *dag.Graph, p *platform.Platform, w *platform.Costs) (*Problem
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return newProblem(g, p, w)
+}
+
+// newProblem is NewProblem for a graph that has already passed Validate.
+func newProblem(g *dag.Graph, p *platform.Platform, w *platform.Costs) (*Problem, error) {
 	if err := w.Validate(g.NumTasks(), p.NumProcs()); err != nil {
 		return nil, err
 	}

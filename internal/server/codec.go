@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // ScheduleRequest is the POST /v1/schedule wire request. The problem
@@ -55,43 +58,148 @@ type ErrorResponse struct {
 	Status int    `json:"status"`
 }
 
-// decodeScheduleRequest parses and validates one request body, returning
-// the wire struct plus the fully validated problem. Every failure is a
-// client error (HTTP 400): unknown fields, a missing or malformed problem,
-// cyclic graphs, and ragged or negative cost/bandwidth matrices are all
-// rejected with the underlying codec's message.
+// decodeScheduleRequest parses and validates one request body in a
+// single pass: the body is read into a pooled buffer, the envelope is
+// scanned, and its "problem" value is decoded in place, so the returned
+// request's Problem stays nil and nothing returned aliases the buffer.
+// Every failure is a client error (HTTP 400): malformed JSON, unknown
+// fields, anything but whitespace after the request object, a missing or
+// malformed problem, cyclic graphs, and ragged or negative cost/bandwidth
+// matrices are all rejected with the underlying codec's message. Envelope
+// keys follow encoding/json's rules, as the problem's do:
+// case-insensitive, the last of a repeated key wins.
 func decodeScheduleRequest(r io.Reader) (*ScheduleRequest, *sched.Problem, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req ScheduleRequest
-	if err := dec.Decode(&req); err != nil {
+	body, release, err := wire.ReadAll(r)
+	if err != nil {
 		return nil, nil, fmt.Errorf("decode request: %w", err)
 	}
-	pr, err := decodeProblem(req.Problem)
-	if err != nil {
-		return nil, nil, err
+	defer release()
+	s := wire.NewScanner(body)
+	req := &ScheduleRequest{}
+	var (
+		pr         *sched.Problem
+		prErr, bad error
+		hasProblem bool
+	)
+	fail := func(err error) {
+		if err != nil && bad == nil {
+			bad = err
+		}
 	}
-	return &req, pr, nil
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+	case wire.Object:
+		obj := s.Object()
+		for obj.Next() {
+			switch {
+			case obj.Is("problem"):
+				hasProblem = true
+				pr, prErr = sched.ScanProblem(s)
+			case obj.Is("algorithm"):
+				fail(s.StringInto(&req.Algorithm))
+			case obj.Is("trace"):
+				fail(s.BoolInto(&req.Trace))
+			default:
+				fail(fmt.Errorf("unknown field %q", obj.Key()))
+				s.Skip()
+			}
+		}
+	default:
+		s.Skip()
+		fail(fmt.Errorf("cannot decode %s into a request", k))
+	}
+	s.AtEOF()
+	if err := s.Err(); err != nil {
+		return nil, nil, fmt.Errorf("decode request: %w", err)
+	}
+	if bad != nil {
+		return nil, nil, fmt.Errorf("decode request: %w", bad)
+	}
+	if !hasProblem {
+		return nil, nil, errors.New("request has no problem")
+	}
+	if prErr != nil {
+		return nil, nil, prErr
+	}
+	return req, pr, nil
 }
 
 // decodeProblem parses and fully validates one problem subobject — the
-// shared decoder behind POST /v1/schedule and POST /v1/jobs, and the
-// target FuzzDecodeProblem hardens.
+// shared decoder behind POST /v1/jobs and the job runner, and the target
+// FuzzDecodeProblem hardens.
 func decodeProblem(raw json.RawMessage) (*sched.Problem, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("request has no problem")
 	}
-	return sched.ReadProblemJSON(bytes.NewReader(raw))
+	return sched.ScanProblem(wire.NewScanner(raw))
 }
 
-// encodeSchedule renders a completed schedule into the response's raw
-// Schedule field.
-func encodeSchedule(s *sched.Schedule, algorithm string) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := s.WriteScheduleJSON(&buf, algorithm); err != nil {
-		return nil, err
+// appendScheduleResponse writes resp as a ScheduleResponse whose Schedule
+// is sc's WriteScheduleJSON form, with the bytes encoding/json would
+// produce for it (compact or indented to match w). resp.Schedule is not
+// read.
+func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Schedule) error {
+	w.BeginObject()
+	w.Key("algorithm")
+	w.String(r.Algorithm)
+	w.Key("tasks")
+	w.Int(r.Tasks)
+	w.Key("procs")
+	w.Int(r.Procs)
+	w.Key("makespan")
+	w.Float(r.Makespan)
+	w.Key("slr")
+	w.Float(r.SLR)
+	w.Key("speedup")
+	w.Float(r.Speedup)
+	w.Key("efficiency")
+	w.Float(r.Efficiency)
+	w.Key("duplicates")
+	w.Int(r.Duplicates)
+	w.Key("schedule")
+	if err := sc.AppendScheduleJSON(w, r.Algorithm); err != nil {
+		return err
 	}
-	return json.RawMessage(bytes.TrimSpace(buf.Bytes())), nil
+	if len(r.Events) > 0 {
+		w.Key("events")
+		w.BeginArray()
+		for _, ev := range r.Events {
+			if err := appendRaw(w, ev); err != nil {
+				return err
+			}
+		}
+		w.EndArray()
+	}
+	if len(r.Explain) > 0 {
+		w.Key("explain")
+		if err := appendRaw(w, r.Explain); err != nil {
+			return err
+		}
+	}
+	w.Key("elapsed_seconds")
+	w.Float(r.ElapsedSeconds)
+	w.EndObject()
+	return w.Err()
+}
+
+// appendRaw writes a pre-encoded JSON value the way encoding/json embeds
+// a json.RawMessage: compacted with HTML escaping, then indented to the
+// writer's depth.
+func appendRaw(w *wire.Writer, raw []byte) error {
+	var esc, out bytes.Buffer
+	json.HTMLEscape(&esc, raw)
+	var err error
+	if w.Indented() {
+		err = json.Indent(&out, esc.Bytes(), strings.Repeat("  ", w.Depth()), "  ")
+	} else {
+		err = json.Compact(&out, esc.Bytes())
+	}
+	if err != nil {
+		return err
+	}
+	w.Raw(out.Bytes())
+	return nil
 }
 
 // splitJSONL cuts a JSON Lines buffer into one raw message per line, for

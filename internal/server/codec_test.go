@@ -123,6 +123,21 @@ func TestDecodeScheduleRequestErrors(t *testing.T) {
 			"not symmetric",
 		},
 		{
+			"trailing garbage",
+			`{"problem":{"graph":{"tasks":[{"name":"a"}],"edges":[]},"procs":1,"costs":[[1]]}} trailing garbage {`,
+			"after top-level value",
+		},
+		{
+			"second object",
+			`{"problem":{"graph":{"tasks":[{"name":"a"}],"edges":[]},"procs":1,"costs":[[1]]}}{}`,
+			"after top-level value",
+		},
+		{
+			"unknown field",
+			`{"problem":{"graph":{"tasks":[{"name":"a"}],"edges":[]},"procs":1,"costs":[[1]]},"bogus":1}`,
+			"unknown field",
+		},
+		{
 			"edge out of range",
 			`{"problem":{"graph":{"tasks":[{"name":"a"}],"edges":[{"from":0,"to":5,"data":1}]},` +
 				`"procs":1,"costs":[[1]]}}`,
@@ -139,6 +154,27 @@ func TestDecodeScheduleRequestErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeScheduleRequestAccepts covers the envelope forms the decoder
+// admits: trailing whitespace, case-insensitive keys (encoding/json's
+// rule), and a repeated key whose last value wins.
+func TestDecodeScheduleRequestAccepts(t *testing.T) {
+	problem := `{"graph":{"tasks":[{"name":"a"}],"edges":[]},"procs":1,"costs":[[1]]}`
+	for _, body := range []string{
+		`{"problem":` + problem + "}  \n\t",
+		`{"ALGORITHM":"heft","Problem":` + problem + `,"TRACE":true}`,
+		`{"problem":{"procs":0},"algorithm":null,"problem":` + problem + `}`,
+	} {
+		req, pr, err := decodeScheduleRequest(strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		if pr.NumTasks() != 1 || req.Problem != nil {
+			t.Errorf("%s: decoded %d tasks, request problem %q", body, pr.NumTasks(), req.Problem)
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"testing"
 
+	"hdlts/internal/sched"
 	"hdlts/internal/workflows"
 )
 
@@ -79,6 +83,72 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 		// codec's invariants, so canonicalisation cannot fail.
 		if _, err := CanonicalProblemJSON(pr); err != nil {
 			t.Fatalf("accepted request fails to canonicalise: %v", err)
+		}
+	})
+}
+
+// oracleScheduleRequest is the request decoding the server used before the
+// single-pass codec, plus the trailing-data rule: encoding/json decodes the
+// envelope with unknown fields disallowed, only whitespace may follow it,
+// and the raw problem then goes through the problem decoder, which
+// internal/sched holds to its own reflection oracle.
+func oracleScheduleRequest(data []byte) (*ScheduleRequest, *sched.Problem, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var req ScheduleRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, fmt.Errorf("trailing data: %v", err)
+	}
+	pr, err := decodeProblem(req.Problem)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &req, pr, nil
+}
+
+// FuzzScheduleRequestMatchesStdlib holds the single-pass envelope decoder
+// to oracleScheduleRequest: both reject, or both accept with the same
+// algorithm, trace flag and canonical problem.
+func FuzzScheduleRequestMatchesStdlib(f *testing.F) {
+	problem := string(fuzzSeedProblem(f))
+	for _, seed := range []string{
+		`{"algorithm":"hdlts","problem":` + problem + `}`,
+		`{"ALGORITHM":"heft","Problem":` + problem + `,"TRACE":true}  ` + "\n",
+		`{"problem":{"procs":0},"algorithm":null,"trace":null,"problem":` + problem + `}`,
+		`{"problem":` + problem + `} {}`,
+		`{"problem":` + problem + `,"bogus":[1,{"x":null}]}`,
+		`{"problem":null}`,
+		`{"problem":5}`,
+		`{"algorithm":7,"problem":` + problem + `}`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, pr, err := decodeScheduleRequest(bytes.NewReader(data))
+		oreq, opr, oerr := oracleScheduleRequest(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("input %q:\ndecoder error: %v\noracle error:  %v", data, err, oerr)
+		}
+		if err != nil {
+			return
+		}
+		if req.Algorithm != oreq.Algorithm || req.Trace != oreq.Trace {
+			t.Fatalf("envelope %+v, oracle %+v", req, oreq)
+		}
+		a, err := CanonicalProblemJSON(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := CanonicalProblemJSON(opr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("canonical problems differ:\n%s\noracle:\n%s", a, b)
 		}
 	})
 }

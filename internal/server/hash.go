@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // CanonicalProblemJSON renders a validated problem in its canonical wire
@@ -14,12 +14,14 @@ import (
 // order, stable field order, bandwidth emitted only when non-uniform).
 // Two problems that decode equal serialise byte-identically, whatever
 // whitespace, field order, or redundant bandwidth matrix the client sent.
+// The returned slice is the caller's own.
 func CanonicalProblemJSON(pr *sched.Problem) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := pr.WriteJSON(&buf); err != nil {
-		return nil, fmt.Errorf("canonicalise problem: %w", err)
+	w := wire.GetWriter(true)
+	defer w.Free()
+	if err := pr.AppendCanonical(w); err != nil {
+		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(w.Bytes()), nil
 }
 
 // CanonicalHash returns the content address of one (algorithm, problem)
@@ -29,11 +31,12 @@ func CanonicalProblemJSON(pr *sched.Problem) ([]byte, error) {
 // coalescing. Pass the registry's canonical name (Algorithm.Name()), not
 // raw client input, so "hdlts" and "HDLTS" address the same entry.
 func CanonicalHash(algorithm string, pr *sched.Problem) (string, error) {
-	canon, err := CanonicalProblemJSON(pr)
-	if err != nil {
+	w := wire.GetWriter(true)
+	defer w.Free()
+	if err := pr.AppendCanonical(w); err != nil {
 		return "", err
 	}
-	return hashOf(algorithm, canon), nil
+	return hashOf(algorithm, w.Bytes()), nil
 }
 
 // hashOf is the hash core for callers that already hold the canonical

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -13,7 +14,6 @@ import (
 
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
-	"hdlts/internal/sched"
 )
 
 // JobSubmitRequest is the POST /v1/jobs wire request. Exactly one form:
@@ -118,8 +118,10 @@ type jobSubmission struct {
 
 // prepareSubmission validates one (algorithm, problem) pair all the way
 // down — registry lookup, full problem validation, canonical serialisation
-// — and returns its content address. Every failure is a client error.
-func (s *Server) prepareSubmission(algorithm string, problem json.RawMessage) (*jobSubmission, error) {
+// — and returns its content address. Every failure is a client error. The
+// decode and the canonicalise+hash steps record the "schedule.decode" and
+// "schedule.hash" spans under ctx.
+func (s *Server) prepareSubmission(ctx context.Context, algorithm string, problem json.RawMessage) (*jobSubmission, error) {
 	name := algorithm
 	if name == "" {
 		name = "hdlts"
@@ -128,10 +130,14 @@ func (s *Server) prepareSubmission(algorithm string, problem json.RawMessage) (*
 	if err != nil {
 		return nil, err
 	}
+	_, dec := obs.StartSpan(ctx, "schedule.decode")
 	pr, err := decodeProblem(problem)
+	dec.Finish()
 	if err != nil {
 		return nil, err
 	}
+	_, hash := obs.StartSpan(ctx, "schedule.hash")
+	defer hash.Finish()
 	canon, err := CanonicalProblemJSON(pr)
 	if err != nil {
 		return nil, err
@@ -161,15 +167,16 @@ func (s *Server) runJobFunc(ctx context.Context, algorithm string, problem json.
 	if err != nil {
 		return nil, err
 	}
-	pr, err := sched.ReadProblemJSON(bytes.NewReader(problem))
+	pr, err := decodeProblem(problem)
 	if err != nil {
 		return nil, err
 	}
-	out := s.runSchedule(ctx, alg, pr, false, false)
+	out := s.runSchedule(ctx, alg, pr, false, false, false)
 	if out.err != nil {
 		return nil, out.err
 	}
-	return json.Marshal(out.resp)
+	defer out.body.Free()
+	return bytes.Clone(out.body.Bytes()), nil
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +189,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobSubmitRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.jobError(w, http.StatusRequestEntityTooLarge, "body_too_large", err)
@@ -206,7 +217,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// item rejects the request with nothing enqueued.
 	subs := make([]*jobSubmission, len(items))
 	for i, it := range items {
-		sub, err := s.prepareSubmission(it.Algorithm, it.Problem)
+		sub, err := s.prepareSubmission(r.Context(), it.Algorithm, it.Problem)
 		if err != nil {
 			s.jobError(w, http.StatusBadRequest, "bad_request",
 				fmt.Errorf("job %d: %w", i, err))
@@ -253,6 +264,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, batch)
 	default:
 		writeJSON(w, http.StatusAccepted, batch)
+	}
+}
+
+// trailingData rejects anything but whitespace after the value dec has
+// decoded: a request body holds exactly one JSON object.
+func trailingData(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("unexpected %v after the request object", tok)
 	}
 }
 

@@ -205,6 +205,8 @@ func TestJobValidationErrors(t *testing.T) {
 		{"both forms", http.MethodPost, "/v1/jobs",
 			`{"problem":` + good + `,"jobs":[{"problem":` + good + `}]}`, http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/jobs", `{"bogus":1}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, "/v1/jobs", `{"problem":` + good + `} trailing garbage {`, http.StatusBadRequest},
+		{"second object", http.MethodPost, "/v1/jobs", `{"problem":` + good + `}{}`, http.StatusBadRequest},
 		{"bad problem", http.MethodPost, "/v1/jobs", `{"problem":{"procs":0}}`, http.StatusBadRequest},
 		{"unknown algorithm", http.MethodPost, "/v1/jobs",
 			`{"algorithm":"nope","problem":` + good + `}`, http.StatusBadRequest},

@@ -32,6 +32,7 @@ import (
 	"hdlts/internal/obs"
 	"hdlts/internal/registry"
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // Config tunes a Server. The zero value is served with sensible defaults,
@@ -359,7 +360,7 @@ func (s *Server) isDraining() bool {
 
 // scheduleOutcome carries one worker result back to its handler.
 type scheduleOutcome struct {
-	resp   *ScheduleResponse
+	body   *wire.Writer // the encoded ScheduleResponse; Free after use
 	status int
 	err    error
 }
@@ -371,7 +372,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	_, dec := obs.StartSpan(r.Context(), "schedule.decode")
 	req, pr, err := decodeScheduleRequest(r.Body)
+	dec.Finish()
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -402,7 +405,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	done := make(chan scheduleOutcome, 1)
 	explain := r.URL.Query().Get("explain") == "1"
 	admitted := s.pool.trySubmit(func() {
-		done <- s.runSchedule(rctx, alg, pr, req.Trace, explain)
+		done <- s.runSchedule(rctx, alg, pr, req.Trace, explain, true)
 	})
 	if !admitted {
 		if s.isDraining() {
@@ -422,7 +425,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			s.scheduleError(w, out.status, "schedule", out.err)
 			return
 		}
-		writeJSON(w, http.StatusOK, out.resp)
+		writeScheduleResponse(w, out.body)
 	case <-ctx.Done():
 		s.scheduleError(w, http.StatusGatewayTimeout, "timeout",
 			fmt.Errorf("request exceeded %s: %w", s.cfg.RequestTimeout, ctx.Err()))
@@ -430,13 +433,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSchedule executes one admitted request inside a worker: schedule,
-// validate, evaluate, and encode, with the per-algorithm latency histogram
-// observing only time spent here (queue wait is visible as the gap to
-// hdltsd_http_request_seconds). ctx carries the request's trace identity:
-// when the trace is retained, each phase records a span and the
-// scheduler's decision events land in the trace ring — the replayable
-// "why was this mapping chosen" record behind the trace endpoints.
-func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched.Problem, trace, explainReq bool) scheduleOutcome {
+// validate, evaluate, and encode the ScheduleResponse (indented as the
+// /v1/schedule body, or compact as a stored job result), with the
+// per-algorithm latency histogram observing only time spent here (queue
+// wait is visible as the gap to hdltsd_http_request_seconds). ctx carries
+// the request's trace identity: when the trace is retained, each phase
+// records a span and the scheduler's decision events land in the trace
+// ring — the replayable "why was this mapping chosen" record behind the
+// trace endpoints.
+func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched.Problem, trace, explainReq, indent bool) scheduleOutcome {
 	ctx, run := obs.StartSpan(ctx, "schedule.run", obs.KeyAlg, alg.Name())
 	defer run.Finish()
 	start := time.Now()
@@ -493,12 +498,6 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 		return scheduleOutcome{status: http.StatusUnprocessableEntity,
 			err: fmt.Errorf("evaluate: %w", err)}
 	}
-	_, encode := obs.StartSpan(ctx, "schedule.encode")
-	raw, err := encodeSchedule(sc, alg.Name())
-	encode.Finish()
-	if err != nil {
-		return scheduleOutcome{status: http.StatusInternalServerError, err: err}
-	}
 	elapsed := time.Since(start).Seconds()
 	s.cfg.Metrics.Histogram(metricScheduleSeconds, "alg", alg.Name()).Observe(elapsed)
 	resp := &ScheduleResponse{
@@ -510,7 +509,6 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 		Speedup:        res.Speedup,
 		Efficiency:     res.Efficiency,
 		Duplicates:     res.Duplicates,
-		Schedule:       raw,
 		ElapsedSeconds: elapsed,
 	}
 	if sink != nil {
@@ -535,7 +533,15 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 		}
 		resp.Explain = raw
 	}
-	return scheduleOutcome{resp: resp, status: http.StatusOK}
+	_, encode := obs.StartSpan(ctx, "schedule.encode")
+	body := wire.GetWriter(indent)
+	err = appendScheduleResponse(body, resp, sc)
+	encode.Finish()
+	if err != nil {
+		body.Free()
+		return scheduleOutcome{status: http.StatusInternalServerError, err: err}
+	}
+	return scheduleOutcome{body: body, status: http.StatusOK}
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
@@ -581,6 +587,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeScheduleResponse sends an encoded ScheduleResponse as the complete
+// 200 body, with writeJSON's framing, and frees it.
+func writeScheduleResponse(w http.ResponseWriter, body *wire.Writer) {
+	defer body.Free()
+	body.Newline()
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes())
 }
 
 // statusRecorder captures the status code and body size for accounting.

@@ -69,26 +69,32 @@ type sseEvent struct {
 }
 
 // readSSE parses an event-stream body into a channel of events, closing it
-// on EOF. Comment lines (": keepalive" and friends) are skipped.
+// on EOF. Comment lines (": keepalive" and friends) are skipped. As the SSE
+// format specifies, an event is dispatched at the blank line that ends it,
+// so an event cut off when the test closes the body is dropped rather than
+// parsed half-read.
 func readSSE(t *testing.T, body io.Reader) <-chan sseEvent {
 	t.Helper()
 	out := make(chan sseEvent, 256)
 	go func() {
 		defer close(out)
 		sc := bufio.NewScanner(body)
-		var kind string
+		var kind, data string
 		for sc.Scan() {
 			line := sc.Text()
 			switch {
 			case strings.HasPrefix(line, "event: "):
 				kind = strings.TrimPrefix(line, "event: ")
 			case strings.HasPrefix(line, "data: "):
+				data = strings.TrimPrefix(line, "data: ")
+			case line == "" && data != "":
 				var ev obs.StreamEvent
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-					t.Errorf("bad SSE data %q: %v", line, err)
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Errorf("bad SSE data %q: %v", data, err)
 					return
 				}
 				out <- sseEvent{kind: kind, data: ev}
+				kind, data = "", ""
 			}
 		}
 	}()
@@ -245,8 +251,14 @@ func TestSSEDecisionFeedPerTrace(t *testing.T) {
 			switch ev.kind {
 			case obs.KindDecision:
 				decisions++
-				if ev.data.TraceID == "" || ev.data.Name == "" {
-					t.Errorf("decision event missing trace/name: %+v", ev.data)
+				var payload struct {
+					Ev string `json:"ev"`
+				}
+				if err := json.Unmarshal(ev.data.Data, &payload); err != nil {
+					t.Fatal(err)
+				}
+				if ev.data.TraceID == "" || ev.data.Name != payload.Ev {
+					t.Errorf("decision event missing trace or named %q, not %q: %+v", ev.data.Name, payload.Ev, ev.data)
 				}
 			case obs.KindSpan:
 				spans++

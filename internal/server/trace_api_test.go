@@ -222,6 +222,37 @@ func TestScheduleTraceRecordedInRing(t *testing.T) {
 	}
 }
 
+// TestCodecSpansRecorded checks the codec layers appear in retained
+// traces under the names the benchmark ledger uses: "schedule.decode" for
+// both submission paths, "schedule.hash" for job admission's
+// canonicalise+hash.
+func TestCodecSpansRecorded(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	if rec := doWithRequestID(srv, http.MethodPost, "/v1/schedule", "codec-spans-sync",
+		ScheduleRequest{Problem: problemJSON(t)}); rec.Code != http.StatusOK {
+		t.Fatalf("schedule = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := doWithRequestID(srv, http.MethodPost, "/v1/jobs", "codec-spans-job",
+		JobSubmitRequest{Problem: problemJSON(t)}); rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
+	}
+	for id, want := range map[string][]string{
+		"codec-spans-sync": {"schedule.decode", "schedule.encode"},
+		"codec-spans-job":  {"schedule.decode", "schedule.hash"},
+	} {
+		tr, rec := getTrace(t, srv, "/v1/traces/"+id)
+		if tr == nil {
+			t.Fatalf("trace %s = %d: %s", id, rec.Code, rec.Body)
+		}
+		names := spanNames(tr)
+		for _, name := range want {
+			if !names[name] {
+				t.Errorf("trace %s missing span %q (have %v)", id, name, names)
+			}
+		}
+	}
+}
+
 func TestRequestIDGeneratedAndValidated(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	// Absent header: a fresh ID is generated and echoed.
