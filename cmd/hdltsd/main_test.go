@@ -482,7 +482,9 @@ steps:
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		getWF()
-		if stepState("first") == "done" && stepState("mid") == "running" {
+		// The record turns running before mid's shell has appended its
+		// marker line; wait for the line, so the first attempt counts.
+		if b, _ := os.ReadFile(marks + "/mid"); len(b) > 0 && stepState("first") == "done" && stepState("mid") == "running" {
 			break
 		}
 		if time.Now().After(deadline) {

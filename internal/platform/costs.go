@@ -46,25 +46,6 @@ func CostsFromRows(rows [][]float64) (*Costs, error) {
 	return c, nil
 }
 
-// CostsFromFlat builds a tasks x procs matrix over w, laid out row-major,
-// taking ownership of w. Values must be finite and non-negative; the first
-// offending entry in row-major order is reported, as CostsFromRows does.
-func CostsFromFlat(tasks, procs int, w []float64) (*Costs, error) {
-	if tasks < 0 || procs <= 0 {
-		return nil, fmt.Errorf("platform: invalid cost matrix shape %dx%d", tasks, procs)
-	}
-	if len(w) != tasks*procs {
-		return nil, fmt.Errorf("platform: %d cost entries for a %dx%d matrix", len(w), tasks, procs)
-	}
-	c := &Costs{tasks: tasks, procs: procs, w: w}
-	for i, v := range w {
-		if err := c.Set(i/procs, Proc(i%procs), v); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // MustCostsFromRows is CostsFromRows that panics on error.
 func MustCostsFromRows(rows [][]float64) *Costs {
 	c, err := CostsFromRows(rows)

@@ -104,11 +104,12 @@ func ReadProblemJSON(r io.Reader) (*Problem, error) {
 }
 
 // ScanProblem decodes and validates one problem value at the scanner's
-// cursor, parsing numbers straight into the graph, the flat cost matrix
-// and the bandwidth matrix. It consumes the whole value even when the
-// problem is invalid, so a caller embedding the problem in a larger
-// document can keep reading; when the document itself is malformed the
-// error wraps s.Err().
+// cursor in one pass: the graph is built as it is read, and the cost and
+// bandwidth numbers are parsed into arenas that platform.CostsFromRows
+// and NewWithBandwidth read through row views. It consumes the whole
+// value even when the problem is invalid, so a caller embedding the
+// problem in a larger document can keep reading; when the document
+// itself is malformed the error wraps s.Err().
 //
 // The accepted input is exactly encoding/json's for the wire form: keys
 // match case-insensitively, unknown keys are skipped, a repeated key
@@ -138,12 +139,7 @@ func ScanProblem(s *wire.Scanner) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	var w *platform.Costs
-	if flat, procs, ok := r.costs.flat(); ok {
-		w, err = platform.CostsFromFlat(r.costs.n, procs, flat)
-	} else {
-		w, err = platform.CostsFromRows(r.costs.rows())
-	}
+	w, err := platform.CostsFromRows(r.costs.rows())
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +200,7 @@ func (r *problemReader) value() {
 // vals[start:start+hi], where hi counts every element the row has ever
 // held: a repeated key decodes element (i, j) over the old one and a null
 // element keeps it, as encoding/json does when decoding into an existing
-// slice. In the usual single, rectangular decode the rows are laid out
-// back to back and the arena is the row-major matrix itself.
+// slice.
 type matrix struct {
 	vals  []float64
 	slots []rowSlot
@@ -279,21 +274,6 @@ func (m *matrix) row(r *problemReader, rs *rowSlot) {
 		rs.hi = 0
 	}
 	rs.n = j
-}
-
-// flat returns the decoded matrix as one row-major slice when its rows
-// are equally long and laid out back to back.
-func (m *matrix) flat() (vals []float64, width int, ok bool) {
-	if m.n == 0 {
-		return nil, 0, false
-	}
-	width = m.slots[0].n
-	for i, rs := range m.slots[:m.n] {
-		if rs.n != width || rs.start != i*width {
-			return nil, 0, false
-		}
-	}
-	return m.vals[: m.n*width : m.n*width], width, true
 }
 
 // rows returns the decoded matrix as row views into the arena, nil for a

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"hdlts/internal/sched"
 	"hdlts/internal/wire"
@@ -165,7 +164,7 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 		w.Key("events")
 		w.BeginArray()
 		for _, ev := range r.Events {
-			if err := appendRaw(w, ev); err != nil {
+			if err := w.Embed(ev); err != nil {
 				return err
 			}
 		}
@@ -173,7 +172,7 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 	}
 	if len(r.Explain) > 0 {
 		w.Key("explain")
-		if err := appendRaw(w, r.Explain); err != nil {
+		if err := w.Embed(r.Explain); err != nil {
 			return err
 		}
 	}
@@ -181,25 +180,6 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 	w.Float(r.ElapsedSeconds)
 	w.EndObject()
 	return w.Err()
-}
-
-// appendRaw writes a pre-encoded JSON value the way encoding/json embeds
-// a json.RawMessage: compacted with HTML escaping, then indented to the
-// writer's depth.
-func appendRaw(w *wire.Writer, raw []byte) error {
-	var esc, out bytes.Buffer
-	json.HTMLEscape(&esc, raw)
-	var err error
-	if w.Indented() {
-		err = json.Indent(&out, esc.Bytes(), strings.Repeat("  ", w.Depth()), "  ")
-	} else {
-		err = json.Compact(&out, esc.Bytes())
-	}
-	if err != nil {
-		return err
-	}
-	w.Raw(out.Bytes())
-	return nil
 }
 
 // splitJSONL cuts a JSON Lines buffer into one raw message per line, for

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"hdlts/internal/core"
+	"hdlts/internal/gen"
 	"hdlts/internal/obs"
 	"hdlts/internal/registry"
 	"hdlts/internal/sched"
@@ -480,6 +482,46 @@ func BenchmarkScheduleRequest(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
+	}
+}
+
+// BenchmarkScheduleRequestV1k times one POST /v1/schedule of a 1000-task
+// problem end to end in the handler, plain, with "trace": true (the
+// response embeds every decision event) and with ?explain=1 (it embeds
+// the explain report).
+func BenchmarkScheduleRequestV1k(b *testing.B) {
+	srv, err := New(Config{Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	pr, err := gen.Random(gen.Params{V: 1000, Alpha: 1.5, Density: 3, CCR: 2, Procs: 8, WDAG: 80, Beta: 1.2}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pr.WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name, path string
+		trace      bool
+	}{{"plain", "/v1/schedule", false}, {"trace", "/v1/schedule", true}, {"explain", "/v1/schedule?explain=1", false}} {
+		body, err := json.Marshal(ScheduleRequest{Algorithm: "hdlts", Problem: buf.Bytes(), Trace: v.trace})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, v.path, bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

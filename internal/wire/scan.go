@@ -10,7 +10,8 @@
 //     a repeated key wins, and null leaves scalars untouched.
 //   - Writer appends compact or indented JSON with encoding/json's number
 //     format and string escaping, so its bytes match json.Marshal and an
-//     Encoder with SetIndent("", "  ") at every depth.
+//     Encoder with SetIndent("", "  ") at every depth; Embed copies a
+//     pre-encoded value in as encoding/json embeds a json.RawMessage.
 package wire
 
 import (
@@ -196,26 +197,14 @@ func (s *Scanner) mismatch(got Kind, want string) error {
 	return &TypeError{Value: got.String(), Want: want, Offset: off}
 }
 
-// float converts the number at the cursor with strconv.ParseFloat's
-// result, the conversion encoding/json uses; a number out of float64
-// range is a TypeError.
+// float converts the number at the cursor with strconv.ParseFloat, the
+// conversion encoding/json uses; a number out of float64 range is a
+// TypeError.
 func (s *Scanner) float() (float64, error) {
 	off := s.pos
-	lit, d := s.number()
+	lit := s.number()
 	if s.err != nil {
 		return 0, s.err
-	}
-	if f, ok := d.exact(); ok {
-		return f, nil
-	}
-	if !d.long {
-		exp10 := 0
-		if d.mant != 0 {
-			exp10 = d.dp - d.nd
-		}
-		if f, ok := eiselLemire(d.mant, exp10, d.neg); ok {
-			return f, nil
-		}
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
@@ -224,17 +213,14 @@ func (s *Scanner) float() (float64, error) {
 	return f, nil
 }
 
-// int converts the number at the cursor with strconv.ParseInt's result,
-// so fractions, exponents and out-of-range values are TypeErrors, as in
+// int converts the number at the cursor with strconv.ParseInt, so
+// fractions, exponents and out-of-range values are TypeErrors, as in
 // encoding/json.
 func (s *Scanner) int() (int, error) {
 	off := s.pos
-	lit, _ := s.number()
+	lit := s.number()
 	if s.err != nil {
 		return 0, s.err
-	}
-	if n, ok := smallInt(lit); ok {
-		return n, nil
 	}
 	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
@@ -336,164 +322,54 @@ func (s *Scanner) Str() ([]byte, error) {
 }
 
 // number consumes one numeric literal, validating JSON's number grammar.
-// Along the way it collects what exact needs to convert the literal
-// without strconv.
-func (s *Scanner) number() (lit []byte, d decimal) {
+func (s *Scanner) number() []byte {
 	start := s.pos
 	if s.data[s.pos] == '-' {
-		d.neg = true
 		s.pos++
 	}
 	if s.pos >= len(s.data) {
 		s.fail("unexpected end of JSON input")
-		return nil, d
+		return nil
 	}
 	switch c := s.data[s.pos]; {
 	case c == '0':
 		s.pos++
 	case c >= '1' && c <= '9':
-		s.mantissa(&d)
+		s.digits()
 	default:
 		s.failHere("in numeric literal")
-		return nil, d
+		return nil
 	}
-	d.dp = d.nd
 	if s.pos < len(s.data) && s.data[s.pos] == '.' {
 		s.pos++
-		if !s.mantissa(&d) {
+		if !s.digits() {
 			s.failHere("after decimal point in numeric literal")
-			return nil, d
+			return nil
 		}
 	}
 	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
 		s.pos++
-		esign := 1
 		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
-			if s.data[s.pos] == '-' {
-				esign = -1
-			}
 			s.pos++
 		}
-		estart, e := s.pos, 0
-		for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
-			if s.pos-estart < 4 {
-				e = e*10 + int(s.data[s.pos]-'0')
-			} else {
-				d.long = true
-			}
-			s.pos++
-		}
-		if s.pos == estart {
+		if !s.digits() {
 			s.failHere("in exponent of numeric literal")
-			return nil, d
+			return nil
 		}
-		d.dp += esign * e
 	}
-	return s.data[start:s.pos], d
+	return s.data[start:s.pos]
 }
 
-// decimal is a number literal's value as strconv.ParseFloat first reads
-// it: up to 19 significant digits in mant (leading zeros skipped) and the
-// decimal point's position dp relative to them. long marks literals with
-// more digits or a 5-digit exponent, which are left to strconv.
-type decimal struct {
-	mant   uint64
-	nd, dp int
-	neg    bool
-	long   bool
-}
-
-// mantissa consumes a run of digits into d and reports whether there was
+// digits consumes a run of decimal digits and reports whether there was
 // at least one.
-func (s *Scanner) mantissa(d *decimal) bool {
-	data, i := s.data, s.pos
-	if d.nd == 0 { // leading zeros carry no precision
-		for i < len(data) && data[i] == '0' {
-			i++
-			d.dp--
-		}
-	}
-	for ; i < len(data); i++ {
-		c := data[i] - '0'
-		if c > 9 {
-			break
-		}
-		if d.nd < 19 {
-			d.mant = d.mant*10 + uint64(c)
-			d.nd++
-		} else {
-			d.long = true // more digits than a uint64 holds
-		}
+func (s *Scanner) digits() bool {
+	i := s.pos
+	for i < len(s.data) && s.data[i] >= '0' && s.data[i] <= '9' {
+		i++
 	}
 	ok := i > s.pos
 	s.pos = i
 	return ok
-}
-
-// float64pow10 holds the powers of ten a float64 represents exactly.
-var float64pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
-	1e20, 1e21, 1e22,
-}
-
-// exact converts d without strconv when the result is exact: a mantissa
-// below 2^52 scaled by a power of ten that float64 represents exactly.
-// This is strconv.ParseFloat's own first strategy (atof64exact), applied
-// under the same conditions, so the two agree bit for bit; otherwise ok
-// is false and the caller uses ParseFloat.
-func (d decimal) exact() (f float64, ok bool) {
-	if d.long || d.mant>>52 != 0 {
-		return 0, false
-	}
-	exp := 0
-	if d.mant != 0 {
-		exp = d.dp - d.nd
-	}
-	f = float64(d.mant)
-	if d.neg {
-		f = -f
-	}
-	switch {
-	case exp == 0:
-		return f, true
-	case exp > 0 && exp <= 15+22:
-		if exp > 22 {
-			f *= float64pow10[exp-22]
-			exp = 22
-		}
-		if f > 1e15 || f < -1e15 {
-			return 0, false
-		}
-		return f * float64pow10[exp], true
-	case exp < 0 && exp >= -22:
-		return f / float64pow10[-exp], true
-	}
-	return 0, false
-}
-
-// smallInt converts an integer literal of at most 18 digits, which cannot
-// overflow; anything else reports ok == false and goes to strconv.ParseInt.
-func smallInt(lit []byte) (int, bool) {
-	i, neg := 0, false
-	if lit[0] == '-' {
-		neg, i = true, 1
-	}
-	if len(lit)-i > 18 {
-		return 0, false
-	}
-	n := 0
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
 }
 
 // scanString consumes one string literal and returns its raw contents.

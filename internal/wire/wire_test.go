@@ -195,8 +195,8 @@ func FuzzSkipMatchesValid(f *testing.F) {
 	})
 }
 
-// TestFloatMatchesParseFloat checks the scanner's exact-conversion fast
-// path against strconv.ParseFloat on literals around its limits.
+// TestFloatMatchesParseFloat checks the scanner's number grammar and
+// conversion against json.Valid and strconv.ParseFloat/ParseInt.
 func TestFloatMatchesParseFloat(t *testing.T) {
 	lits := []string{"0", "-0", "0.0", "-0.000", "1", "10", "123456789012345", "4503599627370495", "4503599627370496",
 		"9007199254740993", "1234567890123456789", "12345678901234567890", "0.1", "0.000000123", "1e22", "1e23",
@@ -226,73 +226,72 @@ func TestFloatMatchesParseFloat(t *testing.T) {
 	}
 }
 
-func TestPow10Table(t *testing.T) {
-	tab := pow10Table()
-	for _, c := range []struct {
-		q      int
-		lo, hi uint64
-	}{
-		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
-		{0, 0, 0x8000000000000000},
-		{1, 0, 0xA000000000000000},
-		{43, 0x6D9CCD05D0000000, 0xE596B7B0C643C719}, // 1e43 = 0xE596B7B0_C643C719_6D9CCD05_D0000000 × 2^15
-	} {
-		if got := tab[c.q-minPow10]; got[0] != c.lo || got[1] != c.hi {
-			t.Errorf("10^%d: table {%#x, %#x}, want {%#x, %#x}", c.q, got[0], got[1], c.lo, c.hi)
+// embedOracle renders raw as a json.RawMessage nested depth arrays deep,
+// compact or through an indenting Encoder; ok is false when encoding/json
+// rejects raw.
+func embedOracle(raw []byte, depth int, indent bool) (out []byte, ok bool) {
+	var v any = json.RawMessage(raw)
+	for i := 0; i < depth; i++ {
+		v = []any{v}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(v); err != nil {
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// embedWire renders the same document with Writer.Embed.
+func embedWire(raw []byte, depth int, indent bool) (out []byte, ok bool) {
+	w := GetWriter(indent)
+	defer w.Free()
+	for i := 0; i < depth; i++ {
+		w.BeginArray()
+	}
+	if err := w.Embed(raw); err != nil {
+		return nil, false
+	}
+	for i := 0; i < depth; i++ {
+		w.EndArray()
+	}
+	w.Newline()
+	return append([]byte(nil), w.Bytes()...), true
+}
+
+var embedSeeds = []string{`{"t":1,"kind":"place","task":"<a&b>","vals":[1, 2.50, -0e+3]}`, " [ ] ", "{ }", `[{},[],[{}],{"a":[]}]`,
+	`"\u00e9\/\n"`, "\"sep\xe2\x80\xa8\xe2\x80\xa9 bad\xff \xe2\x80\"", "{\n  \"a\" :\t[ 1 ,\r\n 2 ] ,\"b\":{\"c\":null}}", `7`, `true`,
+	`{"a":1,}`, `[1 2]`, ``, `{} {}`}
+
+func TestEmbedMatchesEncoder(t *testing.T) {
+	for _, raw := range embedSeeds {
+		for depth := 0; depth < 3; depth++ {
+			for _, indent := range []bool{false, true} {
+				want, wok := embedOracle([]byte(raw), depth, indent)
+				got, gok := embedWire([]byte(raw), depth, indent)
+				if wok != gok || !bytes.Equal(got, want) {
+					t.Errorf("Embed(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, depth, indent, got, gok, want, wok)
+				}
+			}
 		}
 	}
 }
 
-// TestFloatEiselLemireMatchesParseFloat sweeps mantissas of every length
-// across the exponent range the fast path covers.
-func TestFloatEiselLemireMatchesParseFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200000; i++ {
-		digits := 1 + rng.Intn(19)
-		b := make([]byte, 0, 40)
-		if rng.Intn(2) == 0 {
-			b = append(b, '-')
-		}
-		b = append(b, byte('1'+rng.Intn(9)))
-		for j := 1; j < digits; j++ {
-			b = append(b, byte('0'+rng.Intn(10)))
-		}
-		if rng.Intn(3) == 0 {
-			b = append(b, "e"...)
-			b = strconv.AppendInt(b, int64(rng.Intn(700)-350), 10)
-		} else if digits > 1 && rng.Intn(2) == 0 {
-			k := 1 + rng.Intn(digits-1)
-			b = append(b[:len(b)-k], append([]byte{'.'}, b[len(b)-k:]...)...)
-		}
-		lit := string(b)
-		want, werr := strconv.ParseFloat(lit, 64)
-		var got float64
-		gerr := NewScanner(b).FloatInto(&got)
-		if (werr == nil) != (gerr == nil) || werr == nil && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Float(%s) = %v (%v), ParseFloat %v (%v)", lit, got, gerr, want, werr)
-		}
+// FuzzEmbedMatchesEncoder holds Writer.Embed to encoding/json's embedding
+// of a json.RawMessage, compact and indented, at any depth.
+func FuzzEmbedMatchesEncoder(f *testing.F) {
+	for i, seed := range embedSeeds {
+		f.Add([]byte(seed), uint8(i%4), i%2 == 0)
 	}
-}
-
-// FuzzFloatMatchesParseFloat holds the scanner's number conversion to
-// strconv.ParseFloat for every complete JSON number literal.
-func FuzzFloatMatchesParseFloat(f *testing.F) {
-	for _, seed := range []string{"0", "-0.0", "1e22", "9007199254740993", "17.698535185700088", "1e-400", "2.5e308", "0.1e-3"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, lit string) {
-		s := NewScanner([]byte(lit))
-		if s.Peek() != Number {
-			return
-		}
-		var got float64
-		gerr := s.FloatInto(&got)
-		if s.Err() != nil || !s.AtEOF() {
-			return
-		}
-		want, werr := strconv.ParseFloat(strings.Trim(lit, " \t\r\n"), 64)
-		if (werr == nil) != (gerr == nil) || werr == nil && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Float(%s) = %v (%v), ParseFloat %v (%v)", lit, got, gerr, want, werr)
+	f.Fuzz(func(t *testing.T, raw []byte, depth uint8, indent bool) {
+		d := int(depth % 8)
+		want, wok := embedOracle(raw, d, indent)
+		got, gok := embedWire(raw, d, indent)
+		if wok != gok || !bytes.Equal(got, want) {
+			t.Fatalf("Embed(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, d, indent, got, gok, want, wok)
 		}
 	})
 }

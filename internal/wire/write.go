@@ -21,6 +21,7 @@ type Writer struct {
 	nonEmpty []bool // per open container: has a member been written
 	afterKey bool
 	err      error
+	check    Scanner // Embed's syntax check, kept for its stack
 }
 
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
@@ -62,23 +63,20 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Err returns the first unsupported value the Writer met, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Indented reports whether the Writer produces indented output.
-func (w *Writer) Indented() bool { return w.indent }
-
-// Depth is the number of containers currently open.
-func (w *Writer) Depth() int { return w.depth }
-
 // Newline ends an indented document the way Encoder.Encode does.
 func (w *Writer) Newline() { w.buf = append(w.buf, '\n') }
 
 const spaces = "                                                                "
 
-func (w *Writer) newline() {
+func (w *Writer) newline() { w.newlineAt(w.depth) }
+
+// newlineAt breaks the line and indents it for the given nesting depth.
+func (w *Writer) newlineAt(depth int) {
 	if !w.indent {
 		return
 	}
 	w.buf = append(w.buf, '\n')
-	for n := 2 * w.depth; n > 0; {
+	for n := 2 * depth; n > 0; {
 		k := min(n, len(spaces))
 		w.buf = append(w.buf, spaces[:k]...)
 		n -= k
@@ -183,11 +181,86 @@ func (w *Writer) Null() {
 	w.buf = append(w.buf, "null"...)
 }
 
-// Raw writes a value the caller has already formatted for this position
-// (compact, or indented for the current Depth).
-func (w *Writer) Raw(v []byte) {
+// Embed writes one pre-encoded JSON value the way encoding/json embeds a
+// json.RawMessage: space between tokens dropped, '<', '>', '&', U+2028
+// and U+2029 escaped, and in an indented document the value laid out as
+// json.Indent lays it out at the current depth. Strings and numbers are
+// copied as they are, escapes included. It is one pass over raw after a
+// syntax check; invalid JSON is an error and writes nothing.
+func (w *Writer) Embed(raw []byte) error {
+	w.check = Scanner{data: raw, stack: w.check.stack[:0]}
+	w.check.Skip()
+	valid := w.check.AtEOF() && w.check.err == nil
+	w.check.data = nil
+	if !valid {
+		return errors.New("wire: embedded value is not one valid JSON value")
+	}
 	w.value()
-	w.buf = append(w.buf, v...)
+	depth := w.depth
+	open := false // a '{' or '[' was just written; indent once it proves non-empty
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		}
+		if open && c != '}' && c != ']' {
+			open = false
+			depth++
+			w.newlineAt(depth)
+		}
+		switch c {
+		case '"':
+			i = w.embedString(raw, i)
+		case '{', '[':
+			open = true
+			w.buf = append(w.buf, c)
+		case ',':
+			w.buf = append(w.buf, c)
+			w.newlineAt(depth)
+		case ':':
+			w.buf = append(w.buf, c)
+			if w.indent {
+				w.buf = append(w.buf, ' ')
+			}
+		case '}', ']':
+			if open {
+				open = false
+			} else {
+				depth--
+				w.newlineAt(depth)
+			}
+			w.buf = append(w.buf, c)
+		default:
+			w.buf = append(w.buf, c)
+		}
+	}
+	return nil
+}
+
+// embedString copies the string literal starting at raw[i] with
+// encoding/json's HTML escaping and returns the index of its closing
+// quote. raw has passed the syntax check, so the literal is terminated.
+func (w *Writer) embedString(raw []byte, i int) int {
+	start := i
+	for i++; ; i++ {
+		switch c := raw[i]; {
+		case c == '\\':
+			i++
+		case c == '"':
+			w.buf = append(w.buf, raw[start:i+1]...)
+			return i
+		case c == '<' || c == '>' || c == '&':
+			w.buf = append(w.buf, raw[start:i]...)
+			w.buf = append(w.buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			start = i + 1
+		case c == 0xE2 && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8: // U+2028, U+2029
+			w.buf = append(w.buf, raw[start:i]...)
+			w.buf = append(w.buf, '\\', 'u', '2', '0', '2', hexDigits[raw[i+2]&0xF])
+			i += 2
+			start = i + 1
+		}
+	}
 }
 
 // AppendFloat appends f as encoding/json formats a float64: the shortest
