@@ -1,22 +1,15 @@
 package core
 
 import (
-	"sort"
-
 	"hdlts/internal/dag"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
 
-// This file is the explainability hook of the indexed core: an opt-in
-// capture that records, for every ITQ iteration, what the solver saw at the
-// moment it committed — the full EFT candidate vector, the winning
-// estimate, the queue membership and penalty values, and whether the
-// placement landed in an idle gap or materialised an entry duplicate. The
-// capture is pulled by ScheduleExplained only; production solves pass a nil
-// capture and pay a single pointer test per iteration (the record method is
-// a plain non-hotpath call, so the zero-alloc steady state of runIndexed is
-// untouched — pinned by TestExplainCaptureOffZeroAlloc).
+// This file holds the explain surface of the solver: the Decision record
+// ScheduleExplained returns, one per ITQ iteration, built by the recorder
+// (record.go) from the same per-iteration view that feeds tracer events and
+// the Table-I trace.
 
 // itqCaptureCap bounds the per-decision ITQ snapshot. Wider frontiers keep
 // their top entries by (PV descending, task ascending) — the solver's own
@@ -64,62 +57,16 @@ type Decision struct {
 	DupTask    dag.TaskID `json:"dup_task,omitempty"`
 }
 
-// capture accumulates decisions during one runIndexed solve.
-type capture struct {
-	decisions []Decision
-}
-
-// record snapshots the rationale of one commit. Called with the arena's
-// row state still current for the selected task and before the commit
-// mutates processor availability. Not a hot-path function: it only runs on
-// explain solves and may allocate freely.
-func (c *capture) record(a *arena, t dag.TaskID, row int32, best sched.Estimate, iter uint32) {
-	np := a.np
-	base := int(row) * np
-	d := Decision{
-		Iter:     int(iter),
-		Task:     t,
-		PV:       a.pv[row],
-		ITQWidth: len(a.live),
-		EFT:      append([]float64(nil), a.eftM[base:base+np]...),
-		EST:      best.EST,
-		Proc:     best.Proc,
-		Slotted:  best.EST < a.s.Avail(best.Proc),
-	}
-	if best.UseDuplicate {
-		d.Duplicated = true
-		d.DupTask = best.DupTask
-	}
-	itq := make([]ITQItem, 0, len(a.live))
-	for _, r := range a.live {
-		itq = append(itq, ITQItem{Task: dag.TaskID(a.taskOf[r]), PV: a.pv[r]})
-	}
-	if len(itq) > itqCaptureCap {
-		sort.Slice(itq, func(i, k int) bool {
-			if itq[i].PV != itq[k].PV {
-				return itq[i].PV > itq[k].PV
-			}
-			return itq[i].Task < itq[k].Task
-		})
-		itq = itq[:itqCaptureCap]
-	}
-	sort.Slice(itq, func(i, k int) bool { return itq[i].Task < itq[k].Task })
-	d.ITQ = itq
-	c.decisions = append(c.decisions, d)
-}
-
 // ScheduleExplained is Schedule plus the per-iteration decision log the
-// explain surfaces are built from. It always runs the indexed core with
-// capture attached — explain solves bypass the tracer dispatch (decision
-// events do not land in the trace ring) and the fullRecompute oracle knob.
-// The schedule is bit-identical to Schedule's (differentially tested in
-// TestIndexedMatchesReferenceBytes).
+// explain surfaces are built from. It runs the same indexed core as every
+// other solve; when the problem carries a tracer, the solve's decision
+// events reach it too. The schedule is bit-identical to Schedule's
+// (differentially tested in TestIndexedMatchesReferenceBytes).
 func (h *HDLTS) ScheduleExplained(pr *sched.Problem) (*sched.Schedule, []Decision, error) {
-	pr = pr.Normalize()
-	capt := &capture{}
-	s, err := h.runIndexed(pr, nil, capt)
+	rec := &recorder{keepDecisions: true}
+	s, err := h.run(pr, nil, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, capt.decisions, nil
+	return s, rec.decisions, nil
 }

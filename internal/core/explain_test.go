@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hdlts/internal/gen"
@@ -84,8 +86,9 @@ func TestScheduleExplainedInvariants(t *testing.T) {
 }
 
 // TestScheduleExplainedMatchesTrace cross-checks the capture against the
-// reference engine's Table-I trace: same selection sequence, same penalty
-// values, same processors, same duplication decisions.
+// reference oracle's Table-I trace under every option set: same selection
+// sequence, same processors, same duplication decisions, same queue, and
+// the same penalty values and EFT vectors bit for bit.
 func TestScheduleExplainedMatchesTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 20; i++ {
@@ -93,33 +96,46 @@ func TestScheduleExplainedMatchesTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := New()
-		_, decs, err := h.ScheduleExplained(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, steps, err := h.ScheduleTrace(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(decs) != len(steps) {
-			t.Fatalf("problem %d: %d decisions vs %d trace steps", i, len(decs), len(steps))
-		}
-		for k := range steps {
-			if decs[k].Task != steps[k].Selected {
-				t.Fatalf("problem %d iter %d: selected %d vs trace %d",
-					i, k+1, decs[k].Task, steps[k].Selected)
+		for _, o := range optionSets {
+			h := NewWithOptions(o)
+			_, decs, err := h.ScheduleExplained(pr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if decs[k].Proc != steps[k].Proc {
-				t.Fatalf("problem %d iter %d: proc %d vs trace %d",
-					i, k+1, decs[k].Proc, steps[k].Proc)
+			_, steps, err := h.runReference(pr, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if decs[k].Duplicated != steps[k].Duplicated {
-				t.Fatalf("problem %d iter %d: duplication mismatch", i, k+1)
+			if len(decs) != len(steps) {
+				t.Fatalf("problem %d opts %+v: %d decisions vs %d trace steps", i, o, len(decs), len(steps))
 			}
-			if decs[k].ITQWidth != len(steps[k].Ready) {
-				t.Fatalf("problem %d iter %d: ITQ width %d vs trace %d",
-					i, k+1, decs[k].ITQWidth, len(steps[k].Ready))
+			for k, st := range steps {
+				d := decs[k]
+				if d.Task != st.Selected || d.Proc != st.Proc || d.Duplicated != st.Duplicated {
+					t.Fatalf("problem %d opts %+v iter %d: decision (T%d, P%d, dup %v) vs trace (T%d, P%d, dup %v)",
+						i, o, k+1, d.Task, d.Proc, d.Duplicated, st.Selected, st.Proc, st.Duplicated)
+				}
+				if d.ITQWidth != len(st.Ready) {
+					t.Fatalf("problem %d opts %+v iter %d: ITQ width %d vs trace %d",
+						i, o, k+1, d.ITQWidth, len(st.Ready))
+				}
+				sel := slices.Index(st.Ready, st.Selected)
+				if math.Float64bits(d.PV) != math.Float64bits(st.PV[sel]) {
+					t.Fatalf("problem %d opts %+v iter %d: PV %v vs trace %v", i, o, k+1, d.PV, st.PV[sel])
+				}
+				for p := range st.EFT {
+					if math.Float64bits(d.EFT[p]) != math.Float64bits(st.EFT[p]) {
+						t.Fatalf("problem %d opts %+v iter %d: EFT[%d] %v vs trace %v", i, o, k+1, p, d.EFT[p], st.EFT[p])
+					}
+				}
+				if d.ITQWidth <= itqCaptureCap {
+					for j, it := range d.ITQ {
+						if it.Task != st.Ready[j] || math.Float64bits(it.PV) != math.Float64bits(st.PV[j]) {
+							t.Fatalf("problem %d opts %+v iter %d: ITQ[%d] %+v vs trace (T%d, %v)",
+								i, o, k+1, j, it, st.Ready[j], st.PV[j])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -17,10 +17,10 @@ import (
 // Must be a power of two (the sample test is a mask).
 const timeSampleStride = 8
 
-// The indexed core is the production engine behind HDLTS.Schedule: the same
-// loop as reference.go, restated over flat index-keyed state so that the
-// steady state of a solve allocates nothing and each iteration costs
-// O(|ITQ|) with O(1) work per queued task.
+// The indexed core is the one HDLTS engine: the paper's loop (kept in
+// literal form as the test oracle in reference_test.go), restated over
+// flat index-keyed state so that the steady state of a solve allocates
+// nothing and each iteration costs O(|ITQ|) with O(1) work per queued task.
 //
 // Layout (struct-of-slice throughout; see docs/SOLVER.md for the rationale
 // and the Algorithm 1 line mapping):
@@ -85,6 +85,9 @@ type arena struct {
 	entryArr   []float64
 	otherArr   []float64
 	wRow       []float64 // the row task's execution costs, copied at enqueue
+
+	// view is the recorder's scratch: the live rows as task<<32 | row keys.
+	view []uint64
 }
 
 // arenaPool recycles solver arenas across solves (and across HDLTS
@@ -411,7 +414,7 @@ func (a *arena) updateRange(lo, hi, chunk int) {
 // refreshRows rebuilds every stale row from scratch after a duplication:
 // the new entry copy is reachable from every processor, so both the cached
 // arrival vectors and every EFT column may have moved. Mirrors the
-// reference engine's refreshAll fallback, carrying the selection argmax
+// reference oracle's refreshAll fallback, carrying the selection argmax
 // like updateColumn does.
 //
 //hdlts:hotpath
@@ -478,15 +481,15 @@ func (h *HDLTS) bestEstimate(a *arena, t dag.TaskID, row int32) sched.Estimate {
 }
 
 // runIndexed is the allocation-free engine. It maintains exactly the state
-// the reference engine recomputes — per queued task, the EFT vector under
+// the reference oracle recomputes — per queued task, the EFT vector under
 // the current partial schedule and its PV — but keyed by index, updated in
 // O(1) per (row, committed column), with the selection fused into the
-// update pass. capt, when non-nil, receives the per-iteration placement
-// rationale (ScheduleExplained); production solves pass nil and pay one
-// pointer test per iteration.
+// update pass. rec, when non-nil, receives every iteration's decision view
+// (record.go); untraced plain solves pass nil and pay one pointer test per
+// iteration.
 //
 //hdlts:hotpath
-func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *capture) (*sched.Schedule, error) {
+func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorder) (*sched.Schedule, error) {
 	prof := obs.SolverProfileFor(h.Name())
 	defer prof.Start(obs.PhaseSchedule).Stop()
 	g := pr.G
@@ -533,7 +536,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *captur
 
 	// Estimates are batch-accounted: EstimateArrived does not bump the
 	// substrate counter per call, so one Add lands the same total the
-	// reference engine accumulates one atomic increment at a time.
+	// reference oracle accumulates one atomic increment at a time.
 	estimates := int64(0)
 	for t := 0; t < n; t++ {
 		a.remaining[t] = int32(g.InDegree(dag.TaskID(t)))
@@ -587,8 +590,8 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *captur
 		// minimum-EFT processor (or best lookahead score).
 		t := dag.TaskID(a.taskOf[selRow])
 		best := h.bestEstimate(a, t, selRow)
-		if capt != nil {
-			capt.record(a, t, selRow, best, iter)
+		if rec != nil {
+			rec.record(a, t, selRow, best, iter)
 		}
 		if timed {
 			tick.Lap(&eftAcc)
@@ -606,7 +609,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *captur
 		a.freeRow(selRow)
 
 		// Phase 4: admit newly independent tasks with post-commit estimate
-		// vectors — the same vectors the reference engine computes at the
+		// vectors — the same vectors the reference oracle computes at the
 		// top of its next iteration, since no commit intervenes.
 		for _, arc := range g.Succs(t) {
 			a.remaining[arc.Task]--

@@ -2,12 +2,26 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hdlts/internal/gen"
+	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 )
+
+// optionSets are the HDLTS configurations every differential test runs:
+// the paper's algorithm and each ablation/extension on its own.
+var optionSets = []Options{
+	{},
+	{DisableDuplication: true},
+	{Insertion: true},
+	{PopulationSigma: true},
+	{Lookahead: true},
+}
 
 // canonicalBytes serialises a completed schedule through the deterministic
 // JSON codec: placements sorted by (proc, start, task), makespan included.
@@ -24,22 +38,80 @@ func canonicalBytes(t *testing.T, s *sched.Schedule) []byte {
 	return buf.Bytes()
 }
 
+// stepsMismatch describes the first difference between two Table-I traces,
+// or returns "" when they are reflect.DeepEqual and every float is
+// bit-identical (DeepEqual alone would equate -0 with +0).
+func stepsMismatch(got, want []Step) string {
+	if !reflect.DeepEqual(got, want) {
+		if len(got) != len(want) {
+			return fmt.Sprintf("%d steps vs %d", len(got), len(want))
+		}
+		for k := range got {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				return fmt.Sprintf("step %d: %+v vs %+v", k+1, got[k], want[k])
+			}
+		}
+	}
+	for k := range got {
+		for i := range got[k].PV {
+			if math.Float64bits(got[k].PV[i]) != math.Float64bits(want[k].PV[i]) {
+				return fmt.Sprintf("step %d: PV[%d] bits %g vs %g", k+1, i, got[k].PV[i], want[k].PV[i])
+			}
+		}
+		for p := range got[k].EFT {
+			if math.Float64bits(got[k].EFT[p]) != math.Float64bits(want[k].EFT[p]) {
+				return fmt.Sprintf("step %d: EFT[%d] bits %g vs %g", k+1, p, got[k].EFT[p], want[k].EFT[p])
+			}
+		}
+	}
+	return ""
+}
+
+// dropEstimates forwards every event except EvEstimate: the reference
+// oracle's substrate calls emit one per (task, processor) evaluation, which
+// the indexed core never makes.
+type dropEstimates struct{ obs.Tracer }
+
+func (d dropEstimates) Emit(ev obs.Event) {
+	if ev.Type != obs.EvEstimate {
+		d.Tracer.Emit(ev)
+	}
+}
+
+// eventStreams solves pr under o twice with a JSONL tracer attached — once
+// on the indexed core, once on the reference oracle with its estimate events
+// filtered out before the sink numbers them — and returns both streams.
+func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, reference []byte) {
+	t.Helper()
+	var bi, br bytes.Buffer
+	ji, jr := obs.NewJSONL(&bi), obs.NewJSONL(&br)
+	h := NewWithOptions(o)
+	if _, err := h.Schedule(pr.WithTracer(ji)); err != nil {
+		t.Fatalf("indexed traced solve: %v", err)
+	}
+	if _, _, err := h.runReference(pr.WithTracer(dropEstimates{jr}), false); err != nil {
+		t.Fatalf("reference traced solve: %v", err)
+	}
+	if err := ji.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return bi.Bytes(), br.Bytes()
+}
+
 // TestIndexedMatchesReferenceBytes is the seed-vs-indexed equivalence
 // property: across ≥200 random DAG/platform pairs and every option
-// combination, the indexed core (the untraced default engine) must produce
-// a canonical schedule byte-identical to the reference engine running in
-// full-recompute oracle mode — the literal Algorithm 1 loop. Byte identity
+// combination, the indexed core (the one production engine) must produce
+// a canonical schedule byte-identical to the reference oracle running in
+// full-recompute mode — the literal Algorithm 1 loop. Byte identity
 // means identical placements, identical duplicate decisions, and a
 // bit-identical makespan; any floating-point reassociation in the indexed
-// core's incremental EFT maintenance or batched σ would show up here.
+// core's incremental EFT maintenance or batched σ would show up here. A
+// traced solve's JSONL decision stream must equal the reference's with its
+// estimate events removed, byte for byte.
 func TestIndexedMatchesReferenceBytes(t *testing.T) {
-	optionSets := []Options{
-		{},
-		{DisableDuplication: true},
-		{Insertion: true},
-		{PopulationSigma: true},
-		{Lookahead: true},
-	}
 	const pairs = 200
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < pairs; i++ {
@@ -49,12 +121,11 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 		}
 		for _, o := range optionSets {
 			indexed := NewWithOptions(o)
-			oracle := &HDLTS{opts: o, fullRecompute: true}
 			si, err := indexed.Schedule(pr)
 			if err != nil {
 				t.Fatalf("pair %d opts %+v: indexed: %v", i, o, err)
 			}
-			sr, _, err := oracle.run(pr, false, nil)
+			sr, _, err := indexed.runReference(pr, true)
 			if err != nil {
 				t.Fatalf("pair %d opts %+v: reference: %v", i, o, err)
 			}
@@ -74,6 +145,10 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 			}
 			if len(decs) == 0 {
 				t.Fatalf("pair %d opts %+v: no decisions captured", i, o)
+			}
+			if ei, er := eventStreams(t, pr, o); !bytes.Equal(ei, er) {
+				t.Fatalf("pair %d opts %+v: indexed event stream differs from the reference without estimates\nindexed:\n%s\nreference:\n%s",
+					i, o, ei, er)
 			}
 		}
 	}

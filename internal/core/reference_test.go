@@ -11,28 +11,19 @@ import (
 	"hdlts/internal/stats"
 )
 
-// runReference is the direct transcription of the paper's loop: a sorted
-// ITQ slice scanned per iteration, per-task estimate-vector caches in maps,
-// full EFT recomputation on demand. It remains the source of truth for two
-// things the indexed core does not carry: the Table-I trace (Step capture)
-// and the decision-event stream — EvPV/EvIteration/EvEstimate ordering is
-// documented behaviour of the tracer, so traced solves take this path. It
-// is also the differential oracle: the indexed core is property-tested to
-// produce byte-identical canonical schedules (see indexed_test.go), and the
-// fullRecompute knob degrades this engine further into the literal
-// O(|ITQ|·p) loop of the paper for the incremental-maintenance test.
-//
-//hdlts:hotpath
-func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule) (*sched.Schedule, []Step, error) {
-	prof := obs.SolverProfileFor(h.Name())
-	defer prof.Start(obs.PhaseSchedule).Stop()
+// runReference is the test-only differential oracle: the direct
+// transcription of the paper's loop — a sorted ITQ slice scanned per
+// iteration, per-task estimate-vector caches in maps, full EFT
+// recomputation on demand — against which the indexed core is proven to
+// produce byte-identical schedules, bit-identical Table-I steps, and the
+// same decision-event stream minus the estimate events its substrate calls
+// emit (see indexed_test.go). fullRecompute degrades it further into the
+// literal O(|ITQ|·p) loop of the paper. It normalises pr and always
+// captures the Table-I steps.
+func (h *HDLTS) runReference(pr *sched.Problem, fullRecompute bool) (*sched.Schedule, []Step, error) {
+	pr = pr.Normalize()
 	g := pr.G
-	s := prev
-	if s != nil {
-		s.Reset(pr)
-	} else {
-		s = sched.NewSchedule(pr)
-	}
+	s := sched.NewSchedule(pr)
 	pol := h.policy()
 	tr := pr.Tracer()
 
@@ -78,16 +69,8 @@ func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule
 	// tasks.
 	itqSorted := true
 
-	scanAcc := prof.Accum(obs.PhaseScan)
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer scanAcc.Flush()
-	defer eftAcc.Flush()
-	defer insAcc.Flush()
-
 	for len(itq) > 0 {
 		iter++
-		iterationCount.Inc()
 		if !itqSorted {
 			slices.Sort(itq)
 			itqSorted = true
@@ -95,20 +78,16 @@ func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule
 		pvs = pvs[:0]
 
 		// Phase 1+2: EFT vectors and penalty values for every ready task.
-		scanTick := scanAcc.Tick()
 		bestIdx := 0
 		for i, t := range itq {
 			esCopy, ok := ests[t]
 			switch {
-			case !ok || fresh[t] || refreshAll || h.fullRecompute:
-				eftTick := eftAcc.Tick()
+			case !ok || fresh[t] || refreshAll || fullRecompute:
 				es, err := s.EstimateAll(t, pol, estBuf)
-				eftTick.End()
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: estimating task %d: %w", t, err)
 				}
 				if !ok || cap(esCopy) < len(es) {
-					//lint:hdltsvet-ignore hotpathalloc per-task estimate vector cache, amortised to one allocation per task
 					esCopy = make([]sched.Estimate, len(es))
 				}
 				esCopy = esCopy[:len(es)]
@@ -134,7 +113,6 @@ func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule
 				bestIdx = i
 			}
 		}
-		scanTick.End()
 		refreshAll = false
 
 		selected := itq[bestIdx]
@@ -168,13 +146,8 @@ func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule
 				Iter: iter, Value: pvs[bestIdx], Dup: best.UseDuplicate,
 			})
 		}
-		if trace {
-			steps = captureStep(steps, itq, pvs, selected, best, es)
-		}
-		insTick := insAcc.Tick()
-		err := s.Commit(best)
-		insTick.End()
-		if err != nil {
+		steps = captureStep(steps, itq, pvs, selected, best, es)
+		if err := s.Commit(best); err != nil {
 			return nil, nil, fmt.Errorf("core: committing task %d on P%d: %w", selected, best.Proc+1, err)
 		}
 		lastProc = best.Proc
@@ -205,9 +178,8 @@ func (h *HDLTS) runReference(pr *sched.Problem, trace bool, prev *sched.Schedule
 	return s, steps, nil
 }
 
-// captureStep appends one Table-I trace step. It lives outside the hot
-// path: trace capture copies the ready set, PVs, and EFT vector per
-// iteration by design, and only ScheduleTrace callers pay for it.
+// captureStep appends one Table-I trace step, copying the ready set, PVs,
+// and EFT vector.
 func captureStep(steps []Step, itq []dag.TaskID, pvs []float64, selected dag.TaskID, best sched.Estimate, es []sched.Estimate) []Step {
 	st := Step{
 		Ready:      append([]dag.TaskID(nil), itq...),

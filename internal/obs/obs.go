@@ -93,6 +93,9 @@ func (t EventType) String() string {
 // maps so they can be passed by value through a Tracer without allocating.
 type Event struct {
 	Type EventType
+	// Dup marks commits that materialised an entry duplicate. It sits next
+	// to Type so the two one-byte fields share one word of padding.
+	Dup bool
 	// Alg names the algorithm or online policy the event belongs to
 	// ("HDLTS", "HEFT", "HDLTS-online", ...). Empty when unknown; the
 	// Named wrapper stamps it.
@@ -110,8 +113,6 @@ type Event struct {
 	// Value carries the scalar payload: a penalty value, an EFT, or a
 	// ready-set size, depending on Type.
 	Value float64
-	// Dup marks commits that materialised an entry duplicate.
-	Dup bool
 }
 
 // Tracer receives events. Implementations must be safe for concurrent use.
