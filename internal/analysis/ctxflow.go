@@ -12,6 +12,7 @@ var ctxFlowPathSegments = []string{
 	"internal/server",
 	"internal/jobs",
 	"internal/exec",
+	"internal/durable",
 }
 
 // CtxFlow enforces two rules on request/job paths:

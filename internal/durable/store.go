@@ -1,0 +1,425 @@
+package durable
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"sync"
+	"time"
+
+	"hdlts/internal/obs"
+)
+
+// A Store keeps two files in its directory:
+//
+//	snapshot.json — a JSON array of records, the state as of the last compaction
+//	wal.jsonl     — one line per transition since that snapshot
+//
+// Every transition appends the full record to the WAL, so the newest line
+// for an ID wins on replay. When the WAL grows past a few multiples of the
+// live set, compaction writes a fresh snapshot (tmp file + fsync + rename)
+// and truncates the WAL. Load order is snapshot first, then WAL replay; a
+// torn final line — the expected debris of SIGKILL mid-append — ends
+// replay cleanly, losing at most the transition being written, and is cut
+// off so the next append starts on a fresh line.
+const (
+	snapshotFile = "snapshot.json"
+	walFile      = "wal.jsonl"
+
+	// minCompact floors the compaction trigger so small stores don't
+	// rewrite the snapshot every few transitions.
+	minCompact = 256
+)
+
+// Payload keys of WAL put lines. The key is fixed per record type by the
+// on-disk format: jobs have always been written under "job", workflow
+// records under "rec".
+const (
+	JobKey = "job"
+	RecKey = "rec"
+)
+
+// FsyncBuckets are the histogram buckets for per-flush fsync latency.
+// Group-commit fsyncs sit between ~50µs (battery-backed or lying disks)
+// and tens of ms (spinning rust); log-spaced 10µs–1s buckets resolve both
+// regimes where the decade defaults cannot.
+var FsyncBuckets = obs.ExpBuckets(1e-5, 1, 3)
+
+// Config names a Store's directory, WAL payload key and telemetry.
+type Config struct {
+	// Dir is the store directory; empty means memory-only (nothing
+	// survives a restart, and nothing is encoded).
+	Dir string
+	// Key is the payload key of put lines: JobKey or RecKey.
+	Key string
+	// Fsync, when non-nil, observes each flush's fsync latency.
+	Fsync *obs.Histogram
+	// Errors counts WAL failures (encode, disk full, a dying device). They
+	// are never fatal: the owner keeps serving, without durability for the
+	// records involved.
+	Errors *obs.Counter
+}
+
+// envelope is one WAL line: a full-record upsert under the store's payload
+// key, or a deletion by ID. Both keys are fields so one type decodes
+// either record type's lines; a put sets exactly one of them.
+type envelope[R any] struct {
+	Op  string `json:"op"` // "put" | "del"
+	Job R      `json:"job,omitempty"`
+	Rec R      `json:"rec,omitempty"`
+	ID  string `json:"id,omitempty"`
+}
+
+// Store is a durable id→record table. Its table methods (Get, NextSeq,
+// List, Put, Delete) run under the owner's table lock — the mutex given to
+// Open, which also guards the owner's own indexes. Put and Delete stage an
+// encoded WAL line; Flush, called after the owner releases its lock,
+// writes every staged line with a single fsync and compacts when due.
+type Store[R Record] struct {
+	mu      *sync.Mutex // the owner's table lock
+	key     string
+	recs    map[string]R
+	nextSeq uint64
+	pending [][]byte // encoded WAL lines staged for the next Flush
+	errs    *obs.Counter
+
+	// wmu is the WAL-writer lock: it serialises appends, compaction and
+	// close. Lock order is wmu → mu; mu never covers disk I/O, so table
+	// readers are not exposed to fsync latency.
+	wmu sync.Mutex
+	log *wal // nil in memory-only mode
+}
+
+// wal is the open WAL file and its compaction bookkeeping; every method
+// runs under the Store's writer lock.
+type wal struct {
+	dir     string
+	f       *os.File
+	appends int            // WAL lines since the last compaction
+	fsync   *obs.Histogram // per-flush fsync latency, owner-named
+}
+
+// Open builds a Store guarded by mu and, when cfg.Dir is set, recovers it
+// from the directory's snapshot and WAL. It returns the recovered records
+// in submission (Seq) order for the owner to adopt, with NextSeq already
+// past every one of them. Files that parse but hold a record without an
+// ID or with an unknown state are refused with an error.
+func Open[R Record](cfg Config, mu *sync.Mutex) (*Store[R], []R, error) {
+	if cfg.Key != JobKey && cfg.Key != RecKey {
+		return nil, nil, fmt.Errorf("durable: unknown payload key %q", cfg.Key)
+	}
+	s := &Store[R]{mu: mu, key: cfg.Key, recs: make(map[string]R), errs: cfg.Errors}
+	if s.errs == nil {
+		s.errs = new(obs.Counter)
+	}
+	if cfg.Dir == "" {
+		return s, nil, nil
+	}
+	log := &wal{dir: cfg.Dir, fsync: cfg.Fsync}
+	if err := s.load(log); err != nil {
+		return nil, nil, err
+	}
+	recovered := s.List(nil)
+	slices.Reverse(recovered)
+	for _, r := range recovered {
+		if st := r.RecordState(); !st.Valid() {
+			log.f.Close()
+			return nil, nil, fmt.Errorf("durable: record %s has unknown state %q", r.RecordID(), st)
+		}
+		s.nextSeq = max(s.nextSeq, r.RecordSeq()+1)
+	}
+	s.log = log
+	return s, recovered, nil
+}
+
+// load reads the snapshot and replays the WAL in log.dir into the table,
+// then opens the WAL for appending with any torn tail cut off — otherwise
+// the next append would extend it into one undecodable line and hide
+// every later record from replay.
+func (s *Store[R]) load(log *wal) error {
+	if err := os.MkdirAll(log.dir, 0o755); err != nil {
+		return fmt.Errorf("durable: create store dir: %w", err)
+	}
+	b, err := os.ReadFile(filepath.Join(log.dir, snapshotFile))
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return fmt.Errorf("durable: read snapshot: %w", err)
+	default:
+		if err := s.loadSnapshot(b); err != nil {
+			return err
+		}
+	}
+	path := filepath.Join(log.dir, walFile)
+	good, err := s.replayWAL(path, log)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: open wal: %w", err)
+	}
+	if st, err := f.Stat(); err == nil && st.Size() > good {
+		if err := f.Truncate(good); err != nil {
+			f.Close()
+			return fmt.Errorf("durable: cut torn wal tail: %w", err)
+		}
+	}
+	log.f = f
+	return nil
+}
+
+// loadSnapshot decodes the snapshot payload into the table.
+func (s *Store[R]) loadSnapshot(b []byte) error {
+	var list []R
+	if err := json.Unmarshal(b, &list); err != nil {
+		return fmt.Errorf("durable: decode snapshot: %w", err)
+	}
+	var zero R
+	for _, r := range list {
+		if r == zero || r.RecordID() == "" {
+			return errors.New("durable: decode snapshot: record without an id")
+		}
+		s.recs[r.RecordID()] = r
+	}
+	return nil
+}
+
+// replayWAL applies every newline-terminated WAL line in file order,
+// stopping at the first that does not decode — after a crash mid-append
+// only the tail can be torn, since each append was fsynced. It returns the
+// byte length of the lines applied.
+func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("durable: open wal: %w", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil // at EOF an unterminated fragment is torn
+	})
+	var good int64
+	for sc.Scan() {
+		if !s.replay(sc.Bytes()) {
+			break
+		}
+		log.appends++
+		good += int64(len(sc.Bytes())) + 1
+	}
+	if err := sc.Err(); err != nil {
+		return 0, fmt.Errorf("durable: replay wal: %w", err)
+	}
+	return good, nil
+}
+
+// replay applies one WAL line to the table, reporting whether it decoded.
+// A put without a record or ID, and an unknown op, are skipped.
+func (s *Store[R]) replay(line []byte) bool {
+	var env envelope[R]
+	if err := json.Unmarshal(line, &env); err != nil {
+		return false
+	}
+	switch env.Op {
+	case "put":
+		r := env.Job
+		if s.key == RecKey {
+			r = env.Rec
+		}
+		var zero R
+		if r != zero && r.RecordID() != "" {
+			s.recs[r.RecordID()] = r
+		}
+	case "del":
+		delete(s.recs, env.ID)
+	}
+	return true
+}
+
+// Get returns the live record for id (caller holds mu). The pointer is the
+// table's own; hand callers a copy.
+func (s *Store[R]) Get(id string) (R, bool) {
+	r, ok := s.recs[id]
+	return r, ok
+}
+
+// NextSeq allocates the next submission sequence number (caller holds mu).
+func (s *Store[R]) NextSeq() uint64 {
+	n := s.nextSeq
+	s.nextSeq++
+	return n
+}
+
+// List returns the live records keep accepts (every one when keep is nil),
+// newest submission first (caller holds mu).
+func (s *Store[R]) List(keep func(R) bool) []R {
+	out := make([]R, 0, len(s.recs))
+	for _, r := range s.recs {
+		if keep == nil || keep(r) {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i].RecordSeq() > out[k].RecordSeq() })
+	return out
+}
+
+// Put inserts or replaces r and stages a WAL line capturing its current
+// state (caller holds mu). The line is encoded now, so it snapshots the
+// record as of this transition, but reaches disk only at the next Flush.
+func (s *Store[R]) Put(r R) {
+	s.recs[r.RecordID()] = r
+	env := envelope[R]{Op: "put", Job: r}
+	if s.key == RecKey {
+		env = envelope[R]{Op: "put", Rec: r}
+	}
+	s.stage(env)
+}
+
+// Delete drops id and stages its deletion (caller holds mu).
+func (s *Store[R]) Delete(id string) {
+	delete(s.recs, id)
+	s.stage(envelope[R]{Op: "del", ID: id})
+}
+
+// stage encodes one WAL line into the pending batch (caller holds mu).
+func (s *Store[R]) stage(env envelope[R]) {
+	if s.log == nil {
+		return
+	}
+	b, err := json.Marshal(env)
+	if err != nil {
+		s.errs.Inc()
+		return
+	}
+	s.pending = append(s.pending, append(b, '\n'))
+}
+
+// snapshot renders the live set, ordered by submission sequence, as the
+// snapshot payload (caller holds mu, so no record mutates mid-marshal).
+func (s *Store[R]) snapshot() ([]byte, error) {
+	list := s.List(nil)
+	slices.Reverse(list)
+	b, err := json.Marshal(list)
+	if err != nil {
+		return nil, fmt.Errorf("durable: encode snapshot: %w", err)
+	}
+	return b, nil
+}
+
+// Flush writes every staged line with one write and one fsync, then
+// compacts once the WAL holds several times more lines than there are
+// live records. Callers invoke it after releasing mu; durability-before-
+// return still holds because a caller's lines are either in the batch
+// this flush writes or were written by a concurrent flusher that claimed
+// them first — claiming under the writer lock keeps batches in staging
+// order. Failures are counted, not returned.
+func (s *Store[R]) Flush() {
+	if s.log == nil {
+		return
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	batch := s.pending
+	s.pending = nil
+	s.mu.Unlock()
+	//lint:hdltsvet-ignore lockedio wmu is the WAL-writer lock; its whole purpose is covering this batch write
+	if err := s.log.append(batch); err != nil {
+		s.errs.Inc()
+		return
+	}
+	s.mu.Lock()
+	var snap []byte
+	if s.log.appends >= max(4*len(s.recs), minCompact) {
+		var err error
+		if snap, err = s.snapshot(); err != nil {
+			s.errs.Inc()
+		}
+	}
+	s.mu.Unlock()
+	if snap != nil {
+		//lint:hdltsvet-ignore lockedio compaction runs under the WAL-writer lock by design; the table lock is not held
+		if err := s.log.compact(snap); err != nil {
+			s.errs.Inc()
+		}
+	}
+}
+
+// append durably writes a batch of encoded lines: one write, one fsync
+// (timed into the fsync histogram) for the whole group.
+func (w *wal) append(batch [][]byte) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	var buf []byte
+	for _, b := range batch {
+		buf = append(buf, b...)
+	}
+	if _, err := w.f.Write(buf); err != nil {
+		return fmt.Errorf("durable: append wal: %w", err)
+	}
+	start := time.Now()
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("durable: fsync wal: %w", err)
+	}
+	if w.fsync != nil {
+		w.fsync.ObserveSince(start)
+	}
+	w.appends += len(batch)
+	return nil
+}
+
+// compact writes the encoded snapshot atomically (tmp + fsync + rename)
+// and truncates the WAL.
+func (w *wal) compact(b []byte) error {
+	path := filepath.Join(w.dir, snapshotFile)
+	tf, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: compact: %w", err)
+	}
+	_, err = tf.Write(b)
+	if err == nil {
+		err = tf.Sync()
+	}
+	if cerr := tf.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err == nil {
+		// The snapshot now covers everything; restart the WAL.
+		err = w.f.Truncate(0)
+	}
+	if err != nil {
+		return fmt.Errorf("durable: compact: %w", err)
+	}
+	w.appends = 0
+	return nil
+}
+
+// Close flushes what the final transitions staged and releases the WAL,
+// under the writer lock so an in-flight flush finishes first.
+func (s *Store[R]) Close() error {
+	if s.log == nil {
+		return nil
+	}
+	s.Flush()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	//lint:hdltsvet-ignore lockedio shutdown path: closing the WAL must serialise with the final flush under the writer lock
+	return s.log.f.Close()
+}

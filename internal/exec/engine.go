@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"hdlts/internal/dag"
+	"hdlts/internal/durable"
 	"hdlts/internal/dynamic"
-	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/registry"
@@ -83,7 +83,7 @@ type Config struct {
 	Stream *obs.Hub
 	// MaxActive caps concurrently executing workflows (default
 	// DefaultMaxActive). Submit refuses with ErrSaturated beyond it;
-	// crash-recovered workflows instead wait for a free slot.
+	// crash-recovered workflows instead queue for a free slot.
 	MaxActive int
 }
 
@@ -135,20 +135,18 @@ func RunShell(ctx context.Context, step Step) error {
 type Engine struct {
 	cfg Config
 
-	mu      sync.Mutex
-	recs    map[string]*Record
-	runs    map[string]*runState
-	nextSeq uint64
-	pending [][]byte // encoded WAL records staged for the next flush
-	closed  bool
-
-	// log is the durable record store (nil in memory-only mode). Its
-	// writer lock serialises appends and compaction; mu never covers
-	// disk I/O — the same discipline as the jobs Manager.
-	log *jobs.Log
+	// mu is the table lock: it guards the store's records and runs. Every
+	// transition stages its WAL line under mu; the store's Flush writes
+	// them after mu is released.
+	mu    sync.Mutex
+	store *durable.Store[*Record]
+	// runs holds a run state for every record that is not terminal; it
+	// is registered in the same critical section that stores the record.
+	runs   map[string]*runState
+	closed bool
 
 	// baseCtx is the process-lifetime root workflow runs derive from;
-	// Close cancels it after cancelling the individual runs.
+	// Close cancels it, and with it every run.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -171,14 +169,16 @@ type runState struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the run loop exits
 
-	mu        sync.Mutex
+	// Guarded by Engine.mu.
 	cancelled bool // user-requested cancel (vs engine shutdown)
+	queued    bool // recovered, still waiting for a run slot: no run loop yet
 }
 
-func (rs *runState) userCancelled() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.cancelled
+// resumed is a recovered workflow waiting in the resume queue.
+type resumed struct {
+	rec *Record
+	pr  *sched.Problem
+	rs  *runState
 }
 
 // Open builds an Engine, recovering any durable state from cfg.Dir:
@@ -186,12 +186,12 @@ func (rs *runState) userCancelled() bool {
 // completed steps keep their observed durations and are not re-executed,
 // steps that were mid-run when the process died are demoted to pending,
 // and the remainder is re-mapped before dispatch continues under the
-// workflow's original trace ID.
+// workflow's original trace ID. Recovered workflows queue for run slots in
+// submission order; Open does not wait for them.
 func Open(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:       cfg,
-		recs:      make(map[string]*Record),
 		runs:      make(map[string]*runState),
 		slots:     make(chan struct{}, cfg.MaxActive),
 		active:    cfg.Metrics.Gauge(metricWorkflowActive),
@@ -214,58 +214,125 @@ func Open(cfg Config) (*Engine, error) {
 	// by the Engine rather than any request context.
 	//lint:hdltsvet-ignore ctxflow process-lifetime root: workflow runs outlive their submitting requests
 	e.baseCtx, e.cancel = context.WithCancel(context.Background())
+	var fsync *obs.Histogram
 	if cfg.Dir != "" {
-		cfg.Metrics.SetBuckets(metricWorkflowWALFsync, obs.ExpBuckets(1e-5, 1, 3))
-		recovered := make(map[string]*Record)
-		log, err := jobs.OpenLog(cfg.Dir, cfg.Metrics.Histogram(metricWorkflowWALFsync),
-			loadRecordSnapshot(recovered), applyRecordLine(recovered))
-		if err != nil {
-			return nil, err
-		}
-		e.log = log
-		e.adopt(recovered)
-		e.flush()
+		cfg.Metrics.SetBuckets(metricWorkflowWALFsync, durable.FsyncBuckets)
+		fsync = cfg.Metrics.Histogram(metricWorkflowWALFsync)
+	}
+	store, recovered, err := durable.Open[*Record](durable.Config{
+		Dir: cfg.Dir, Key: durable.RecKey, Fsync: fsync, Errors: e.walErrors,
+	}, &e.mu)
+	if err != nil {
+		return nil, err
+	}
+	e.store = store
+	queue := e.adopt(recovered)
+	e.store.Flush()
+	if len(queue) > 0 {
+		e.wg.Add(1)
+		go e.resume(queue)
 	}
 	return e, nil
 }
 
-// adopt installs recovered records and resumes unfinished workflows.
-// Runs single-threaded inside Open.
-func (e *Engine) adopt(recovered map[string]*Record) {
-	list := make([]*Record, 0, len(recovered))
+// adopt takes over the recovered records (in submission order) before any
+// run loop starts: unfinished workflows go back to queued with their
+// mid-run steps demoted to pending — re-executed, their consumed attempt
+// still on the books — and are returned for the resume queue.
+func (e *Engine) adopt(recovered []*Record) []resumed {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var queue []resumed
 	for _, r := range recovered {
-		list = append(list, r)
-	}
-	sort.Slice(list, func(i, k int) bool { return list[i].Seq < list[k].Seq })
-	for _, r := range list {
-		if r.Seq >= e.nextSeq {
-			e.nextSeq = r.Seq + 1
-		}
-		e.recs[r.ID] = r
 		if r.State.Terminal() {
 			continue
 		}
-		// Steps caught mid-run by the crash are demoted and re-executed;
-		// their consumed attempt stays on the books.
 		for i := range r.Steps {
 			if r.Steps[i].State == StepRunning {
 				r.Steps[i].State = StepPending
 			}
 		}
-		pr, err := r.Spec.Compile()
+		pr, err := r.compile()
 		if err != nil {
 			// A record that no longer compiles (it was validated at
 			// submission) is corrupt; fail it rather than wedge recovery.
 			r.State = Failed
 			r.Error = fmt.Sprintf("recovery: %v", err)
 			r.FinishedAt = time.Now()
-			e.persistLocked(r)
+			e.store.Put(r)
 			continue
 		}
-		r.State = Running
-		e.persistLocked(r)
-		e.launch(r, pr, nil, false)
+		r.State = Queued
+		e.store.Put(r)
+		rs := e.newRun(r)
+		rs.queued = true
+		queue = append(queue, resumed{rec: r, pr: pr, rs: rs})
 	}
+	return queue
+}
+
+// compile re-compiles a recovered record's definition, refusing one whose
+// step states no longer line up with its steps.
+func (r *Record) compile() (*sched.Problem, error) {
+	if r.Spec == nil {
+		return nil, errors.New("record has no spec")
+	}
+	if len(r.Steps) != len(r.Spec.Steps) {
+		return nil, fmt.Errorf("%d step states for %d steps", len(r.Steps), len(r.Spec.Steps))
+	}
+	return r.Spec.Compile()
+}
+
+// resume starts recovered workflows in submission order as run slots free
+// up: they were admitted in a previous life, so they queue for slots
+// rather than being refused. On shutdown the rest stay queued in the WAL
+// for the next Open.
+func (e *Engine) resume(queue []resumed) {
+	defer e.wg.Done()
+	for i, q := range queue {
+		if e.resumeOne(q) {
+			continue
+		}
+		e.mu.Lock()
+		for _, q := range queue[i:] {
+			if q.rs.queued {
+				q.rs.queued = false
+				close(q.rs.done)
+			}
+		}
+		e.mu.Unlock()
+		return
+	}
+}
+
+// resumeOne waits for a run slot and starts q's run loop, unless q was
+// cancelled while it queued. It reports false if the engine shut down
+// first.
+func (e *Engine) resumeOne(q resumed) bool {
+	select {
+	case e.slots <- struct{}{}:
+	case <-e.baseCtx.Done():
+		return false
+	}
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		<-e.slots
+		return false
+	}
+	queued := q.rs.queued
+	q.rs.queued = false
+	e.mu.Unlock()
+	if !queued {
+		<-e.slots
+		return true
+	}
+	// A nil order: the resume re-plan rebuilds dispatch order from what
+	// the WAL says already finished.
+	e.active.Inc()
+	e.wg.Add(1)
+	go e.run(q.rec, q.pr, nil, q.rs)
+	return true
 }
 
 // Submit plans and starts one workflow. ctx carries the submitting
@@ -281,8 +348,8 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 	}
 	// Admission control: take the run slot before planning or persisting
 	// anything, so a saturated engine refuses cheaply and never leaves a
-	// rejected record behind. The slot travels with the workflow: launch
-	// skips re-acquiring it, and the run loop returns it on exit.
+	// rejected record behind. The slot travels with the workflow: the run
+	// loop returns it on exit.
 	select {
 	case e.slots <- struct{}{}:
 	default:
@@ -294,7 +361,7 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 			<-e.slots // admission succeeded but a later step failed
 		}
 	}()
-	id := newID()
+	id := durable.NewID("wf-")
 	_, span := obs.StartSpan(ctx, "workflow.plan",
 		obs.KeyWorkflow, id, obs.KeyAlg, "HDLTS")
 	plan, err := e.plan(ctx, pr)
@@ -327,13 +394,12 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	rec.Seq = e.nextSeq
-	e.nextSeq++
-	e.recs[id] = rec
-	e.persistLocked(rec)
+	rec.Seq = e.store.NextSeq()
+	e.store.Put(rec)
+	rs := e.newRun(rec)
 	snapshot := rec.clone()
 	e.mu.Unlock()
-	e.flush()
+	e.store.Flush()
 	e.cfg.Stream.Publish(obs.StreamEvent{
 		Kind:     obs.KindWorkflowPlan,
 		Workflow: id,
@@ -341,7 +407,9 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 		Proc:     -1,
 		Value:    float64(len(wf.Steps)),
 	})
-	e.launch(rec, pr, plan.order, true)
+	e.active.Inc()
+	e.wg.Add(1)
+	go e.run(rec, pr, plan.order, rs)
 	launched = true
 	return snapshot, nil
 }
@@ -400,19 +468,10 @@ func (e *Engine) plan(ctx context.Context, pr *sched.Problem) (*planResult, erro
 	return res, nil
 }
 
-// launch registers the run state and starts the run loop. initOrder is
-// nil for recovered workflows, whose dispatch order is rebuilt by the
-// resume re-plan. Deliberately context-free: runs derive from the
-// engine's process-lifetime root, not from any submitting request.
-//
-// admitted says the caller already holds a run slot (Submit takes one up
-// front so saturation is a clean refusal). Recovery passes false and
-// blocks here instead: recovered workflows were admitted in a previous
-// life, so they queue for slots rather than being dropped.
-func (e *Engine) launch(rec *Record, pr *sched.Problem, initOrder [][]int, admitted bool) {
-	if !admitted {
-		e.slots <- struct{}{}
-	}
+// newRun registers the run state of rec (caller holds mu). Deliberately
+// context-free: runs derive from the engine's process-lifetime root, not
+// from any submitting request.
+func (e *Engine) newRun(rec *Record) *runState {
 	runCtx := obs.WithTraceID(e.baseCtx, rec.TraceID)
 	if e.cfg.Traces != nil && rec.TraceID != "" {
 		// Re-adopt the workflow's trace — after a restart this is what
@@ -422,19 +481,15 @@ func (e *Engine) launch(rec *Record, pr *sched.Problem, initOrder [][]int, admit
 	}
 	runCtx, cancel := context.WithCancel(runCtx)
 	rs := &runState{ctx: runCtx, cancel: cancel, done: make(chan struct{})}
-	e.mu.Lock()
 	e.runs[rec.ID] = rs
-	e.mu.Unlock()
-	e.active.Inc()
-	e.wg.Add(1)
-	go e.run(rec.ID, rec.Spec, pr, initOrder, rs)
+	return rs
 }
 
 // Get returns a copy of the workflow record, or ErrNotFound.
 func (e *Engine) Get(id string) (*Record, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r, ok := e.recs[id]
+	r, ok := e.store.Get(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -445,11 +500,10 @@ func (e *Engine) Get(id string) (*Record, error) {
 func (e *Engine) List() []*Record {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*Record, 0, len(e.recs))
-	for _, r := range e.recs {
-		out = append(out, r.clone())
+	out := e.store.List(nil)
+	for i, r := range out {
+		out[i] = r.clone()
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Seq > out[k].Seq })
 	return out
 }
 
@@ -457,7 +511,7 @@ func (e *Engine) List() []*Record {
 // final record) or ctx expires.
 func (e *Engine) Wait(ctx context.Context, id string) (*Record, error) {
 	e.mu.Lock()
-	r, ok := e.recs[id]
+	r, ok := e.store.Get(id)
 	if !ok {
 		e.mu.Unlock()
 		return nil, ErrNotFound
@@ -468,9 +522,6 @@ func (e *Engine) Wait(ctx context.Context, id string) (*Record, error) {
 	}
 	rs := e.runs[id]
 	e.mu.Unlock()
-	if rs == nil {
-		return e.Get(id)
-	}
 	select {
 	case <-rs.done:
 		return e.Get(id)
@@ -480,10 +531,11 @@ func (e *Engine) Wait(ctx context.Context, id string) (*Record, error) {
 }
 
 // Cancel stops a running workflow: running step commands are killed and
-// the workflow finishes cancelled. Terminal workflows return ErrFinished.
+// the workflow finishes cancelled. A recovered workflow still queued for a
+// run slot is cancelled on the spot. Terminal workflows return ErrFinished.
 func (e *Engine) Cancel(id string) (*Record, error) {
 	e.mu.Lock()
-	r, ok := e.recs[id]
+	r, ok := e.store.Get(id)
 	if !ok {
 		e.mu.Unlock()
 		return nil, ErrNotFound
@@ -493,14 +545,20 @@ func (e *Engine) Cancel(id string) (*Record, error) {
 		return nil, ErrFinished
 	}
 	rs := e.runs[id]
-	e.mu.Unlock()
-	if rs != nil {
-		rs.mu.Lock()
-		rs.cancelled = true
-		rs.mu.Unlock()
-		rs.cancel()
-		<-rs.done
+	if rs.queued {
+		rs.queued = false
+		e.finish(r, Cancelled, "cancelled", 0)
+		close(rs.done)
+		c := r.clone()
+		e.mu.Unlock()
+		e.store.Flush()
+		e.cfg.Stream.Publish(doneEvent(c, 0))
+		return c, nil
 	}
+	rs.cancelled = true
+	e.mu.Unlock()
+	rs.cancel()
+	<-rs.done
 	return e.Get(id)
 }
 
@@ -515,14 +573,9 @@ func (e *Engine) Close(ctx context.Context) error {
 		return nil
 	}
 	e.closed = true
-	runs := make([]*runState, 0, len(e.runs))
-	for _, rs := range e.runs {
-		runs = append(runs, rs)
-	}
 	e.mu.Unlock()
-	for _, rs := range runs {
-		rs.cancel()
-	}
+	// Every run, and the resume queue, derives from the base context.
+	e.cancel()
 	done := make(chan struct{})
 	go func() {
 		e.wg.Wait()
@@ -531,60 +584,39 @@ func (e *Engine) Close(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		e.cancel()
 		return fmt.Errorf("exec: close: %w", ctx.Err())
 	}
-	e.cancel()
-	if e.log == nil {
-		return nil
-	}
-	e.flush()
-	return e.log.Close()
+	return e.store.Close()
 }
 
-// persistLocked stages a full-record WAL line capturing r's current state
-// (caller holds mu, except during single-threaded recovery in Open).
-func (e *Engine) persistLocked(r *Record) {
-	if e.log == nil {
-		return
+// finish commits rec's terminal state (caller holds mu): a step still
+// running when a workflow is cancelled fails as cancelled.
+func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64) {
+	rec.State = st
+	rec.Error = errMsg
+	rec.FinishedAt = time.Now()
+	rec.MakespanSeconds = makespan
+	if st == Cancelled {
+		for i := range rec.Steps {
+			if rec.Steps[i].State == StepRunning {
+				rec.Steps[i].State = StepFailed
+				rec.Steps[i].Error = "cancelled"
+				rec.Steps[i].FinishedAt = rec.FinishedAt
+			}
+		}
 	}
-	b, err := encodeWALRec(walRec{Op: "put", Rec: r})
-	if err != nil {
-		e.walErrors.Inc()
-		return
-	}
-	e.pending = append(e.pending, b)
+	e.store.Put(rec)
 }
 
-// flush writes every staged WAL record with a single fsync and compacts
-// when due. Called after releasing mu; the same group-commit contract as
-// the jobs Manager applies.
-func (e *Engine) flush() {
-	if e.log == nil {
-		return
-	}
-	e.mu.Lock()
-	batch := e.pending
-	e.pending = nil
-	e.mu.Unlock()
-	if err := e.log.Append(batch); err != nil {
-		e.walErrors.Inc()
-		return
-	}
-	err := e.log.CompactIfDue(
-		func() int {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return len(e.recs)
-		},
-		func() ([]byte, error) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return encodeRecordSnapshot(e.recs)
-		},
-	)
-	if err != nil {
-		e.walErrors.Inc()
+// doneEvent is the workflow.done stream event for rec's terminal state.
+func doneEvent(rec *Record, at float64) obs.StreamEvent {
+	return obs.StreamEvent{
+		Kind:     obs.KindWorkflowDone,
+		Workflow: rec.ID,
+		TraceID:  rec.TraceID,
+		Phase:    string(rec.State),
+		Proc:     -1,
+		Time:     at,
 	}
 }
 
@@ -601,12 +633,13 @@ type stepOutcome struct {
 // observed durations back, and re-map the un-dispatched frontier whenever
 // observation drifts from estimate. It owns all scheduling state; the
 // shared Record is only touched under e.mu.
-func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]int, rs *runState) {
+func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runState) {
 	defer e.wg.Done()
 	defer close(rs.done)
 	defer e.active.Dec()
 	defer func() { <-e.slots }() // return the admission slot
 
+	id, wf := rec.ID, rec.Spec
 	ctx, runSpan := obs.StartSpan(rs.ctx, "workflow.run",
 		obs.KeyWorkflow, id, obs.KeyAlg, "exec")
 	defer runSpan.Finish()
@@ -647,7 +680,6 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 	var failErr string
 
 	e.mu.Lock()
-	rec := e.recs[id]
 	rec.State = Running
 	rec.StartedAt = wfStart
 	for i := range rec.Steps {
@@ -658,9 +690,9 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 			doneCount++
 		}
 	}
-	e.persistLocked(rec)
+	e.store.Put(rec)
 	e.mu.Unlock()
-	e.flush()
+	e.store.Flush()
 	for i := 0; i < n; i++ {
 		for _, a := range pr.G.Preds(dag.TaskID(i)) {
 			if state[a.Task] != StepDone {
@@ -757,9 +789,9 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 			rec.Steps[t].EstSeconds = est(int(t), assign[t])
 		}
 		rec.Replans++
-		e.persistLocked(rec)
+		e.store.Put(rec)
 		e.mu.Unlock()
-		e.flush()
+		e.store.Flush()
 		e.replans.Inc()
 		tr.Emit(obs.Event{Type: obs.EvReplan, Alg: "exec", Task: -1, Proc: -1,
 			Time: nowS, Value: float64(len(pending))})
@@ -800,9 +832,9 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 		rec.Steps[i].Attempts = attempts[i]
 		rec.Steps[i].StartedAt = time.Now()
 		rec.Steps[i].QueueWaitSeconds = wait
-		e.persistLocked(rec)
+		e.store.Put(rec)
 		e.mu.Unlock()
-		e.flush()
+		e.store.Flush()
 		e.cfg.Stream.Publish(obs.StreamEvent{
 			Kind:     obs.KindStepRun,
 			Workflow: id,
@@ -854,31 +886,11 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 
 	finalize := func(st State, errMsg string) {
 		e.mu.Lock()
-		rec.State = st
-		rec.Error = errMsg
-		rec.FinishedAt = time.Now()
-		rec.MakespanSeconds = now()
-		if st == Cancelled {
-			for i := range rec.Steps {
-				if rec.Steps[i].State == StepRunning {
-					rec.Steps[i].State = StepFailed
-					rec.Steps[i].Error = "cancelled"
-					rec.Steps[i].FinishedAt = rec.FinishedAt
-				}
-			}
-		}
-		e.persistLocked(rec)
+		e.finish(rec, st, errMsg, now())
 		e.mu.Unlock()
-		e.flush()
+		e.store.Flush()
 		runSpan.SetAttr(obs.KeyStatus, string(st))
-		e.cfg.Stream.Publish(obs.StreamEvent{
-			Kind:     obs.KindWorkflowDone,
-			Workflow: id,
-			TraceID:  rec.TraceID,
-			Phase:    string(st),
-			Proc:     -1,
-			Time:     now(),
-		})
+		e.cfg.Stream.Publish(doneEvent(rec, now()))
 	}
 
 	if initOrder == nil {
@@ -929,9 +941,9 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 					rec.Steps[i].State = StepFailed
 					rec.Steps[i].FinishedAt = time.Now()
 				}
-				e.persistLocked(rec)
+				e.store.Put(rec)
 				e.mu.Unlock()
-				e.flush()
+				e.store.Flush()
 				phase := "failed"
 				if retryable {
 					e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "retried").Inc()
@@ -966,9 +978,9 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 			rec.ObservedW = append(rec.ObservedW, WEntry{
 				Step: wf.Steps[i].Name, Task: i, Proc: p, Seconds: observed,
 			})
-			e.persistLocked(rec)
+			e.store.Put(rec)
 			e.mu.Unlock()
-			e.flush()
+			e.store.Flush()
 			e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "done").Inc()
 			e.stepSecs.Observe(observed)
 			e.driftHist.Observe(ratio)
@@ -1019,7 +1031,10 @@ func (e *Engine) run(id string, wf *Workflow, pr *sched.Problem, initOrder [][]i
 			// Shutdown or cancellation: kill step commands and wait for
 			// their goroutines before deciding what to record.
 			stepWG.Wait()
-			if rs.userCancelled() {
+			e.mu.Lock()
+			cancelled := rs.cancelled
+			e.mu.Unlock()
+			if cancelled {
 				finalize(Cancelled, "cancelled")
 				return
 			}

@@ -1,36 +1,26 @@
 package exec
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"sort"
 	"time"
+
+	"hdlts/internal/durable"
 )
 
-// State is one phase of the workflow lifecycle.
-type State string
+// State is one phase of the workflow lifecycle — the durable core's,
+// shared with solve jobs: a workflow is admitted queued, its run loop
+// moves it to running, and it finishes done, failed (a step exhausted its
+// attempts), or cancelled. A workflow that is running when the process
+// dies stays running in the WAL and is resumed by the next Open.
+type State = durable.State
 
-// The lifecycle: a workflow is admitted queued, its run loop moves it to
-// running, and it finishes done, failed (a step exhausted its attempts),
-// or cancelled. A workflow that is running when the process dies stays
-// running in the WAL and is resumed by the next Open.
+// The five lifecycle states.
 const (
-	Queued    State = "queued"
-	Running   State = "running"
-	Done      State = "done"
-	Failed    State = "failed"
-	Cancelled State = "cancelled"
+	Queued    = durable.Queued
+	Running   = durable.Running
+	Done      = durable.Done
+	Failed    = durable.Failed
+	Cancelled = durable.Cancelled
 )
-
-// States lists every workflow state in lifecycle order.
-var States = []State{Queued, Running, Done, Failed, Cancelled}
-
-// Terminal reports whether a workflow in this state will never run again.
-func (s State) Terminal() bool {
-	return s == Done || s == Failed || s == Cancelled
-}
 
 // StepState is one phase of a step's lifecycle within a running workflow.
 type StepState string
@@ -136,76 +126,8 @@ func (r *Record) clone() *Record {
 	return &c
 }
 
-// newID draws a fresh workflow handle from crypto/rand.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("exec: crypto/rand: " + err.Error())
-	}
-	return "wf-" + hex.EncodeToString(b[:])
-}
-
-// walRec is one workflow WAL line: a full-record upsert or a deletion.
-type walRec struct {
-	Op  string  `json:"op"`            // "put" | "del"
-	Rec *Record `json:"rec,omitempty"` // put payload
-	ID  string  `json:"id,omitempty"`  // del payload
-}
-
-// encodeWALRec renders one WAL line (newline included) for staging.
-func encodeWALRec(rec walRec) ([]byte, error) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("exec: encode wal record: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
-// loadRecordSnapshot decodes the snapshot payload into the record table.
-func loadRecordSnapshot(recs map[string]*Record) func([]byte) error {
-	return func(b []byte) error {
-		var list []*Record
-		if err := json.Unmarshal(b, &list); err != nil {
-			return fmt.Errorf("exec: decode snapshot: %w", err)
-		}
-		for _, r := range list {
-			recs[r.ID] = r
-		}
-		return nil
-	}
-}
-
-// applyRecordLine decodes one WAL line into the record table, reporting
-// false on the torn tail a crash mid-append leaves behind.
-func applyRecordLine(recs map[string]*Record) func(line []byte) bool {
-	return func(line []byte) bool {
-		var rec walRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return false
-		}
-		switch rec.Op {
-		case "put":
-			if rec.Rec != nil && rec.Rec.ID != "" {
-				recs[rec.Rec.ID] = rec.Rec
-			}
-		case "del":
-			delete(recs, rec.ID)
-		}
-		return true
-	}
-}
-
-// encodeRecordSnapshot renders the live set, ordered by submission
-// sequence, as the snapshot payload. Called under the record-table lock.
-func encodeRecordSnapshot(live map[string]*Record) ([]byte, error) {
-	list := make([]*Record, 0, len(live))
-	for _, r := range live {
-		list = append(list, r)
-	}
-	sort.Slice(list, func(i, k int) bool { return list[i].Seq < list[k].Seq })
-	b, err := json.Marshal(list)
-	if err != nil {
-		return nil, fmt.Errorf("exec: encode snapshot: %w", err)
-	}
-	return b, nil
-}
+// RecordID, RecordSeq and RecordState expose the workflow to the durable
+// table.
+func (r *Record) RecordID() string           { return r.ID }
+func (r *Record) RecordSeq() uint64          { return r.Seq }
+func (r *Record) RecordState() durable.State { return r.State }

@@ -3,7 +3,9 @@
 // queued → running → done | failed | cancelled, survives daemon restarts
 // via a file-backed JSONL write-ahead log with snapshot compaction, and is
 // executed by a bounded worker pool with per-job retry, exponential
-// backoff, and TTL-based garbage collection of finished jobs.
+// backoff, and TTL-based garbage collection of finished jobs. The
+// lifecycle, the job table and its WAL are internal/durable's, shared with
+// the workflow executor.
 //
 // In front of execution sits a content-addressed result cache: callers
 // submit a problem together with its canonical hash (see the server
@@ -19,43 +21,27 @@
 package jobs
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"time"
+
+	"hdlts/internal/durable"
 )
 
-// State is one phase of the job lifecycle.
-type State string
+// State is one phase of the job lifecycle: a job is admitted queued, a
+// worker moves it to running, and it finishes done, failed (attempts
+// exhausted), or cancelled. The lifecycle is the durable core's, shared
+// with workflows.
+type State = durable.State
 
-// The lifecycle: a job is admitted queued, a worker moves it to running,
-// and it finishes done, failed (attempts exhausted), or cancelled.
+// The five lifecycle states.
 const (
-	Queued    State = "queued"
-	Running   State = "running"
-	Done      State = "done"
-	Failed    State = "failed"
-	Cancelled State = "cancelled"
+	Queued    = durable.Queued
+	Running   = durable.Running
+	Done      = durable.Done
+	Failed    = durable.Failed
+	Cancelled = durable.Cancelled
 )
-
-// States lists every state in lifecycle order (gauge registration, docs).
-var States = []State{Queued, Running, Done, Failed, Cancelled}
-
-// Terminal reports whether a job in this state will never run again.
-func (s State) Terminal() bool {
-	return s == Done || s == Failed || s == Cancelled
-}
-
-// Valid reports whether s is one of the five lifecycle states.
-func (s State) Valid() bool {
-	for _, t := range States {
-		if s == t {
-			return true
-		}
-	}
-	return false
-}
 
 // Job is one asynchronous scheduling request. The struct is both the wire
 // unit the WAL persists and the value the Manager hands back to callers
@@ -106,17 +92,10 @@ func (j *Job) clone() *Job {
 	return &c
 }
 
-// newID draws a fresh job handle from crypto/rand; IDs stay unique across
-// restarts without any persisted counter.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is a broken platform; there is no sensible
-		// degraded mode for handle allocation.
-		panic("jobs: crypto/rand: " + err.Error())
-	}
-	return "j-" + hex.EncodeToString(b[:])
-}
+// RecordID, RecordSeq and RecordState expose the job to the durable table.
+func (j *Job) RecordID() string           { return j.ID }
+func (j *Job) RecordSeq() uint64          { return j.Seq }
+func (j *Job) RecordState() durable.State { return j.State }
 
 // Sentinel errors the HTTP layer maps to status codes.
 var (

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
+	"hdlts/internal/durable"
 	"hdlts/internal/obs"
 )
 
@@ -91,26 +91,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns the job table, the durable store, the worker pool, and the
+// Manager owns the job table (a durable store), the worker pool, and the
 // result cache. All exported methods are safe for concurrent use.
 type Manager struct {
 	cfg Config
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	byHash  map[string]string // hash → active (queued|running) job ID
-	nextSeq uint64
-	pending [][]byte // encoded WAL records staged for the next flush
-	cache   *lru
-	closed  bool
-	timers  map[*time.Timer]struct{} // pending retry re-enqueues
-
-	// wmu serialises WAL writes and compaction. Lock order is wmu → mu;
-	// mu never covers disk I/O, so job-table readers are not exposed to
-	// fsync latency. st is set once in Open and immutable afterwards
-	// (nil in memory-only mode).
-	wmu sync.Mutex
-	st  *store
+	// mu is the table lock: it guards the store's records and the indexes
+	// below. Every transition stages its WAL line under mu; the store's
+	// Flush writes them after mu is released.
+	mu     sync.Mutex
+	store  *durable.Store[*Job]
+	byHash map[string]string // hash → active (queued|running) job ID
+	cache  *lru
+	closed bool
+	timers map[*time.Timer]struct{} // pending retry re-enqueues
 
 	// baseCtx is the process-lifetime root job executions derive from;
 	// Close cancels it once the workers have drained.
@@ -144,14 +138,13 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:        cfg,
-		jobs:       make(map[string]*Job),
 		byHash:     make(map[string]string),
 		cache:      newLRU(cfg.CacheSize),
 		timers:     make(map[*time.Timer]struct{}),
 		stop:       make(chan struct{}),
 		now:        time.Now,
 		queueDepth: cfg.Metrics.Gauge(metricJobsQueueDepth),
-		states:     make(map[State]*obs.Gauge, len(States)),
+		states:     make(map[State]*obs.Gauge, len(durable.States)),
 		retries:    cfg.Metrics.Counter(metricJobsRetries),
 		cacheHits:  cfg.Metrics.Counter(metricJobsCacheHits),
 		cacheMiss:  cfg.Metrics.Counter(metricJobsCacheMisses),
@@ -159,7 +152,7 @@ func Open(cfg Config) (*Manager, error) {
 		expired:    cfg.Metrics.Counter(metricJobsExpired),
 		walErrors:  cfg.Metrics.Counter(metricJobsWALErrors),
 	}
-	for _, s := range States {
+	for _, s := range durable.States {
 		m.states[s] = cfg.Metrics.Gauge(metricJobsState, "state", string(s))
 	}
 	// Job executions outlive the HTTP requests that submitted them (and,
@@ -167,22 +160,20 @@ func Open(cfg Config) (*Manager, error) {
 	// by the Manager rather than any request context.
 	//lint:hdltsvet-ignore ctxflow process-lifetime root: job executions outlive their submitting requests
 	m.baseCtx, m.cancel = context.WithCancel(context.Background())
-	var pending []*Job
+	var fsync *obs.Histogram
 	if cfg.Dir != "" {
-		// Group-commit fsyncs sit between ~50µs (battery-backed or lying
-		// disks) and tens of ms (spinning rust); log-spaced 10µs–1s buckets
-		// resolve both regimes where the decade defaults cannot.
-		cfg.Metrics.SetBuckets(metricJobsWALFsync, obs.ExpBuckets(1e-5, 1, 3))
-		recovered := make(map[string]*Job)
-		st, err := openStore(cfg.Dir, cfg.Metrics.Histogram(metricJobsWALFsync),
-			loadJobSnapshot(recovered), applyJobRecord(recovered))
-		if err != nil {
-			return nil, err
-		}
-		m.st = st
-		pending = m.adopt(recovered)
-		m.flush()
+		cfg.Metrics.SetBuckets(metricJobsWALFsync, durable.FsyncBuckets)
+		fsync = cfg.Metrics.Histogram(metricJobsWALFsync)
 	}
+	store, recovered, err := durable.Open[*Job](durable.Config{
+		Dir: cfg.Dir, Key: durable.JobKey, Fsync: fsync, Errors: m.walErrors,
+	}, &m.mu)
+	if err != nil {
+		return nil, err
+	}
+	m.store = store
+	pending := m.adopt(recovered)
+	m.store.Flush()
 	capacity := cfg.QueueDepth
 	if len(pending) > capacity {
 		capacity = len(pending)
@@ -201,26 +192,17 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// adopt installs recovered jobs: rebuilds indexes and gauges, re-seeds the
-// cache from done results, requeues unfinished work, and persists the
-// running→queued demotions so a second crash sees consistent state.
-// Returns the jobs to enqueue in submission order.
-func (m *Manager) adopt(recovered map[string]*Job) []*Job {
-	list := make([]*Job, 0, len(recovered))
-	for _, j := range recovered {
-		list = append(list, j)
-	}
-	sort.Slice(list, func(i, k int) bool { return list[i].Seq < list[k].Seq })
+// adopt takes over the recovered jobs (in submission order): rebuilds
+// indexes and gauges, re-seeds the cache from done results, requeues
+// unfinished work, and persists the running→queued demotions so a second
+// crash sees consistent state. Returns the jobs to enqueue.
+func (m *Manager) adopt(recovered []*Job) []*Job {
 	var pending []*Job
-	for _, j := range list {
-		if j.Seq >= m.nextSeq {
-			m.nextSeq = j.Seq + 1
-		}
+	for _, j := range recovered {
 		if j.State == Running {
 			j.State = Queued
-			m.persist(j)
+			m.store.Put(j)
 		}
-		m.jobs[j.ID] = j
 		m.states[j.State].Inc()
 		switch {
 		case j.State == Queued:
@@ -249,7 +231,7 @@ func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.Raw
 	// Group commit: the flush after releasing the job-table lock makes the
 	// admission durable before Submit returns, batching with any records
 	// staged by concurrent submitters.
-	m.flush()
+	m.store.Flush()
 	return j, err
 }
 
@@ -260,7 +242,7 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 		return nil, ErrClosed
 	}
 	if id, ok := m.byHash[hash]; ok {
-		if j, ok := m.jobs[id]; ok {
+		if j, ok := m.store.Get(id); ok {
 			m.coalesced.Inc()
 			return j.clone(), nil
 		}
@@ -269,21 +251,20 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 	if res, ok := m.cache.get(hash); ok {
 		m.cacheHits.Inc()
 		j := &Job{
-			ID: newID(), Algorithm: algorithm, Hash: hash, TraceID: traceID,
+			ID: durable.NewID("j-"), Algorithm: algorithm, Hash: hash, TraceID: traceID,
 			State: Done, MaxAttempts: m.cfg.MaxAttempts, Result: res,
-			CacheHit: true, Seq: m.seq(),
+			CacheHit: true, Seq: m.store.NextSeq(),
 			SubmittedAt: now, FinishedAt: now,
 		}
-		m.jobs[j.ID] = j
 		m.states[Done].Inc()
-		m.persist(j)
+		m.store.Put(j)
 		return j.clone(), nil
 	}
 	m.cacheMiss.Inc()
 	j := &Job{
-		ID: newID(), Algorithm: algorithm, Hash: hash, TraceID: traceID,
+		ID: durable.NewID("j-"), Algorithm: algorithm, Hash: hash, TraceID: traceID,
 		Problem: problem,
-		State:   Queued, MaxAttempts: m.cfg.MaxAttempts, Seq: m.seq(),
+		State:   Queued, MaxAttempts: m.cfg.MaxAttempts, Seq: m.store.NextSeq(),
 		SubmittedAt: now,
 	}
 	select {
@@ -291,10 +272,9 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 	default:
 		return nil, ErrSaturated
 	}
-	m.jobs[j.ID] = j
 	m.byHash[hash] = j.ID
 	m.states[Queued].Inc()
-	m.persist(j)
+	m.store.Put(j)
 	m.queueDepth.Inc()
 	return j.clone(), nil
 }
@@ -303,7 +283,7 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 func (m *Manager) Get(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.store.Get(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -316,13 +296,7 @@ func (m *Manager) Get(id string) (*Job, error) {
 func (m *Manager) List(state State, offset, limit int) ([]*Job, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	matches := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		if state == "" || j.State == state {
-			matches = append(matches, j)
-		}
-	}
-	sort.Slice(matches, func(i, k int) bool { return matches[i].Seq > matches[k].Seq })
+	matches := m.store.List(func(j *Job) bool { return state == "" || j.State == state })
 	total := len(matches)
 	if offset < 0 {
 		offset = 0
@@ -346,14 +320,14 @@ func (m *Manager) List(state State, offset, limit int) ([]*Job, int) {
 // (scheduling is not preempted mid-run). Terminal jobs return ErrFinished.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	j, err := m.cancelLocked(id)
-	m.flush()
+	m.store.Flush()
 	return j, err
 }
 
 func (m *Manager) cancelLocked(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.store.Get(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -362,10 +336,10 @@ func (m *Manager) cancelLocked(id string) (*Job, error) {
 		m.setState(j, Cancelled)
 		j.FinishedAt = m.now()
 		delete(m.byHash, j.Hash)
-		m.persist(j)
+		m.store.Put(j)
 	case j.State == Running:
 		j.CancelRequested = true
-		m.persist(j)
+		m.store.Put(j)
 	default:
 		return nil, ErrFinished
 	}
@@ -411,23 +385,7 @@ func (m *Manager) Close(ctx context.Context) error {
 		return fmt.Errorf("jobs: close: %w", ctx.Err())
 	}
 	m.cancel()
-	if m.st == nil {
-		return nil
-	}
-	// Drain anything the final transitions staged, then release the WAL
-	// under the writer lock so an in-flight flush finishes first.
-	m.flush()
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	//lint:hdltsvet-ignore lockedio shutdown path: closing the WAL must serialise with the final flush under the writer lock
-	return m.st.close()
-}
-
-// seq allocates the next submission sequence number (caller holds mu).
-func (m *Manager) seq() uint64 {
-	s := m.nextSeq
-	m.nextSeq++
-	return s
+	return m.store.Close()
 }
 
 // setState moves j between states, keeping the per-state gauges in step
@@ -436,70 +394,6 @@ func (m *Manager) setState(j *Job, s State) {
 	m.states[j.State].Dec()
 	m.states[s].Inc()
 	j.State = s
-}
-
-// persist stages a full-job WAL record capturing j's current state (caller
-// holds mu, except during single-threaded recovery in Open). The record is
-// encoded immediately — so it snapshots the job as of this transition —
-// but hits disk only at the next flush. Encoding failures are counted,
-// not fatal.
-func (m *Manager) persist(j *Job) {
-	m.stage(walRecord{Op: "put", Job: j})
-}
-
-// stage encodes one WAL record into the pending batch (caller holds mu).
-func (m *Manager) stage(rec walRecord) {
-	if m.st == nil {
-		return
-	}
-	b, err := encodeRecord(rec)
-	if err != nil {
-		m.walErrors.Inc()
-		return
-	}
-	m.pending = append(m.pending, b)
-}
-
-// flush writes every staged WAL record with a single fsync and compacts
-// when due. Callers invoke it after releasing mu; durability-before-return
-// still holds because a caller's records are either in the batch this
-// flush writes or were already written by a concurrent flusher that
-// claimed them first. WAL failures (disk full, dying device) are counted,
-// not fatal: the in-memory subsystem keeps serving, merely without
-// durability for those records.
-func (m *Manager) flush() {
-	if m.st == nil {
-		return
-	}
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	m.mu.Lock()
-	batch := m.pending
-	m.pending = nil
-	m.mu.Unlock()
-	// The WAL-writer lock exists to serialise exactly this write; no
-	// request-facing path ever waits on it except to make its own
-	// records durable.
-	//lint:hdltsvet-ignore lockedio wmu is the WAL-writer lock; its whole purpose is covering this batch write
-	if err := m.st.appendBatch(batch); err != nil {
-		m.walErrors.Inc()
-		return
-	}
-	m.mu.Lock()
-	var snap []byte
-	if m.st.shouldCompact(len(m.jobs)) {
-		var err error
-		if snap, err = encodeSnapshot(m.jobs); err != nil {
-			m.walErrors.Inc()
-		}
-	}
-	m.mu.Unlock()
-	if snap != nil {
-		//lint:hdltsvet-ignore lockedio compaction runs under the WAL-writer lock by design; the job-table lock is not held
-		if err := m.st.compactWith(snap); err != nil {
-			m.walErrors.Inc()
-		}
-	}
 }
 
 // worker consumes job IDs until Close.
@@ -522,13 +416,13 @@ func (m *Manager) worker() {
 // while running.
 func (m *Manager) runJob(id string) {
 	algorithm, problem, ctx, ok := m.claimJob(id)
-	m.flush()
+	m.store.Flush()
 	if !ok {
 		return
 	}
 	result, err := m.cfg.Run(ctx, algorithm, problem)
 	m.finishJob(id, result, err)
-	m.flush()
+	m.store.Flush()
 }
 
 // claimJob flips a queued job to running and returns what the worker needs
@@ -537,14 +431,14 @@ func (m *Manager) runJob(id string) {
 func (m *Manager) claimJob(id string) (algorithm string, problem json.RawMessage, ctx context.Context, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, found := m.jobs[id]
+	j, found := m.store.Get(id)
 	if !found || j.State != Queued {
 		return "", nil, nil, false
 	}
 	m.setState(j, Running)
 	j.Attempts++
 	j.StartedAt = m.now()
-	m.persist(j)
+	m.store.Put(j)
 	// The execution context carries the job's trace ID — the persisted
 	// correlation with the submitting request — so re-runs after a crash
 	// trace under the original ID.
@@ -556,7 +450,7 @@ func (m *Manager) claimJob(id string) (algorithm string, problem json.RawMessage
 func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.store.Get(id)
 	if !ok {
 		return
 	}
@@ -564,7 +458,7 @@ func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 		m.setState(j, Cancelled)
 		j.FinishedAt = m.now()
 		delete(m.byHash, j.Hash)
-		m.persist(j)
+		m.store.Put(j)
 		return
 	}
 	if err != nil {
@@ -572,14 +466,14 @@ func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 		if j.Attempts < j.MaxAttempts && !m.closed {
 			m.retries.Inc()
 			m.setState(j, Queued)
-			m.persist(j)
+			m.store.Put(j)
 			m.requeueAfter(j.ID, m.backoff(j.Attempts))
 			return
 		}
 		m.setState(j, Failed)
 		j.FinishedAt = m.now()
 		delete(m.byHash, j.Hash)
-		m.persist(j)
+		m.store.Put(j)
 		return
 	}
 	j.Result = result
@@ -588,7 +482,7 @@ func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 	j.FinishedAt = m.now()
 	delete(m.byHash, j.Hash)
 	m.cache.put(j.Hash, result)
-	m.persist(j)
+	m.store.Put(j)
 }
 
 // backoff returns the exponential retry delay after the given number of
@@ -641,19 +535,19 @@ func (m *Manager) gcLoop() {
 // results may still live in the cache; only the job records expire.
 func (m *Manager) gc() {
 	m.gcLocked()
-	m.flush() // also compacts, now that the expired records are staged
+	m.store.Flush() // also compacts, now that the expired records are staged
 }
 
 func (m *Manager) gcLocked() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cutoff := m.now().Add(-m.cfg.TTL)
-	for id, j := range m.jobs {
-		if j.State.Terminal() && !j.FinishedAt.IsZero() && j.FinishedAt.Before(cutoff) {
-			m.states[j.State].Dec()
-			delete(m.jobs, id)
-			m.expired.Inc()
-			m.stage(walRecord{Op: "del", ID: id})
-		}
+	expired := m.store.List(func(j *Job) bool {
+		return j.State.Terminal() && !j.FinishedAt.IsZero() && j.FinishedAt.Before(cutoff)
+	})
+	for _, j := range expired {
+		m.states[j.State].Dec()
+		m.store.Delete(j.ID)
+		m.expired.Inc()
 	}
 }

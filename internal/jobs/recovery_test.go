@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,85 +109,6 @@ func TestRecoveryServesDoneFromWAL(t *testing.T) {
 	}
 	if runs.Load() != 1 {
 		t.Errorf("runs = %d, want 1 (nothing re-solved after restart)", runs.Load())
-	}
-}
-
-func TestSnapshotCompactionAndReload(t *testing.T) {
-	dir := t.TempDir()
-	m := newTestManager(t, Config{Dir: dir, Run: okRun(nil)})
-	var ids []string
-	for i := 0; i < 8; i++ {
-		j, err := m.Submit("HDLTS", fmt.Sprintf("h%d", i), json.RawMessage(`{}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
-		waitState(t, m, j.ID, Done)
-		if i == 3 {
-			// Force a mid-stream compaction so the reload below exercises
-			// snapshot + post-snapshot WAL together.
-			m.mu.Lock()
-			snap, err := encodeSnapshot(m.jobs)
-			m.mu.Unlock()
-			if err != nil {
-				t.Fatalf("encode snapshot: %v", err)
-			}
-			m.wmu.Lock()
-			err = m.st.compactWith(snap)
-			m.wmu.Unlock()
-			if err != nil {
-				t.Fatalf("compact: %v", err)
-			}
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("no snapshot written despite forced compaction: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := m.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered := newTestManager(t, Config{Dir: dir, Run: okRun(nil)})
-	for _, id := range ids {
-		j, err := recovered.Get(id)
-		if err != nil {
-			t.Fatalf("job %s lost across compaction + restart: %v", id, err)
-		}
-		if j.State != Done {
-			t.Errorf("job %s state = %s, want done", id, j.State)
-		}
-	}
-}
-
-// TestTornWALTailIsIgnored writes a WAL whose final line is cut mid-record
-// — the on-disk state after SIGKILL during an append — and asserts every
-// intact record recovers.
-func TestTornWALTailIsIgnored(t *testing.T) {
-	dir := t.TempDir()
-	good := walRecord{Op: "put", Job: &Job{
-		ID: "j-good", Algorithm: "HDLTS", Hash: "h1", State: Done,
-		Result: json.RawMessage(`{"ok":true}`), Seq: 1, MaxAttempts: 3,
-	}}
-	b, err := json.Marshal(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := append(append(b, '\n'), []byte(`{"op":"put","job":{"id":"j-to`)...)
-	if err := os.WriteFile(filepath.Join(dir, walFile), torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := newTestManager(t, Config{Dir: dir, Run: okRun(nil)})
-	j, err := m.Get("j-good")
-	if err != nil {
-		t.Fatalf("intact record before the torn tail lost: %v", err)
-	}
-	if j.State != Done || string(j.Result) != `{"ok":true}` {
-		t.Errorf("recovered job = %+v", j)
-	}
-	if _, err := m.Get("j-to"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("torn record resurrected: %v", err)
 	}
 }
 
