@@ -493,9 +493,9 @@ func BenchmarkCanonicalHash(b *testing.B) {
 // it after the bench.
 func benchJobsManager(b *testing.B, workers int, run jobs.RunFunc) *jobs.Manager {
 	b.Helper()
+	pool := jobs.NewPool(workers, 64, nil)
 	m, err := jobs.Open(jobs.Config{
-		Workers:    workers,
-		QueueDepth: 64,
+		Pool:       pool,
 		GCInterval: time.Hour,
 		Metrics:    obs.NewRegistry(),
 		Run:        run,
@@ -503,7 +503,10 @@ func benchJobsManager(b *testing.B, workers int, run jobs.RunFunc) *jobs.Manager
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { m.Close(context.Background()) })
+	b.Cleanup(func() {
+		m.Close(context.Background())
+		pool.Close()
+	})
 	return m
 }
 

@@ -11,11 +11,11 @@
 // "trace": bool} — the problem subobject is exactly what cmd/dagen emits —
 // and returns the schedule, makespan, SLR/speedup/efficiency, and
 // optionally the decision-event stream. POST /v1/jobs takes the same
-// problem asynchronously: poll GET /v1/jobs/{id} for the result, cancel
-// with DELETE. With -jobs-dir set, jobs survive crashes and restarts via
-// a write-ahead log, and identical resubmissions are answered from a
-// content-addressed result cache. See docs/SERVICE.md for the full
-// endpoint and schema reference.
+// problem asynchronously, solved on the same -workers/-queue pool: poll
+// GET /v1/jobs/{id} for the result, cancel with DELETE. With -jobs-dir
+// set, jobs survive crashes and restarts via a write-ahead log, and
+// identical resubmissions are answered from a content-addressed result
+// cache. See docs/SERVICE.md for the full endpoint and schema reference.
 //
 // POST /v1/workflows goes one step further than planning: it accepts a
 // declarative YAML workflow definition (the same file cmd/hdltsrun takes),
@@ -65,7 +65,6 @@ type options struct {
 	DrainTimeout time.Duration
 	Quiet        bool
 	JobsDir      string
-	JobsWorkers  int
 	JobsTTL      time.Duration
 	// WorkflowsDir is the durable workflow store; empty = workflows are
 	// memory-only and do not survive restarts.
@@ -98,14 +97,13 @@ func main() {
 	var o options
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.StringVar(&o.Addr, "addr", ":8080", "listen address")
-	flag.IntVar(&o.Workers, "workers", 0, "scheduling workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.Queue, "queue", 64, "request queue depth; beyond it requests get 429")
+	flag.IntVar(&o.Workers, "workers", 0, "solve workers shared by /v1/schedule and /v1/jobs (0 = GOMAXPROCS)")
+	flag.IntVar(&o.Queue, "queue", 64, "solve queue depth shared by /v1/schedule and /v1/jobs; beyond it requests get 429")
 	flag.DurationVar(&o.Timeout, "timeout", 30*time.Second, "per-request deadline (queue wait + scheduling)")
 	flag.Int64Var(&o.MaxBody, "max-body", 8<<20, "maximum request body bytes")
 	flag.DurationVar(&o.DrainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	flag.BoolVar(&o.Quiet, "q", false, "suppress access logs")
 	flag.StringVar(&o.JobsDir, "jobs-dir", "", "durable job store directory; empty = jobs do not survive restarts")
-	flag.IntVar(&o.JobsWorkers, "jobs-workers", 0, "asynchronous job workers (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.JobsTTL, "jobs-ttl", time.Hour, "how long finished jobs stay queryable before garbage collection")
 	flag.StringVar(&o.WorkflowsDir, "workflows-dir", "", "durable workflow store directory; empty = workflows do not survive restarts")
 	flag.StringVar(&o.DebugAddr, "debug-addr", "", "pprof/expvar listen address (e.g. localhost:6060); empty = disabled")
@@ -153,9 +151,8 @@ func run(ctx context.Context, o options) error {
 		StreamBuffer:    o.StreamBuffer,
 		StreamHeartbeat: o.StreamHeartbeat,
 		Jobs: jobs.Config{
-			Dir:     o.JobsDir,
-			Workers: o.JobsWorkers,
-			TTL:     o.JobsTTL,
+			Dir: o.JobsDir,
+			TTL: o.JobsTTL,
 		},
 		Workflows: exec.Config{
 			Dir: o.WorkflowsDir,

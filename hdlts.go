@@ -388,7 +388,9 @@ type (
 	// cancelled.
 	JobState = jobs.State
 	// JobsConfig tunes the job subsystem (ServiceConfig.Jobs): store
-	// directory, workers, queue depth, retry policy, TTL, cache size.
+	// directory, attempt bound, TTL, cache size. Jobs run on the
+	// service's one worker pool, sized by ServiceConfig.Workers and
+	// QueueDepth.
 	JobsConfig = jobs.Config
 	// JobManager is the job subsystem behind /v1/jobs; reach it via
 	// Service.Jobs for embedded submission without HTTP.

@@ -107,7 +107,7 @@ func FuzzLogReplay(f *testing.F) {
 	f.Add([]byte(nil), []byte(workflowResumable+jobQueued))
 	f.Add([]byte(`[{"id":"x","state":"queued"}]`), []byte(`{"op":"del","id":"x"}`+"\n"+`{"op":"put","job":{"id":"to`))
 	f.Fuzz(func(t *testing.T, snapshot, wal []byte) {
-		if m, err := jobs.Open(jobs.Config{Dir: writeStore(t, string(snapshot), string(wal)), Workers: 1,
+		if m, err := jobs.Open(jobs.Config{Dir: writeStore(t, string(snapshot), string(wal)),
 			Metrics: obs.NewRegistry(), Run: quickRun}); err == nil {
 			m.List("", 0, 0)
 			closeManager(t, m)

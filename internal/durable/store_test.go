@@ -343,7 +343,7 @@ func sameJSON(t *testing.T, what string, got any, want json.RawMessage) {
 func TestParentStoresReplay(t *testing.T) {
 	t.Run("jobs", func(t *testing.T) {
 		g := golden(t, "jobs")
-		m, err := jobs.Open(jobs.Config{Dir: copyStore(t, "jobs"), Workers: 1,
+		m, err := jobs.Open(jobs.Config{Dir: copyStore(t, "jobs"),
 			TTL: 100 * 365 * 24 * time.Hour, GCInterval: time.Hour, Metrics: obs.NewRegistry(), Run: refuseRun})
 		if err != nil {
 			t.Fatal(err)

@@ -1,11 +1,14 @@
 // Package jobs is the daemon's durable asynchronous job subsystem: submit
 // a scheduling problem now, collect the result later. A job moves through
 // queued → running → done | failed | cancelled, survives daemon restarts
-// via a file-backed JSONL write-ahead log with snapshot compaction, and is
-// executed by a bounded worker pool with per-job retry, exponential
-// backoff, and TTL-based garbage collection of finished jobs. The
-// lifecycle, the job table and its WAL are internal/durable's, shared with
-// the workflow executor.
+// via a file-backed JSONL write-ahead log with snapshot compaction, and
+// finished jobs expire after a TTL. The lifecycle, the job table and its
+// WAL are internal/durable's, shared with the workflow executor.
+//
+// Attempts run on a Pool, the bounded worker pool the server also runs
+// /v1/schedule solves on. Solves are deterministic, so an attempt that
+// errors fails its job: a retry could only repeat it. Only a restart that
+// interrupted a running attempt grants another, up to MaxAttempts.
 //
 // In front of execution sits a content-addressed result cache: callers
 // submit a problem together with its canonical hash (see the server
@@ -28,10 +31,9 @@ import (
 	"hdlts/internal/durable"
 )
 
-// State is one phase of the job lifecycle: a job is admitted queued, a
-// worker moves it to running, and it finishes done, failed (attempts
-// exhausted), or cancelled. The lifecycle is the durable core's, shared
-// with workflows.
+// State is one phase of the job lifecycle: a job is admitted queued, its
+// attempt moves it to running, and it finishes done, failed, or
+// cancelled. The lifecycle is the durable core's, shared with workflows.
 type State = durable.State
 
 // The five lifecycle states.
@@ -66,10 +68,11 @@ type Job struct {
 	State State `json:"state"`
 	// Attempts counts execution attempts consumed so far.
 	Attempts int `json:"attempts"`
-	// MaxAttempts bounds Attempts; the job fails when they are exhausted.
+	// MaxAttempts bounds Attempts across restarts; recovery fails a job
+	// that has used them all.
 	MaxAttempts int `json:"max_attempts"`
-	// Error holds the last execution error (failed jobs, and jobs awaiting
-	// a retry).
+	// Error holds why a failed job failed: its attempt's error, or the
+	// recovery note of a job whose attempts restarts used up.
 	Error string `json:"error,omitempty"`
 	// Result is the opaque JSON the RunFunc produced (done jobs only).
 	Result json.RawMessage `json:"result,omitempty"`
@@ -101,7 +104,7 @@ func (j *Job) RecordState() durable.State { return j.State }
 var (
 	// ErrNotFound: no job with that ID (404).
 	ErrNotFound = errors.New("jobs: no such job")
-	// ErrSaturated: the job queue is full; retry later (429).
+	// ErrSaturated: the pool's queue is full; retry later (429).
 	ErrSaturated = errors.New("jobs: queue full")
 	// ErrFinished: the job already reached a terminal state (409 on cancel).
 	ErrFinished = errors.New("jobs: job already finished")

@@ -14,8 +14,6 @@ import (
 
 // Metric series registered by this package.
 const (
-	metricJobsQueueDepth  = "hdltsd_jobs_queue_depth"
-	metricJobsRetries     = "hdltsd_jobs_retries_total"
 	metricJobsCacheHits   = "hdltsd_jobs_cache_hits_total"
 	metricJobsCacheMisses = "hdltsd_jobs_cache_misses_total"
 	metricJobsCoalesced   = "hdltsd_jobs_coalesced_total"
@@ -27,29 +25,22 @@ const (
 
 // RunFunc executes one job: the algorithm's canonical registry name plus
 // the canonically serialised problem in, opaque result JSON out. It runs
-// on a worker goroutine and must be safe for concurrent use. ctx carries
+// on a Pool worker and must be safe for concurrent use. ctx carries
 // the job's trace ID (obs.TraceIDFrom) so the executing layer can record
 // spans and decision events against the submitting request — including
 // re-runs of jobs recovered after a crash.
 type RunFunc func(ctx context.Context, algorithm string, problem json.RawMessage) (json.RawMessage, error)
 
 // Config tunes a Manager. The zero value (plus a Run function) works:
-// memory-only store, GOMAXPROCS workers, three attempts per job, one-hour
-// retention of finished jobs.
+// memory-only store, a private pool of GOMAXPROCS workers, three attempts
+// per job, one-hour retention of finished jobs.
 type Config struct {
 	// Dir is the durable store directory; empty means memory-only (jobs do
 	// not survive a restart).
 	Dir string
-	// Workers is the number of concurrent job executors (default GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds jobs admitted but not yet running; beyond it Submit
-	// returns ErrSaturated (default 256).
-	QueueDepth int
-	// MaxAttempts bounds executions per job before it fails (default 3).
+	// MaxAttempts bounds the attempts a job may use across restarts
+	// (default 3); a solve that returns an error fails the job at once.
 	MaxAttempts int
-	// RetryBackoff is the first retry delay; it doubles per attempt
-	// (default 100ms).
-	RetryBackoff time.Duration
 	// TTL is how long finished jobs remain queryable before the garbage
 	// collector drops them (default 1h).
 	TTL time.Duration
@@ -61,20 +52,15 @@ type Config struct {
 	Metrics *obs.Registry
 	// Run executes one job; required.
 	Run RunFunc
+	// Pool runs the attempts; when its queue is full Submit returns
+	// ErrSaturated. The server wires in its solve pool; nil builds a
+	// private one (GOMAXPROCS workers, 256 queued).
+	Pool *Pool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
 	}
 	if c.TTL <= 0 {
 		c.TTL = time.Hour
@@ -91,8 +77,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns the job table (a durable store), the worker pool, and the
-// result cache. All exported methods are safe for concurrent use.
+// Manager owns the job table (a durable store) and the result cache, and
+// runs attempts on a Pool. All exported methods are safe for concurrent
+// use.
 type Manager struct {
 	cfg Config
 
@@ -103,54 +90,52 @@ type Manager struct {
 	store  *durable.Store[*Job]
 	byHash map[string]string // hash → active (queued|running) job ID
 	cache  *lru
-	closed bool
-	timers map[*time.Timer]struct{} // pending retry re-enqueues
+	closed bool // guarded by mu; once set, no attempt is claimed
+
+	pool    *Pool
+	ownPool bool // built by Open, so Close retires it
 
 	// baseCtx is the process-lifetime root job executions derive from;
-	// Close cancels it once the workers have drained.
+	// Close cancels it once the running attempts have committed.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	queue chan string
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup // the GC loop, the recovery feeder, running attempts
 
 	now func() time.Time // test hook
 
-	queueDepth *obs.Gauge
-	states     map[State]*obs.Gauge
-	retries    *obs.Counter
-	cacheHits  *obs.Counter
-	cacheMiss  *obs.Counter
-	coalesced  *obs.Counter
-	expired    *obs.Counter
-	walErrors  *obs.Counter
+	states    map[State]*obs.Gauge
+	cacheHits *obs.Counter
+	cacheMiss *obs.Counter
+	coalesced *obs.Counter
+	expired   *obs.Counter
+	walErrors *obs.Counter
 }
 
 // Open builds a Manager from cfg, recovering any durable state from
 // cfg.Dir: done/failed/cancelled jobs become queryable again (done results
 // re-seed the cache), and queued or running jobs — running means the
-// previous process died mid-execution — are re-enqueued.
+// previous process died mid-execution — queue for the pool again, unless
+// restarts have used up their attempts. Open does not wait for pool
+// capacity: recovered jobs are fed to the pool in the background.
 func Open(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Run == nil {
 		return nil, fmt.Errorf("jobs: Config.Run is required")
 	}
 	m := &Manager{
-		cfg:        cfg,
-		byHash:     make(map[string]string),
-		cache:      newLRU(cfg.CacheSize),
-		timers:     make(map[*time.Timer]struct{}),
-		stop:       make(chan struct{}),
-		now:        time.Now,
-		queueDepth: cfg.Metrics.Gauge(metricJobsQueueDepth),
-		states:     make(map[State]*obs.Gauge, len(durable.States)),
-		retries:    cfg.Metrics.Counter(metricJobsRetries),
-		cacheHits:  cfg.Metrics.Counter(metricJobsCacheHits),
-		cacheMiss:  cfg.Metrics.Counter(metricJobsCacheMisses),
-		coalesced:  cfg.Metrics.Counter(metricJobsCoalesced),
-		expired:    cfg.Metrics.Counter(metricJobsExpired),
-		walErrors:  cfg.Metrics.Counter(metricJobsWALErrors),
+		cfg:       cfg,
+		byHash:    make(map[string]string),
+		cache:     newLRU(cfg.CacheSize),
+		stop:      make(chan struct{}),
+		now:       time.Now,
+		states:    make(map[State]*obs.Gauge, len(durable.States)),
+		cacheHits: cfg.Metrics.Counter(metricJobsCacheHits),
+		cacheMiss: cfg.Metrics.Counter(metricJobsCacheMisses),
+		coalesced: cfg.Metrics.Counter(metricJobsCoalesced),
+		expired:   cfg.Metrics.Counter(metricJobsExpired),
+		walErrors: cfg.Metrics.Counter(metricJobsWALErrors),
 	}
 	for _, s := range durable.States {
 		m.states[s] = cfg.Metrics.Gauge(metricJobsState, "state", string(s))
@@ -172,34 +157,37 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m.store = store
+	m.pool, m.ownPool = cfg.Pool, cfg.Pool == nil
+	if m.ownPool {
+		m.pool = NewPool(runtime.GOMAXPROCS(0), 256, nil)
+	}
 	pending := m.adopt(recovered)
 	m.store.Flush()
-	capacity := cfg.QueueDepth
-	if len(pending) > capacity {
-		capacity = len(pending)
-	}
-	m.queue = make(chan string, capacity)
-	for _, j := range pending {
-		m.queue <- j.ID
-		m.queueDepth.Inc()
-	}
-	m.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go m.worker()
-	}
-	m.wg.Add(1)
+	m.wg.Add(2)
+	go m.feed(pending)
 	go m.gcLoop()
 	return m, nil
 }
 
 // adopt takes over the recovered jobs (in submission order): rebuilds
 // indexes and gauges, re-seeds the cache from done results, requeues
-// unfinished work, and persists the running→queued demotions so a second
-// crash sees consistent state. Returns the jobs to enqueue.
-func (m *Manager) adopt(recovered []*Job) []*Job {
-	var pending []*Job
+// unfinished work, fails unfinished jobs whose attempts restarts have
+// used up, and persists those transitions so a second crash sees
+// consistent state. Returns the IDs to feed to the pool.
+func (m *Manager) adopt(recovered []*Job) []string {
+	var pending []string
 	for _, j := range recovered {
-		if j.State == Running {
+		switch {
+		case j.State.Terminal():
+		case j.Attempts > 0 && j.Attempts >= j.MaxAttempts:
+			// Every attempt died with its process (a solve that crashes
+			// the daemon would otherwise re-run on every restart).
+			j.State = Failed
+			j.Error = fmt.Sprintf("recovery: %d of %d attempts interrupted by restarts",
+				j.Attempts, j.MaxAttempts)
+			j.FinishedAt = m.now()
+			m.store.Put(j)
+		case j.State == Running:
 			j.State = Queued
 			m.store.Put(j)
 		}
@@ -207,12 +195,25 @@ func (m *Manager) adopt(recovered []*Job) []*Job {
 		switch {
 		case j.State == Queued:
 			m.byHash[j.Hash] = j.ID
-			pending = append(pending, j)
+			pending = append(pending, j.ID)
 		case j.State == Done && len(j.Result) > 0:
 			m.cache.put(j.Hash, j.Result)
 		}
 	}
 	return pending
+}
+
+// feed hands recovered jobs to the pool in submission order as capacity
+// frees up: they were admitted in a previous life, so they wait for room
+// rather than being refused. On Close the rest stay queued in the store
+// for the next Open.
+func (m *Manager) feed(ids []string) {
+	defer m.wg.Done()
+	for _, id := range ids {
+		if !m.pool.Submit(m.stop, m.attempt(id)) {
+			return
+		}
+	}
 }
 
 // Submit admits one job with no trace correlation; see SubmitTraced.
@@ -224,8 +225,8 @@ func (m *Manager) Submit(algorithm, hash string, problem json.RawMessage) (*Job,
 // ID. In order of preference it answers from the result cache (a new job
 // born done, CacheHit set), coalesces onto an active job with the same
 // hash (the returned job carries that job's ID — and the first submitter's
-// trace ID), or enqueues a fresh job. ErrSaturated means the queue is
-// full; ErrClosed means the manager has shut down.
+// trace ID), or admits a fresh job to the pool. ErrSaturated means the
+// pool's queue is full; ErrClosed means the manager has shut down.
 func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.RawMessage) (*Job, error) {
 	j, err := m.submitLocked(algorithm, hash, traceID, problem)
 	// Group commit: the flush after releasing the job-table lock makes the
@@ -267,15 +268,12 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 		State:   Queued, MaxAttempts: m.cfg.MaxAttempts, Seq: m.store.NextSeq(),
 		SubmittedAt: now,
 	}
-	select {
-	case m.queue <- j.ID:
-	default:
+	if !m.pool.TrySubmit(m.attempt(j.ID)) {
 		return nil, ErrSaturated
 	}
 	m.byHash[hash] = j.ID
 	m.states[Queued].Inc()
 	m.store.Put(j)
-	m.queueDepth.Inc()
 	return j.clone(), nil
 }
 
@@ -316,7 +314,7 @@ func (m *Manager) List(state State, offset, limit int) ([]*Job, int) {
 }
 
 // Cancel stops a job: queued jobs flip to cancelled immediately; running
-// jobs are marked so the worker discards the result when it completes
+// jobs are marked so the attempt discards the result when it completes
 // (scheduling is not preempted mid-run). Terminal jobs return ErrFinished.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	j, err := m.cancelLocked(id)
@@ -346,19 +344,10 @@ func (m *Manager) cancelLocked(id string) (*Job, error) {
 	return j.clone(), nil
 }
 
-// Workers returns the configured worker count (Retry-After estimation).
-func (m *Manager) Workers() int { return m.cfg.Workers }
-
-// QueueCap returns the admission queue capacity.
-func (m *Manager) QueueCap() int { return cap(m.queue) }
-
-// QueueLen returns the instantaneous queue backlog.
-func (m *Manager) QueueLen() int { return len(m.queue) }
-
-// Close stops intake and the GC, cancels pending retry timers, and waits —
-// bounded by ctx — for workers to finish their current job. Unfinished
-// jobs stay queued/running in the store and are recovered by the next
-// Open with the same Dir.
+// Close stops intake, the GC and the recovery feeder, and waits — bounded
+// by ctx — for running attempts to commit. No queued job starts after
+// Close: it stays queued in the store for the next Open with the same Dir.
+// A private pool is retired; a wired one is left to its owner.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
@@ -366,10 +355,6 @@ func (m *Manager) Close(ctx context.Context) error {
 		return nil
 	}
 	m.closed = true
-	for t := range m.timers {
-		t.Stop()
-	}
-	m.timers = map[*time.Timer]struct{}{}
 	m.mu.Unlock()
 	close(m.stop)
 
@@ -385,6 +370,9 @@ func (m *Manager) Close(ctx context.Context) error {
 		return fmt.Errorf("jobs: close: %w", ctx.Err())
 	}
 	m.cancel()
+	if m.ownPool {
+		m.pool.Close()
+	}
 	return m.store.Close()
 }
 
@@ -396,45 +384,34 @@ func (m *Manager) setState(j *Job, s State) {
 	j.State = s
 }
 
-// worker consumes job IDs until Close.
-func (m *Manager) worker() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
+// attempt returns the pool func that runs job id once: claim it, run the
+// RunFunc unlocked, then commit the outcome.
+func (m *Manager) attempt(id string) func() {
+	return func() {
+		algorithm, problem, ctx, ok := m.claimJob(id)
+		if !ok {
 			return
-		case id := <-m.queue:
-			m.queueDepth.Dec()
-			m.runJob(id)
 		}
+		defer m.wg.Done()
+		m.store.Flush()
+		result, err := m.cfg.Run(ctx, algorithm, problem)
+		m.finishJob(id, result, err)
+		m.store.Flush()
 	}
 }
 
-// runJob executes one dequeued job through a full attempt: claim it,
-// run the RunFunc unlocked, then commit the outcome — done (caching the
-// result), a backoff retry, failed, or cancelled if a cancel arrived
-// while running.
-func (m *Manager) runJob(id string) {
-	algorithm, problem, ctx, ok := m.claimJob(id)
-	m.store.Flush()
-	if !ok {
-		return
-	}
-	result, err := m.cfg.Run(ctx, algorithm, problem)
-	m.finishJob(id, result, err)
-	m.store.Flush()
-}
-
-// claimJob flips a queued job to running and returns what the worker needs
-// to execute it; ok is false if the job was cancelled (or GC'd) while
-// waiting in the queue.
+// claimJob flips a queued job to running and returns what the attempt
+// needs to execute it; ok is false if the job was cancelled (or GC'd)
+// while waiting in the queue, or the manager has closed. Close waits for
+// a claimed attempt: it counts in wg until it commits.
 func (m *Manager) claimJob(id string) (algorithm string, problem json.RawMessage, ctx context.Context, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, found := m.store.Get(id)
-	if !found || j.State != Queued {
+	if m.closed || !found || j.State != Queued {
 		return "", nil, nil, false
 	}
+	m.wg.Add(1)
 	m.setState(j, Running)
 	j.Attempts++
 	j.StartedAt = m.now()
@@ -445,8 +422,8 @@ func (m *Manager) claimJob(id string) (algorithm string, problem json.RawMessage
 	return j.Algorithm, j.Problem, obs.WithTraceID(m.baseCtx, j.TraceID), true
 }
 
-// finishJob commits one attempt's outcome: done (caching the result), a
-// backoff retry, failed, or cancelled if a cancel arrived while running.
+// finishJob commits one attempt's outcome: done (caching the result),
+// failed on an error, or cancelled if a cancel arrived while running.
 func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -454,66 +431,20 @@ func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 	if !ok {
 		return
 	}
-	if j.CancelRequested {
+	switch {
+	case j.CancelRequested:
 		m.setState(j, Cancelled)
-		j.FinishedAt = m.now()
-		delete(m.byHash, j.Hash)
-		m.store.Put(j)
-		return
-	}
-	if err != nil {
+	case err != nil:
 		j.Error = err.Error()
-		if j.Attempts < j.MaxAttempts && !m.closed {
-			m.retries.Inc()
-			m.setState(j, Queued)
-			m.store.Put(j)
-			m.requeueAfter(j.ID, m.backoff(j.Attempts))
-			return
-		}
 		m.setState(j, Failed)
-		j.FinishedAt = m.now()
-		delete(m.byHash, j.Hash)
-		m.store.Put(j)
-		return
+	default:
+		j.Result = result
+		m.setState(j, Done)
+		m.cache.put(j.Hash, result)
 	}
-	j.Result = result
-	j.Error = ""
-	m.setState(j, Done)
 	j.FinishedAt = m.now()
 	delete(m.byHash, j.Hash)
-	m.cache.put(j.Hash, result)
 	m.store.Put(j)
-}
-
-// backoff returns the exponential retry delay after the given number of
-// consumed attempts: base, 2·base, 4·base, ...
-func (m *Manager) backoff(attempts int) time.Duration {
-	d := m.cfg.RetryBackoff
-	for i := 1; i < attempts; i++ {
-		d *= 2
-	}
-	return d
-}
-
-// requeueAfter re-enqueues id once the backoff elapses (caller holds mu).
-// If the queue happens to be full at fire time, the timer re-arms.
-func (m *Manager) requeueAfter(id string, d time.Duration) {
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		delete(m.timers, t)
-		if m.closed {
-			return
-		}
-		select {
-		case m.queue <- id:
-			m.queueDepth.Inc()
-		default:
-			m.requeueAfter(id, d)
-		}
-	})
-	m.timers[t] = struct{}{}
 }
 
 // gcLoop drops finished jobs older than TTL every GCInterval.

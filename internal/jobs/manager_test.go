@@ -45,6 +45,15 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// newTestPool builds a pool to wire into a manager and retires it on
+// cleanup; register it before the manager so the manager closes first.
+func newTestPool(t *testing.T, workers, capacity int) *Pool {
+	t.Helper()
+	p := NewPool(workers, capacity, nil)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // waitState polls until the job reaches want or the deadline passes.
 func waitState(t *testing.T, m *Manager, id string, want State) *Job {
 	t.Helper()
@@ -140,7 +149,7 @@ func (b *blockingRun) run(_ context.Context, algorithm string, problem json.RawM
 func TestDuplicateInFlightSubmissionsCoalesce(t *testing.T) {
 	blk := newBlockingRun()
 	reg := obs.NewRegistry()
-	m := newTestManager(t, Config{Run: blk.run, Workers: 1, Metrics: reg})
+	m := newTestManager(t, Config{Run: blk.run, Metrics: reg})
 	first, err := m.Submit("HDLTS", "h1", json.RawMessage(`{}`))
 	if err != nil {
 		t.Fatal(err)
@@ -163,56 +172,9 @@ func TestDuplicateInFlightSubmissionsCoalesce(t *testing.T) {
 	}
 }
 
-func TestRetryWithBackoffThenFailure(t *testing.T) {
-	var runs atomic.Int64
-	reg := obs.NewRegistry()
-	m := newTestManager(t, Config{
-		Metrics: reg, MaxAttempts: 3, RetryBackoff: time.Millisecond,
-		Run: func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
-			runs.Add(1)
-			return nil, errors.New("boom")
-		},
-	})
-	j, err := m.Submit("HDLTS", "h1", json.RawMessage(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, m, j.ID, Failed)
-	if got.Attempts != 3 || got.Error != "boom" {
-		t.Errorf("failed job = %+v, want 3 attempts, error boom", got)
-	}
-	if runs.Load() != 3 {
-		t.Errorf("runs = %d, want 3", runs.Load())
-	}
-	if v := reg.Counter("hdltsd_jobs_retries_total").Value(); v != 2 {
-		t.Errorf("retries = %d, want 2", v)
-	}
-}
-
-func TestRetryRecoversFromTransientError(t *testing.T) {
-	var runs atomic.Int64
-	m := newTestManager(t, Config{
-		RetryBackoff: time.Millisecond,
-		Run: func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
-			if runs.Add(1) == 1 {
-				return nil, errors.New("transient")
-			}
-			return json.RawMessage(`{"ok":true}`), nil
-		},
-	})
-	j, err := m.Submit("HDLTS", "h1", json.RawMessage(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, m, j.ID, Done)
-	if got.Attempts != 2 || got.Error != "" {
-		t.Errorf("recovered job = %+v, want 2 attempts and no error", got)
-	}
-}
-
 func TestCancelQueuedAndRunning(t *testing.T) {
 	blk := newBlockingRun()
-	m := newTestManager(t, Config{Run: blk.run, Workers: 1})
+	m := newTestManager(t, Config{Run: blk.run, Pool: newTestPool(t, 1, 8)})
 	running, err := m.Submit("HDLTS", "h-running", json.RawMessage(`{}`))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +225,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 
 func TestSubmitSaturationAndClosed(t *testing.T) {
 	blk := newBlockingRun()
-	m := newTestManager(t, Config{Run: blk.run, Workers: 1, QueueDepth: 1})
+	m := newTestManager(t, Config{Run: blk.run, Pool: newTestPool(t, 1, 1)})
 	if _, err := m.Submit("HDLTS", "h1", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +235,9 @@ func TestSubmitSaturationAndClosed(t *testing.T) {
 	}
 	if _, err := m.Submit("HDLTS", "h3", json.RawMessage(`{}`)); !errors.Is(err, ErrSaturated) {
 		t.Errorf("submit into a full queue = %v, want ErrSaturated", err)
+	}
+	if _, total := m.List("", 0, 0); total != 2 {
+		t.Errorf("%d jobs on the books after a refused submit, want 2", total)
 	}
 	close(blk.release)
 

@@ -4,12 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdlts/internal/obs"
 )
+
+// abandon closes a manager a test left behind as crashed, once its
+// blocked attempts have been released.
+func abandon(m *Manager) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_ = m.Close(ctx)
+}
 
 // TestRecoveryRequeuesUnfinishedJobs is the crash test: a manager dies
 // (abandoned, never closed — its WAL appends are fsynced per transition)
@@ -18,8 +28,9 @@ import (
 func TestRecoveryRequeuesUnfinishedJobs(t *testing.T) {
 	dir := t.TempDir()
 	blk := newBlockingRun()
+	pool := NewPool(1, 8, nil)
 	crashed, err := Open(Config{
-		Dir: dir, Workers: 1, Metrics: obs.NewRegistry(), Run: blk.run,
+		Dir: dir, Pool: pool, Metrics: obs.NewRegistry(), Run: blk.run,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,16 +45,15 @@ func TestRecoveryRequeuesUnfinishedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate SIGKILL: the crashed manager is simply abandoned. Unblock
-	// its stuck worker at cleanup so the test process can exit cleanly.
+	// its stuck attempt at cleanup so the test process can exit cleanly.
 	t.Cleanup(func() {
 		close(blk.release)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = crashed.Close(ctx)
+		abandon(crashed)
+		pool.Close()
 	})
 
 	var runs atomic.Int64
-	m := newTestManager(t, Config{Dir: dir, Workers: 1, Run: okRun(&runs)})
+	m := newTestManager(t, Config{Dir: dir, Run: okRun(&runs)})
 	for _, id := range []string{runningJob.ID, queuedJob.ID} {
 		got := waitState(t, m, id, Done)
 		if len(got.Result) == 0 {
@@ -144,7 +154,7 @@ func TestRecoveryKeepsTraceID(t *testing.T) {
 	dir := t.TempDir()
 	blk := newBlockingRun()
 	crashed, err := Open(Config{
-		Dir: dir, Workers: 1, Metrics: obs.NewRegistry(), Run: blk.run,
+		Dir: dir, Metrics: obs.NewRegistry(), Run: blk.run,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +169,11 @@ func TestRecoveryKeepsTraceID(t *testing.T) {
 	<-blk.started // running record (with trace ID) is on disk
 	t.Cleanup(func() {
 		close(blk.release)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = crashed.Close(ctx)
+		abandon(crashed)
 	})
 
 	gotTrace := make(chan string, 1)
-	m := newTestManager(t, Config{Dir: dir, Workers: 1,
+	m := newTestManager(t, Config{Dir: dir,
 		Run: func(ctx context.Context, _ string, _ json.RawMessage) (json.RawMessage, error) {
 			gotTrace <- obs.TraceIDFrom(ctx)
 			return json.RawMessage(`{"ok":true}`), nil
@@ -177,5 +185,98 @@ func TestRecoveryKeepsTraceID(t *testing.T) {
 	}
 	if id := <-gotTrace; id != "trace-cafe01" {
 		t.Errorf("re-run executed under trace ID %q, want trace-cafe01", id)
+	}
+}
+
+// TestRecoveryBoundsCrashReruns: a job whose attempt dies with the
+// process every time (a solve that crashes the daemon) is re-run only
+// until its attempts are used up; the next recovery fails it instead of
+// running it again.
+func TestRecoveryBoundsCrashReruns(t *testing.T) {
+	dir := t.TempDir()
+	blk := newBlockingRun()
+	var crashed []*Manager
+	t.Cleanup(func() {
+		close(blk.release)
+		for _, m := range crashed {
+			abandon(m)
+		}
+	})
+	var id string
+	for cycle := 1; cycle <= 3; cycle++ {
+		m, err := Open(Config{Dir: dir, MaxAttempts: 3, Metrics: obs.NewRegistry(), Run: blk.run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed = append(crashed, m)
+		if cycle == 1 {
+			j, err := m.Submit("HDLTS", "h-crash", json.RawMessage(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = j.ID
+		}
+		<-blk.started // attempt `cycle` is running; the process "dies"
+	}
+
+	m := newTestManager(t, Config{Dir: dir, MaxAttempts: 3, Run: okRun(nil)})
+	got, err := m.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != Failed || got.Attempts != 3 || got.FinishedAt.IsZero() ||
+		!strings.HasPrefix(got.Error, "recovery:") {
+		t.Errorf("job after 3 interrupted attempts = %+v, want failed with a recovery: error", got)
+	}
+	if n := blk.runs.Load(); n != 3 {
+		t.Errorf("runs = %d, want 3", n)
+	}
+	// The failure is durable: a further restart does not revive the job.
+	again := newTestManager(t, Config{Dir: dir, Run: okRun(nil)})
+	if got, err := again.Get(id); err != nil || got.State != Failed {
+		t.Errorf("job after another restart = %+v, %v; want failed", got, err)
+	}
+}
+
+// TestRecoveryBacklogWaitsForPool: more recovered jobs than the pool can
+// hold all reach done, and Open returns without waiting for capacity.
+func TestRecoveryBacklogWaitsForPool(t *testing.T) {
+	const n = 10
+	dir := t.TempDir()
+	blk := newBlockingRun()
+	crashedPool := NewPool(1, n, nil)
+	crashed, err := Open(Config{Dir: dir, Pool: crashedPool, Metrics: obs.NewRegistry(), Run: blk.run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < n; i++ {
+		j, err := crashed.Submit("HDLTS", fmt.Sprintf("h%d", i), json.RawMessage(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	<-blk.started // one running, the rest queued; the process "dies"
+	t.Cleanup(func() {
+		close(blk.release)
+		abandon(crashed)
+		crashedPool.Close()
+	})
+
+	gate := newBlockingRun()
+	m := newTestManager(t, Config{Dir: dir, Pool: newTestPool(t, 1, 1), Run: gate.run})
+	<-gate.started // Open returned with n jobs recovered and room for 2
+	for _, id := range ids[2:] {
+		if j, err := m.Get(id); err != nil || j.State != Queued {
+			t.Fatalf("job %s = %+v, %v; want queued behind the full pool", id, j, err)
+		}
+	}
+	close(gate.release)
+	for _, id := range ids {
+		waitState(t, m, id, Done)
+	}
+	if got := gate.runs.Load(); got != n {
+		t.Errorf("runs = %d, want %d", got, n)
 	}
 }

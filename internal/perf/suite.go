@@ -230,12 +230,13 @@ func walBench(b *testing.B) {
 	}
 	defer os.RemoveAll(dir)
 	done := json.RawMessage(`{"ok":true}`)
+	pool := jobs.NewPool(1, b.N+1, nil)
+	defer pool.Close()
 	m, err := jobs.Open(jobs.Config{
-		Dir:        dir,
-		Workers:    1,
-		QueueDepth: b.N + 1,
-		CacheSize:  1,
-		Metrics:    obs.NewRegistry(),
+		Dir:       dir,
+		Pool:      pool,
+		CacheSize: 1,
+		Metrics:   obs.NewRegistry(),
 		Run: func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
 			return done, nil
 		},

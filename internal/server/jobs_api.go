@@ -149,7 +149,7 @@ func (s *Server) prepareSubmission(ctx context.Context, algorithm string, proble
 	}, nil
 }
 
-// runJobFunc is the jobs.RunFunc the manager executes: the same
+// runJobFunc is the jobs.RunFunc the manager runs on the solve pool: the same
 // schedule → validate → evaluate → encode pipeline as /v1/schedule. The
 // ctx carries the job's persisted trace ID; the run re-adopts it into the
 // trace ring so spans and decision events land under the original
@@ -236,7 +236,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			saturated = true
 			s.cfg.Metrics.Counter(metricJobsErrors, "reason", "saturated").Inc()
 			batch.Jobs[i] = JobBatchItem{
-				Error:  fmt.Sprintf("job queue full (%d deep)", s.jobs.QueueCap()),
+				Error:  s.saturated(w, sub.algorithm).Error(),
 				Status: http.StatusTooManyRequests,
 			}
 		case err != nil:
@@ -245,10 +245,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		default:
 			batch.Jobs[i] = JobBatchItem{Job: jobView(j)}
 		}
-	}
-	if saturated {
-		w.Header().Set("Retry-After", strconv.Itoa(
-			s.retryAfterSeconds(subs[0].algorithm, s.jobs.QueueLen(), s.jobs.Workers())))
 	}
 	switch {
 	case single && saturated:
@@ -349,6 +345,15 @@ func queryInt(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
+// saturated is the one answer to a full solve pool, for /v1/schedule and
+// /v1/jobs alike: it sets Retry-After from alg's observed latency and
+// returns the error the 429 body carries.
+func (s *Server) saturated(w http.ResponseWriter, alg string) error {
+	w.Header().Set("Retry-After", strconv.Itoa(
+		s.retryAfterSeconds(alg, s.cfg.QueueDepth, s.cfg.Workers)))
+	return fmt.Errorf("queue full (%d queued, %d workers)", s.cfg.QueueDepth, s.cfg.Workers)
+}
+
 // retryAfterSeconds derives a Retry-After value from observed behaviour
 // instead of a fixed constant: the mean recorded latency of the saturated
 // algorithm (hdltsd_schedule_seconds) times the work queued ahead of a
@@ -358,9 +363,6 @@ func (s *Server) retryAfterSeconds(alg string, backlog, workers int) int {
 	mean := s.cfg.Metrics.Histogram(metricScheduleSeconds, "alg", alg).Mean()
 	if mean <= 0 {
 		return 1
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	secs := int(math.Ceil(mean * float64(backlog+1) / float64(workers)))
 	if secs < 1 {

@@ -259,8 +259,8 @@ func jobsBlockingLookup(b *blockingAlg) func(string) (sched.Algorithm, error) {
 func TestJobCancelLifecycle(t *testing.T) {
 	blk := &blockingAlg{started: make(chan struct{}, 2), release: make(chan struct{})}
 	srv := newTestServer(t, Config{
-		Lookup: jobsBlockingLookup(blk),
-		Jobs:   jobs.Config{Workers: 1},
+		Lookup:  jobsBlockingLookup(blk),
+		Workers: 1,
 	})
 	running, _ := submitJob(t, srv, "block", problemJSON(t))
 	<-blk.started // job occupies the only worker
@@ -295,8 +295,9 @@ func TestJobCancelLifecycle(t *testing.T) {
 func TestJobQueueSaturationGets429WithRetryAfter(t *testing.T) {
 	blk := &blockingAlg{started: make(chan struct{}, 2), release: make(chan struct{})}
 	srv := newTestServer(t, Config{
-		Lookup: jobsBlockingLookup(blk),
-		Jobs:   jobs.Config{Workers: 1, QueueDepth: 1},
+		Lookup:     jobsBlockingLookup(blk),
+		Workers:    1,
+		QueueDepth: 1,
 	})
 	defer close(blk.release)
 	if _, rec := submitJob(t, srv, "block", problemJSON(t)); rec.Code != http.StatusAccepted {
@@ -364,7 +365,8 @@ func TestJobSurvivesRestartEndToEnd(t *testing.T) {
 	crashed, err := New(Config{
 		Metrics: obs.NewRegistry(),
 		Lookup:  jobsBlockingLookup(blk),
-		Jobs:    jobs.Config{Dir: dir, Workers: 1},
+		Workers: 1,
+		Jobs:    jobs.Config{Dir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,16 +442,16 @@ func TestJobFailureSurfacesError(t *testing.T) {
 		Lookup: func(name string) (sched.Algorithm, error) {
 			return failingAlg{}, nil
 		},
-		Jobs: jobs.Config{MaxAttempts: 2, RetryBackoff: time.Millisecond},
+		Jobs: jobs.Config{MaxAttempts: 2},
 	})
 	v, _ := submitJob(t, srv, "hdlts", problemJSON(t))
 	failed := waitJobState(t, srv, v.ID, "failed")
-	if failed.Attempts != 2 || !strings.Contains(failed.Error, "synthetic failure") {
-		t.Errorf("failed job = %+v, want 2 attempts and the run error", failed)
+	if failed.Attempts != 1 || !strings.Contains(failed.Error, "synthetic failure") {
+		t.Errorf("failed job = %+v, want 1 attempt and the run error", failed)
 	}
 }
 
-// failingAlg always errors, driving the retry-then-fail path.
+// failingAlg always errors, driving the fail-on-first-error path.
 type failingAlg struct{}
 
 func (failingAlg) Name() string { return "HDLTS" }

@@ -1,9 +1,10 @@
 // Package server turns the scheduling library into a long-running
 // HTTP/JSON service. POST /v1/schedule accepts a problem in the same JSON
 // form the CLI tools exchange, runs any registered algorithm on a bounded
-// worker pool, and returns the schedule plus the paper's metrics;
-// GET /healthz, /readyz, and /metrics expose liveness, drain state, and
-// the obs metrics registry in Prometheus text form.
+// worker pool, and returns the schedule plus the paper's metrics. POST
+// /v1/jobs attempts run on the same pool (a jobs.Pool), sharing its
+// workers, queue and 429 answer. GET /healthz, /readyz, and /metrics
+// expose liveness, drain state, and the metrics in Prometheus text form.
 //
 // The handler is production-shaped rather than a demo mux: admission is
 // non-blocking (a full queue answers 429 immediately), request bodies are
@@ -38,11 +39,11 @@ import (
 // Config tunes a Server. The zero value is served with sensible defaults,
 // so server.New(server.Config{}) is a working daemon handler.
 type Config struct {
-	// Workers is the number of concurrent scheduling workers
-	// (default GOMAXPROCS).
+	// Workers is the number of concurrent solve workers, shared by
+	// /v1/schedule requests and /v1/jobs attempts (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the backlog of admitted-but-not-running requests;
-	// beyond it the server answers 429 (default 64).
+	// QueueDepth bounds the backlog of admitted-but-not-running solves of
+	// both endpoints; beyond it the server answers 429 (default 64).
 	QueueDepth int
 	// RequestTimeout caps queue wait plus scheduling per request; on expiry
 	// the client gets 504 (default 30s).
@@ -67,9 +68,9 @@ type Config struct {
 	// high QPS. Request-ID adoption and echo are unaffected.
 	TraceSample int
 	// Jobs tunes the asynchronous job subsystem behind POST /v1/jobs:
-	// store directory (empty = memory-only), workers, queue depth, retry
-	// policy, TTL, cache size. Metrics and Run are wired by the server and
-	// need not be set.
+	// store directory (empty = memory-only), attempt bound, TTL, cache
+	// size. Metrics, Run and Pool are wired by the server and need not be
+	// set.
 	Jobs jobs.Config
 	// Workflows tunes the live execution engine behind POST /v1/workflows:
 	// store directory (empty = memory-only), step runner, overdue tick.
@@ -138,7 +139,7 @@ const (
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
-	pool   *pool
+	pool   *jobs.Pool
 	jobs   *jobs.Manager
 	wfs    *exec.Engine
 	traces *obs.TraceStore
@@ -176,13 +177,14 @@ func New(cfg Config) (*Server, error) {
 	// transitions directly — the SSE endpoints fan it out.
 	s.stream = obs.NewHub(cfg.Metrics, cfg.StreamBuffer)
 	s.traces.AttachHub(s.stream)
-	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.queueDepth)
+	s.pool = jobs.NewPool(cfg.Workers, cfg.QueueDepth, s.queueDepth)
 	jcfg := cfg.Jobs
 	jcfg.Metrics = cfg.Metrics
 	jcfg.Run = s.runJobFunc
+	jcfg.Pool = s.pool
 	mgr, err := jobs.Open(jcfg)
 	if err != nil {
-		s.pool.close()
+		s.pool.Close()
 		return nil, err
 	}
 	s.jobs = mgr
@@ -192,11 +194,11 @@ func New(cfg Config) (*Server, error) {
 	wcfg.Stream = s.stream
 	eng, err := exec.Open(wcfg)
 	if err != nil {
-		s.pool.close()
 		//lint:hdltsvet-ignore ctxflow constructor unwind has no caller context; bound the job-manager teardown locally
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = mgr.Close(cctx)
+		s.pool.Close()
 		return nil, err
 	}
 	s.wfs = eng
@@ -323,15 +325,17 @@ func (s *Server) Drain() {
 }
 
 // Shutdown drains and then waits for every admitted request to finish —
-// and for job workers to commit their current job — or for ctx to expire.
-// After Shutdown the Server answers every schedule request with 503.
-// Unfinished jobs stay in the durable store and are recovered by the next
-// daemon with the same jobs directory.
+// and for running job attempts to commit — or for ctx to expire. After
+// Shutdown the Server answers every schedule request with 503. The job
+// manager closes before the pool drains, so no queued job starts during
+// the drain: unfinished jobs stay in the durable store and are recovered
+// by the next daemon with the same jobs directory.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain()
+	jerr := s.jobs.Close(ctx)
 	done := make(chan struct{})
 	go func() {
-		s.pool.close()
+		s.pool.Close()
 		close(done)
 	}()
 	select {
@@ -341,7 +345,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Workflow runs, like jobs, survive in their durable store: Close kills
 	// step commands but leaves unfinished workflows resumable.
-	jerr := s.jobs.Close(ctx)
 	if werr := s.wfs.Close(ctx); werr != nil {
 		return werr
 	}
@@ -404,7 +407,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// handler has already given up on the deadline.
 	done := make(chan scheduleOutcome, 1)
 	explain := r.URL.Query().Get("explain") == "1"
-	admitted := s.pool.trySubmit(func() {
+	admitted := s.pool.TrySubmit(func() {
 		done <- s.runSchedule(rctx, alg, pr, req.Trace, explain, true)
 	})
 	if !admitted {
@@ -413,10 +416,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 				errors.New("server is shutting down"))
 			return
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(
-			s.retryAfterSeconds(alg.Name(), s.cfg.QueueDepth, s.cfg.Workers)))
-		s.scheduleError(w, http.StatusTooManyRequests, "saturated",
-			fmt.Errorf("queue full (%d queued, %d workers)", s.cfg.QueueDepth, s.cfg.Workers))
+		s.scheduleError(w, http.StatusTooManyRequests, "saturated", s.saturated(w, alg.Name()))
 		return
 	}
 	select {

@@ -84,7 +84,8 @@ func TestTraceEndToEndCorrelation(t *testing.T) {
 		Metrics:   obs.NewRegistry(),
 		AccessLog: newJSONLogger(&logBuf),
 		Lookup:    jobsBlockingLookup(blk),
-		Jobs:      jobs.Config{Dir: dir, Workers: 1},
+		Workers:   1,
+		Jobs:      jobs.Config{Dir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
