@@ -2,14 +2,15 @@ package core
 
 import (
 	"hdlts/internal/dag"
+	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
 
-// This file holds the explain surface of the solver: the Decision record
-// ScheduleExplained returns, one per ITQ iteration, built by the recorder
-// (record.go) from the same per-iteration view that feeds tracer events and
-// the Table-I trace.
+// This file holds the explain surface of the solver: the Decision log
+// ScheduleExplained returns, one entry per ITQ iteration. It is a view
+// (decisionsOf, record.go) of the same decision record that tracer events
+// and the Table-I trace are rendered from.
 
 // itqCaptureCap bounds the per-decision ITQ snapshot. Wider frontiers keep
 // their top entries by (PV descending, task ascending) — the solver's own
@@ -63,10 +64,10 @@ type Decision struct {
 // events reach it too. The schedule is bit-identical to Schedule's
 // (differentially tested in TestIndexedMatchesReferenceBytes).
 func (h *HDLTS) ScheduleExplained(pr *sched.Problem) (*sched.Schedule, []Decision, error) {
-	rec := &recorder{keepDecisions: true}
-	s, err := h.run(pr, nil, rec)
+	var decisions []Decision
+	s, err := h.run(pr, nil, func(dr *obs.DecisionRecord) { decisions = decisionsOf(dr) })
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, rec.decisions, nil
+	return s, decisions, nil
 }

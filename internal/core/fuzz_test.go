@@ -18,7 +18,9 @@ const fuzzMaxTasks = 200
 // shapes included, where the two engines' tie-breaks could drift apart.
 // Under every option set the canonical schedule bytes, the Table-I steps
 // (floats bit-identical) and the traced event stream (reference estimate
-// events removed) must match.
+// events removed) must match; the stream a TraceStore renders from the
+// stored record must be that stream, or its whole-iteration head when the
+// record outgrew the per-trace byte cap.
 func FuzzIndexedMatchesReference(f *testing.F) {
 	var buf bytes.Buffer
 	if err := workflows.PaperExample().WriteJSON(&buf); err != nil {
@@ -61,8 +63,12 @@ func FuzzIndexedMatchesReference(f *testing.F) {
 			if msg := stepsMismatch(stepsI, stepsR); msg != "" {
 				t.Fatalf("opts %+v: %s", o, msg)
 			}
-			if ei, er := eventStreams(t, pr, o); !bytes.Equal(ei, er) {
+			ei, ering, dropped, er := eventStreams(t, pr, o)
+			if !bytes.Equal(ei, er) {
 				t.Fatalf("opts %+v: event streams differ\nindexed:\n%s\nreference:\n%s", o, ei, er)
+			}
+			if msg := ringMismatch(ering, dropped, er); msg != "" {
+				t.Fatalf("opts %+v: %s\nring:\n%s\nreference:\n%s", o, msg, ering, er)
 			}
 		}
 	})

@@ -25,8 +25,9 @@
 // and serves every solve, traced, Table-I and explain solves included.
 // Untraced plain solves are allocation-free in the steady state;
 // docs/SOLVER.md maps Algorithm 1 onto the core line by line. Decision
-// state leaves it through one per-iteration record (record.go) that feeds
-// tracer events, the Table-I Step trace and the explain Decision log alike.
+// state leaves it as one per-solve decision record (record.go); tracer
+// events, the Table-I Step trace and the explain Decision log are views of
+// that record.
 // The direct transcription of the paper's loop survives only as a
 // test-time differential oracle (reference_test.go).
 package core
@@ -156,27 +157,36 @@ func (h *HDLTS) ScheduleInto(pr *sched.Problem, prev *sched.Schedule) (*sched.Sc
 // penalty values, selections, and EFT vectors — the exact content of the
 // paper's Table I.
 func (h *HDLTS) ScheduleTrace(pr *sched.Problem) (*sched.Schedule, []Step, error) {
-	rec := &recorder{keepSteps: true}
-	s, err := h.run(pr, nil, rec)
+	var steps []Step
+	s, err := h.run(pr, nil, func(dr *obs.DecisionRecord) { steps = stepsOf(dr) })
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, rec.steps, nil
+	return s, steps, nil
 }
 
-// run normalises the problem and solves it on the indexed core. rec, when
-// non-nil, collects the caller's structured trace; a problem carrying an
-// enabled tracer gets its decision events from the same recorder. Whether
-// to record is settled here, once per solve.
-func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule, rec *recorder) (*sched.Schedule, error) {
+// run normalises the problem and solves it on the indexed core. The solve
+// is recorded when view is non-nil or the problem carries an enabled
+// tracer — settled here, once per solve. A traced solve hands its tracer
+// its decision record whether or not the solve succeeded; view reads the
+// record of a successful solve.
+func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule, view func(*obs.DecisionRecord)) (*sched.Schedule, error) {
 	pr = pr.Normalize()
-	if tr := pr.Tracer(); tr.Enabled() {
-		if rec == nil {
-			rec = &recorder{}
-		}
-		rec.tr = tr
+	tr := pr.Tracer()
+	traced := tr.Enabled()
+	if view == nil && !traced {
+		return h.runIndexed(pr, prev, nil)
 	}
-	return h.runIndexed(pr, prev, rec)
+	rec := newRecorder(pr.NumProcs())
+	defer rec.release()
+	s, err := h.runIndexed(pr, prev, rec)
+	if traced {
+		obs.EmitRecord(tr, rec.dr)
+	}
+	if err == nil && view != nil {
+		view(rec.dr)
+	}
+	return s, err
 }
 
 // lookaheadScore estimates the downstream cost of committing estimate e:

@@ -596,7 +596,9 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 		if timed {
 			tick.Lap(&eftAcc)
 		}
-		err := s.Commit(best)
+		// The recorder reports this placement in its record, so the
+		// commit itself emits nothing.
+		err := s.CommitUntraced(best)
 		if timed {
 			tick.Lap(&insAcc)
 		}

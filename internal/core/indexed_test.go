@@ -78,16 +78,24 @@ func (d dropEstimates) Emit(ev obs.Event) {
 	}
 }
 
-// eventStreams solves pr under o twice with a JSONL tracer attached — once
-// on the indexed core, once on the reference oracle with its estimate events
-// filtered out before the sink numbers them — and returns both streams.
-func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, reference []byte) {
+// eventStreams solves pr under o three times and returns each decision
+// stream in JSONL form: the indexed core into a JSONL tracer, the indexed
+// core into a TraceStore (rendered from the stored record on Get), and the
+// reference oracle with its estimate events filtered out before the sink
+// numbers them. The ring stream is complete unless the record outgrew the
+// per-trace byte cap; dropped reports how many events the ring left out.
+func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, ring []byte, dropped int, reference []byte) {
 	t.Helper()
 	var bi, br bytes.Buffer
 	ji, jr := obs.NewJSONL(&bi), obs.NewJSONL(&br)
 	h := NewWithOptions(o)
 	if _, err := h.Schedule(pr.WithTracer(ji)); err != nil {
 		t.Fatalf("indexed traced solve: %v", err)
+	}
+	ts := obs.NewTraceStore(1, 1)
+	ts.Start("ring")
+	if _, err := h.Schedule(pr.WithTracer(ts.Tracer("ring"))); err != nil {
+		t.Fatalf("indexed ring-traced solve: %v", err)
 	}
 	if _, _, err := h.runReference(pr.WithTracer(dropEstimates{jr}), false); err != nil {
 		t.Fatalf("reference traced solve: %v", err)
@@ -98,7 +106,50 @@ func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, referenc
 	if err := jr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return bi.Bytes(), br.Bytes()
+	tr, ok := ts.Get("ring")
+	if !ok {
+		t.Fatal("ring trace missing")
+	}
+	return bi.Bytes(), jsonlBytes(t, tr.Events), tr.EventsDropped, br.Bytes()
+}
+
+// jsonlBytes encodes events the way a JSONLSink streams them.
+func jsonlBytes(t testing.TB, evs []obs.Event) []byte {
+	t.Helper()
+	lines, err := obs.EncodeEvents(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, l := range lines {
+		b.Write(l)
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// ringMismatch reports how a TraceStore-rendered stream departs from the
+// full stream want: it must be want's first lines, whole, with the
+// remainder counted as dropped. "" means it matches.
+func ringMismatch(ring []byte, dropped int, want []byte) string {
+	if !bytes.HasPrefix(want, ring) {
+		return "ring stream is not a prefix of the full stream"
+	}
+	kept, total := bytes.Count(ring, []byte("\n")), bytes.Count(want, []byte("\n"))
+	if kept+dropped != total {
+		return fmt.Sprintf("ring kept %d and dropped %d events of %d", kept, dropped, total)
+	}
+	// A cut falls between iterations: after a task's commit, before the
+	// next iteration's first pv event.
+	if kept > 0 && dropped > 0 {
+		lines := bytes.Split(want, []byte("\n"))
+		last, next := lines[kept-1], lines[kept]
+		if !bytes.Contains(last, []byte(`"ev":"commit"`)) || bytes.Contains(last, []byte(`"dup":true`)) ||
+			!bytes.Contains(next, []byte(`"ev":"pv"`)) {
+			return fmt.Sprintf("ring cut inside an iteration, after %s", last)
+		}
+	}
+	return ""
 }
 
 // TestIndexedMatchesReferenceBytes is the seed-vs-indexed equivalence
@@ -109,8 +160,9 @@ func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, referenc
 // means identical placements, identical duplicate decisions, and a
 // bit-identical makespan; any floating-point reassociation in the indexed
 // core's incremental EFT maintenance or batched σ would show up here. A
-// traced solve's JSONL decision stream must equal the reference's with its
-// estimate events removed, byte for byte.
+// traced solve's JSONL decision stream, and the stream a TraceStore renders
+// from the same solve's stored record, must each equal the reference's
+// with its estimate events removed, byte for byte.
 func TestIndexedMatchesReferenceBytes(t *testing.T) {
 	const pairs = 200
 	rng := rand.New(rand.NewSource(42))
@@ -146,9 +198,14 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 			if len(decs) == 0 {
 				t.Fatalf("pair %d opts %+v: no decisions captured", i, o)
 			}
-			if ei, er := eventStreams(t, pr, o); !bytes.Equal(ei, er) {
+			ei, ering, dropped, er := eventStreams(t, pr, o)
+			if !bytes.Equal(ei, er) {
 				t.Fatalf("pair %d opts %+v: indexed event stream differs from the reference without estimates\nindexed:\n%s\nreference:\n%s",
 					i, o, ei, er)
+			}
+			if dropped != 0 || !bytes.Equal(ering, er) {
+				t.Fatalf("pair %d opts %+v: trace-ring stream (%d dropped) differs from the reference without estimates\nring:\n%s\nreference:\n%s",
+					i, o, dropped, ering, er)
 			}
 		}
 	}

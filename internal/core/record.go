@@ -3,43 +3,68 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"hdlts/internal/dag"
 	"hdlts/internal/obs"
+	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
 
 // recorder is the one place decision state leaves the solver. runIndexed
 // hands it a view of every ITQ iteration just before the commit — the
 // selected row, its winning estimate, the iteration ordinal, and the live
-// rows sorted ascending by task ID — and three consumers are derived from
-// that single view:
+// rows sorted ascending by task ID — and it appends that iteration to one
+// obs.DecisionRecord. Everything else is a view of the record, each built
+// by one function:
 //
-//   - tracer events: one EvPV per queued task, then one EvIteration
-//     (EvCommit events follow from sched.Commit itself);
-//   - the Table-I Step trace (ScheduleTrace);
-//   - the explain Decision log (ScheduleExplained).
+//   - the pv/iteration/commit event stream (obs.DecisionRecord.Render),
+//     which the record's tracer renders or keeps whole;
+//   - the Table-I Step trace (stepsOf);
+//   - the explain Decision log (decisionsOf).
 //
 // Whether to record is decided once per solve: untraced plain solves run
 // with a nil recorder and pay one pointer test per iteration, which keeps
 // the steady state allocation-free (TestScheduleIntoZeroAllocs).
 type recorder struct {
-	// tr receives decision events; nil when the problem is untraced.
-	tr obs.Tracer
-	// keepSteps and keepDecisions select the structured consumers.
-	keepSteps, keepDecisions bool
-	steps                    []Step
-	decisions                []Decision
+	// dr is the record under construction, pooled scratch whose columns
+	// grow by append.
+	dr *obs.DecisionRecord
 	// lastKey is the view key of the previous iteration's selection.
 	lastKey uint64
+}
+
+// recordPool recycles recorder scratch records across solves; a sink that
+// keeps a record keeps its own exact-size copy.
+var recordPool = sync.Pool{New: func() any { return new(obs.DecisionRecord) }}
+
+// newRecorder takes a scratch record from the pool, emptied, for a solve
+// on np processors.
+func newRecorder(np int) *recorder {
+	dr := recordPool.Get().(*obs.DecisionRecord)
+	*dr = obs.DecisionRecord{
+		Procs: np,
+		Task:  dr.Task[:0], Proc: dr.Proc[:0], EST: dr.EST[:0],
+		Dup: dr.Dup[:0], Slotted: dr.Slotted[:0], Entered: dr.Entered[:0],
+		EFT: dr.EFT[:0], PV: dr.PV[:0], NewTasks: dr.NewTasks[:0],
+		DupTask: dr.DupTask[:0], DupStart: dr.DupStart[:0], DupFinish: dr.DupFinish[:0],
+	}
+	return &recorder{dr: dr}
+}
+
+// release returns the scratch record to the pool.
+func (r *recorder) release() {
+	recordPool.Put(r.dr)
+	r.dr = nil
 }
 
 // syncView brings a.view — every live row packed as task<<32 | row, so
 // ascending keys are ascending task IDs — up to date for iteration iter:
 // the previous selection leaves, and the rows enqueued since (stamped
-// iter-1; at iteration 1, the entry rows) enter at their sorted position.
-// Upkeep rather than a sort per iteration: the sort cost ~7% of a
-// collector-traced v1k solve (BenchmarkObsOverheadCollector).
+// iter-1; at iteration 1, the entry rows) enter at their sorted position
+// and are logged in the record's NewTasks. Upkeep rather than a sort per
+// iteration: the sort cost ~7% of a collector-traced v1k solve
+// (BenchmarkObsOverheadCollector).
 func (r *recorder) syncView(a *arena, iter uint32) []uint64 {
 	view := a.view
 	if iter == 1 {
@@ -47,77 +72,104 @@ func (r *recorder) syncView(a *arena, iter uint32) []uint64 {
 	} else if i, ok := slices.BinarySearch(view, r.lastKey); ok {
 		view = slices.Delete(view, i, i+1)
 	}
+	entered := int32(0)
 	for _, q := range a.live {
 		if a.filledIter[q] == iter-1 {
 			k := uint64(a.taskOf[q])<<32 | uint64(q)
 			i, _ := slices.BinarySearch(view, k)
 			view = slices.Insert(view, i, k)
+			r.dr.NewTasks = append(r.dr.NewTasks, a.taskOf[q])
+			entered++
 		}
 	}
+	r.dr.Entered = append(r.dr.Entered, entered)
 	a.view = view
 	return view
 }
 
-// record consumes one iteration. Called with the arena's row state current
-// for the selected task and before the commit mutates processor
-// availability. Not a hot-path function: it only runs on recorded solves
-// and the structured consumers allocate freely.
+// record appends one iteration to the record. Called with the arena's row
+// state current for the selected task and before the commit mutates
+// processor availability. Not a hot-path function: it only runs on
+// recorded solves.
 func (r *recorder) record(a *arena, t dag.TaskID, row int32, best sched.Estimate, iter uint32) {
-	// The view packs each live row as task<<32 | row, so sorting the keys
-	// orders the rows by task ID with plain integer compares.
+	dr := r.dr
 	view := r.syncView(a, iter)
 	r.lastKey = uint64(t)<<32 | uint64(row)
-	if r.tr != nil {
-		for _, k := range view {
-			r.tr.Emit(obs.Event{Type: obs.EvPV, Task: int(k >> 32), Proc: -1, Iter: int(iter), Value: a.pv[uint32(k)]})
-		}
-		r.tr.Emit(obs.Event{
-			Type: obs.EvIteration, Task: int(t), Proc: int(best.Proc),
-			Iter: int(iter), Value: a.pv[row], Dup: best.UseDuplicate,
-		})
+	for _, k := range view {
+		dr.PV = append(dr.PV, a.pv[uint32(k)])
 	}
 	base := int(row) * a.np
-	eft := a.eftM[base : base+a.np]
-	if r.keepSteps {
-		st := Step{
-			Ready:      make([]dag.TaskID, len(view)),
-			PV:         make([]float64, len(view)),
-			Selected:   t,
-			EFT:        append([]float64(nil), eft...),
-			Proc:       best.Proc,
-			Duplicated: best.UseDuplicate,
-		}
-		for i, k := range view {
-			st.Ready[i], st.PV[i] = dag.TaskID(k>>32), a.pv[uint32(k)]
-		}
-		r.steps = append(r.steps, st)
+	dr.EFT = append(dr.EFT, a.eftM[base:base+a.np]...)
+	dr.Task = append(dr.Task, int32(t))
+	dr.Proc = append(dr.Proc, int32(best.Proc))
+	dr.EST = append(dr.EST, best.EST)
+	dr.Dup = append(dr.Dup, best.UseDuplicate)
+	dr.Slotted = append(dr.Slotted, best.EST < a.s.Avail(best.Proc))
+	if best.UseDuplicate {
+		dr.DupTask = append(dr.DupTask, int32(best.DupTask))
+		dr.DupStart = append(dr.DupStart, best.DupStart)
+		dr.DupFinish = append(dr.DupFinish, best.DupFinish)
 	}
-	if r.keepDecisions {
+}
+
+// eftRow is iteration i's EFT row, copied.
+func eftRow(dr *obs.DecisionRecord, i int) []float64 {
+	return slices.Clone(dr.EFT[i*dr.Procs : (i+1)*dr.Procs])
+}
+
+// stepsOf is the Table-I view of a record.
+func stepsOf(dr *obs.DecisionRecord) []Step {
+	steps := make([]Step, 0, dr.Len())
+	dr.Replay(func(i int, queue []int32, pv []float64) {
+		st := Step{
+			Ready:      make([]dag.TaskID, len(queue)),
+			PV:         slices.Clone(pv),
+			Selected:   dag.TaskID(dr.Task[i]),
+			EFT:        eftRow(dr, i),
+			Proc:       platform.Proc(dr.Proc[i]),
+			Duplicated: dr.Dup[i],
+		}
+		for j, q := range queue {
+			st.Ready[j] = dag.TaskID(q)
+		}
+		steps = append(steps, st)
+	})
+	return steps
+}
+
+// decisionsOf is the explain view of a record. Queues wider than
+// itqCaptureCap keep their top entries in the solver's own selection order
+// (PV descending, task ascending), listed in task order.
+func decisionsOf(dr *obs.DecisionRecord) []Decision {
+	decisions := make([]Decision, 0, dr.Len())
+	dups := 0
+	dr.Replay(func(i int, queue []int32, pv []float64) {
+		sel, _ := slices.BinarySearch(queue, dr.Task[i])
 		d := Decision{
-			Iter:     int(iter),
-			Task:     t,
-			PV:       a.pv[row],
-			ITQWidth: len(view),
-			EFT:      append([]float64(nil), eft...),
-			EST:      best.EST,
-			Proc:     best.Proc,
-			Slotted:  best.EST < a.s.Avail(best.Proc),
+			Iter:     i + 1,
+			Task:     dag.TaskID(dr.Task[i]),
+			PV:       pv[sel],
+			ITQWidth: len(queue),
+			ITQ:      make([]ITQItem, len(queue)),
+			EFT:      eftRow(dr, i),
+			EST:      dr.EST[i],
+			Proc:     platform.Proc(dr.Proc[i]),
+			Slotted:  dr.Slotted[i],
 		}
-		if best.UseDuplicate {
+		if dr.Dup[i] {
 			d.Duplicated = true
-			d.DupTask = best.DupTask
+			d.DupTask = dag.TaskID(dr.DupTask[dups])
+			dups++
 		}
-		d.ITQ = make([]ITQItem, len(view))
-		for i, k := range view {
-			d.ITQ[i] = ITQItem{Task: dag.TaskID(k >> 32), PV: a.pv[uint32(k)]}
+		for j, q := range queue {
+			d.ITQ[j] = ITQItem{Task: dag.TaskID(q), PV: pv[j]}
 		}
 		if len(d.ITQ) > itqCaptureCap {
-			// Keep the top entries in the solver's own selection order
-			// (PV descending, task ascending), then restore task order.
 			slices.SortStableFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(y.PV, x.PV) })
 			d.ITQ = d.ITQ[:itqCaptureCap]
 			slices.SortFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(x.Task, y.Task) })
 		}
-		r.decisions = append(r.decisions, d)
-	}
+		decisions = append(decisions, d)
+	})
+	return decisions
 }

@@ -12,7 +12,10 @@
 //     zero allocations, so instrumented hot paths cost a predicated call.
 //     Two sinks ship with the package — JSONLSink (one JSON object per
 //     line) and ChromeSink (Chrome trace-event format, loadable in
-//     chrome://tracing or Perfetto).
+//     chrome://tracing or Perfetto). An HDLTS solve hands its tracer one
+//     DecisionRecord instead of per-task events (EmitRecord): the trace
+//     store keeps it whole, every other tracer receives its rendered
+//     events.
 //
 //   - Metrics. Counter, Gauge, and Histogram are lock-free atomics
 //     registered in a Registry with Prometheus-text and JSON exposition
@@ -157,6 +160,15 @@ func (n named) Emit(ev Event) {
 	n.t.Emit(ev)
 }
 
+func (n named) takeRecord(r *DecisionRecord) {
+	if r.Alg == "" {
+		cp := *r
+		cp.Alg = n.alg
+		r = &cp
+	}
+	EmitRecord(n.t, r)
+}
+
 // Named wraps t so every event without an Alg is attributed to alg. A nil
 // or no-op t returns Nop unchanged.
 func Named(t Tracer, alg string) Tracer {
@@ -184,6 +196,12 @@ func (m multi) Emit(ev Event) {
 		if t.Enabled() {
 			t.Emit(ev)
 		}
+	}
+}
+
+func (m multi) takeRecord(r *DecisionRecord) {
+	for _, t := range m {
+		EmitRecord(t, r)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 //
 // Finished spans land in a TraceStore: a bounded in-memory ring of traces
 // keyed by trace ID, each holding the span tree plus the decision events
-// emitted while that trace was active. The store is the backing for
-// GET /v1/jobs/{id}/trace — answer "why was this mapping chosen?" for any
-// single request, after the fact, from its ID alone.
+// and decision records emitted while that trace was active. The store is
+// the backing for GET /v1/jobs/{id}/trace — answer "why was this mapping
+// chosen?" for any single request, after the fact, from its ID alone.
 
 // Span is one timed operation within a trace. ParentID is empty on the
 // root. Attrs carry small string facts (method, path, algorithm, status).
@@ -157,16 +157,18 @@ func randHex8() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Per-trace retention bounds: a runaway scheduler (estimates are
-// tasks × procs per iteration) must not balloon one trace without limit.
+// Per-trace retention bounds: a runaway scheduler must not balloon one
+// trace without limit. Decision state is capped in bytes: a stored event
+// costs its in-memory size and a decision record its Size, and the cap
+// equals 4096 stored events.
 const (
-	maxSpansPerTrace  = 512
-	maxEventsPerTrace = 4096
+	maxSpansPerTrace = 512
+	maxTraceBytes    = 4096 * eventBytes
 )
 
 // Trace is one finished or in-progress trace snapshot: the span tree
 // (flat, linked by ParentID) plus the decision events recorded while the
-// trace was active, in emission order.
+// trace was active, in emission order, with decision records rendered.
 type Trace struct {
 	TraceID       string  `json:"trace_id"`
 	Spans         []*Span `json:"spans"`
@@ -175,12 +177,22 @@ type Trace struct {
 	EventsDropped int     `json:"events_dropped,omitempty"`
 }
 
-// traceEntry is the store's mutable per-trace state.
+// traceEntry is the store's mutable per-trace state. Decision records are
+// kept whole, each at the position in the event sequence it arrived at,
+// and rendered on Get.
 type traceEntry struct {
 	spans         []*Span
 	events        []Event
+	records       []heldRecord
+	bytes         int // decision bytes held, against maxTraceBytes
 	spansDropped  int
 	eventsDropped int
+}
+
+// heldRecord is a stored decision record; its events follow events[:at].
+type heldRecord struct {
+	at  int
+	rec *DecisionRecord
 }
 
 // TraceStore retains recent traces in a bounded in-memory ring: starting a
@@ -287,10 +299,11 @@ func (ts *TraceStore) addEvent(traceID string, ev Event) {
 	ts.mu.Lock()
 	e, ok := ts.traces[traceID]
 	if ok {
-		if len(e.events) >= maxEventsPerTrace {
+		if e.bytes+eventBytes > maxTraceBytes {
 			e.eventsDropped++
 		} else {
 			e.events = append(e.events, ev)
+			e.bytes += eventBytes
 		}
 	}
 	hub := ts.hub
@@ -300,22 +313,59 @@ func (ts *TraceStore) addEvent(traceID string, ev Event) {
 	}
 }
 
+// addRecord keeps one solve's decision record against traceID, as an
+// exact-size copy. A record over the trace's remaining byte budget keeps
+// its leading whole iterations and counts the rest as dropped events; after
+// a cut the trace takes no further decision state, so what it holds is
+// always a prefix. The hub gets the rendered events only when a subscriber
+// is attached — all of them at once, when the solve hands its record over.
+func (ts *TraceStore) addRecord(traceID string, r *DecisionRecord) {
+	ts.mu.Lock()
+	e, ok := ts.traces[traceID]
+	if ok {
+		kept, dropped := r.prefix(maxTraceBytes - e.bytes)
+		e.eventsDropped += dropped
+		if dropped > 0 {
+			e.bytes = maxTraceBytes
+		} else {
+			e.bytes += kept.Size()
+		}
+		if kept.Len() > 0 {
+			e.records = append(e.records, heldRecord{at: len(e.events), rec: kept})
+		}
+	}
+	hub := ts.hub
+	ts.mu.Unlock()
+	if ok && hub.Active() {
+		r.Render(func(ev Event) { hub.publishDecision(traceID, ev) })
+	}
+}
+
 // Get returns a snapshot of the trace, or false when the ID was never
-// started, sampled out, or already evicted.
+// started, sampled out, or already evicted. Decision records are rendered
+// into Events here, outside the store's mutex: records are immutable.
 func (ts *TraceStore) Get(traceID string) (*Trace, bool) {
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	e, ok := ts.traces[traceID]
 	if !ok {
+		ts.mu.Unlock()
 		return nil, false
 	}
 	t := &Trace{
 		TraceID:       traceID,
 		Spans:         append([]*Span(nil), e.spans...),
-		Events:        append([]Event(nil), e.events...),
 		SpansDropped:  e.spansDropped,
 		EventsDropped: e.eventsDropped,
 	}
+	events, records := e.events, e.records
+	ts.mu.Unlock()
+	prev := 0
+	for _, h := range records {
+		t.Events = append(t.Events, events[prev:h.at]...)
+		h.rec.Render(func(ev Event) { t.Events = append(t.Events, ev) })
+		prev = h.at
+	}
+	t.Events = append(t.Events, events[prev:]...)
 	return t, true
 }
 
@@ -349,5 +399,6 @@ type traceTracer struct {
 	traceID string
 }
 
-func (t traceTracer) Enabled() bool { return true }
-func (t traceTracer) Emit(ev Event) { t.ts.addEvent(t.traceID, ev) }
+func (t traceTracer) Enabled() bool                { return true }
+func (t traceTracer) Emit(ev Event)                { t.ts.addEvent(t.traceID, ev) }
+func (t traceTracer) takeRecord(r *DecisionRecord) { t.ts.addRecord(t.traceID, r) }

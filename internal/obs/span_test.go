@@ -147,7 +147,9 @@ func TestTraceEventAndSpanCaps(t *testing.T) {
 	ts := NewTraceStore(2, 1)
 	ts.Start("t1")
 	tr := ts.Tracer("t1")
-	for i := 0; i < maxEventsPerTrace+10; i++ {
+	// Single events cost their in-memory size against the byte cap.
+	maxEvents := maxTraceBytes / eventBytes
+	for i := 0; i < maxEvents+10; i++ {
 		tr.Emit(Event{Type: EvPV, Task: i})
 	}
 	ctx := WithTraceStore(WithTraceID(context.Background(), "t1"), ts)
@@ -156,9 +158,9 @@ func TestTraceEventAndSpanCaps(t *testing.T) {
 		sp.Finish()
 	}
 	got, _ := ts.Get("t1")
-	if len(got.Events) != maxEventsPerTrace || got.EventsDropped != 10 {
+	if len(got.Events) != maxEvents || got.EventsDropped != 10 {
 		t.Errorf("events = %d (dropped %d), want %d (10)",
-			len(got.Events), got.EventsDropped, maxEventsPerTrace)
+			len(got.Events), got.EventsDropped, maxEvents)
 	}
 	if len(got.Spans) != maxSpansPerTrace || got.SpansDropped != 5 {
 		t.Errorf("spans = %d (dropped %d), want %d (5)",

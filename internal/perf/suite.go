@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,8 @@ func Suite() []Bench {
 		{Name: "solver/hdlts/v10k_steady", HotPath: true, Quick: true, Benchtime: "10x", F: steadyBench(10000)},
 		{Name: "solver/hdlts/v100k", HotPath: true, Quick: true, Benchtime: "1x", F: solverBench("hdlts", 100000)},
 		{Name: "solver/hdlts/v1m", HotPath: true, Benchtime: "1x", F: solverBench("hdlts", 1000000)},
+		// Not hot-gated until a trajectory epoch records it.
+		{Name: "solver/hdlts/v1k_traced", Quick: true, F: tracedBench(1000)},
 		{Name: "solver/heft/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("heft", 1000)},
 		{Name: "solver/heft/v10k", HotPath: true, Benchtime: "10x", F: solverBench("heft", 10000)},
 		{Name: "solver/cpop/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("cpop", 1000)},
@@ -129,6 +132,34 @@ func steadyBench(v int) func(*testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if s, err = h.ScheduleInto(pr, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// tracedBench times an HDLTS solve traced the way the server traces a
+// request: each solve starts its own trace in a TraceStore and attaches the
+// store's tracer under the algorithm's name, so the solve's decision record
+// lands in the trace ring.
+func tracedBench(v int) func(*testing.B) {
+	return func(b *testing.B) {
+		pr := problem(v)
+		alg := registry.MustGet("hdlts")
+		ts := obs.NewTraceStore(8, 1)
+		solve := func(i int) error {
+			id := "bench-" + strconv.Itoa(i)
+			ts.Start(id)
+			_, err := alg.Schedule(pr.WithTracer(obs.Named(ts.Tracer(id), alg.Name())))
+			return err
+		}
+		if err := solve(-1); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := solve(i); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -401,10 +401,24 @@ func (s *Schedule) BestEFT(t dag.TaskID, pol Policy) (Estimate, error) {
 }
 
 // Commit places task t per the estimate, materialising the entry duplicate
-// first when the estimate relies on one.
+// first when the estimate relies on one, and emits one EvCommit per
+// placement to the problem's tracer.
 //
 //hdlts:hotpath
 func (s *Schedule) Commit(e Estimate) error {
+	return s.commit(e, s.prob.Tracer())
+}
+
+// CommitUntraced is Commit without the commit events, for solvers whose
+// decision record reports their placements (HDLTS).
+//
+//hdlts:hotpath
+func (s *Schedule) CommitUntraced(e Estimate) error {
+	return s.commit(e, obs.Nop)
+}
+
+//hdlts:hotpath
+func (s *Schedule) commit(e Estimate, tr obs.Tracer) error {
 	if e.UseDuplicate {
 		// The duplicate must copy a parentless parent of the committed task
 		// (hand-built estimates could otherwise duplicate arbitrary tasks).
@@ -422,7 +436,7 @@ func (s *Schedule) Commit(e Estimate) error {
 			return err
 		}
 		duplicateCount.Inc()
-		if tr := s.prob.Tracer(); tr.Enabled() {
+		if tr.Enabled() {
 			tr.Emit(obs.Event{Type: obs.EvCommit, Task: int(e.DupTask), Proc: int(e.Proc), Start: e.DupStart, Finish: e.DupFinish, Dup: true})
 		}
 	}
@@ -430,7 +444,7 @@ func (s *Schedule) Commit(e Estimate) error {
 		return err
 	}
 	commitCount.Inc()
-	if tr := s.prob.Tracer(); tr.Enabled() {
+	if tr.Enabled() {
 		tr.Emit(obs.Event{Type: obs.EvCommit, Task: int(e.Task), Proc: int(e.Proc), Start: e.EST, Finish: e.EFT})
 	}
 	return nil

@@ -458,3 +458,36 @@ func (failingAlg) Name() string { return "HDLTS" }
 func (failingAlg) Schedule(*sched.Problem) (*sched.Schedule, error) {
 	return nil, fmt.Errorf("synthetic failure")
 }
+
+// TestSolvePanicIsA500 pins panic containment in the solve pipeline: a
+// solver that panics answers /v1/schedule with 500 and fails its job, and
+// the same server keeps serving.
+func TestSolvePanicIsA500(t *testing.T) {
+	srv := newTestServer(t, Config{
+		Lookup: func(name string) (sched.Algorithm, error) {
+			if name == "boom" {
+				return panickingAlg{}, nil
+			}
+			return registry.Get(name)
+		},
+	})
+	rec := postSchedule(t, srv, ScheduleRequest{Algorithm: "boom", Problem: problemJSON(t)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "solver bug") {
+		t.Errorf("panicking solve = %d: %s, want 500 naming the panic", rec.Code, rec.Body)
+	}
+	v, _ := submitJob(t, srv, "boom", problemJSON(t))
+	if failed := waitJobState(t, srv, v.ID, "failed"); !strings.Contains(failed.Error, "solver bug") {
+		t.Errorf("failed job = %+v, want the panic as its error", failed)
+	}
+	if rec := postSchedule(t, srv, ScheduleRequest{Algorithm: "hdlts", Problem: problemJSON(t)}); rec.Code != http.StatusOK {
+		t.Errorf("request after the panics = %d: %s, want 200", rec.Code, rec.Body)
+	}
+}
+
+// panickingAlg panics in Schedule, standing in for a solver bug.
+type panickingAlg struct{}
+
+func (panickingAlg) Name() string { return "boom" }
+func (panickingAlg) Schedule(*sched.Problem) (*sched.Schedule, error) {
+	panic("solver bug")
+}

@@ -440,10 +440,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // the request's trace identity: when the trace is retained, each phase
 // records a span and the scheduler's decision events land in the trace
 // ring — the replayable "why was this mapping chosen" record behind the
-// trace endpoints.
-func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched.Problem, trace, explainReq, indent bool) scheduleOutcome {
+// trace endpoints. A panic anywhere in the solve→encode pipeline is a 500
+// outcome for this request alone (and a failed attempt for a job); the
+// worker and the process carry on.
+func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched.Problem, trace, explainReq, indent bool) (out scheduleOutcome) {
 	ctx, run := obs.StartSpan(ctx, "schedule.run", obs.KeyAlg, alg.Name())
 	defer run.Finish()
+	defer func() {
+		if p := recover(); p != nil {
+			out = scheduleOutcome{status: http.StatusInternalServerError,
+				err: fmt.Errorf("%s: panic: %v", alg.Name(), p)}
+		}
+	}()
 	start := time.Now()
 	prA := pr
 	var sink *obs.JSONLSink

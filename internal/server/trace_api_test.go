@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hdlts/internal/gen"
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
 )
@@ -500,4 +502,53 @@ func checkExposition(body string) error {
 		}
 	}
 	return nil
+}
+
+// TestV1kTraceCompleteInRing: the ring stores a 1000-task solve's decision
+// record whole. For each of eight seeded 8-proc problems, /v1/traces/{id}
+// reports nothing dropped and its events equal, byte for byte, the events
+// the same request got back with "trace": true.
+func TestV1kTraceCompleteInRing(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		pr, err := gen.Random(gen.Params{V: 1000, Alpha: 1.5, Density: 3, CCR: 2, Procs: 8, WDAG: 80, Beta: 1.2}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := pr.WriteJSON(&raw); err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("v1k-%d", i)
+		rec := doWithRequestID(srv, http.MethodPost, "/v1/schedule", id,
+			ScheduleRequest{Algorithm: "hdlts", Problem: raw.Bytes(), Trace: true})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("problem %d: %d: %s", i, rec.Code, rec.Body)
+		}
+		var resp ScheduleResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		tr, trec := getTrace(t, srv, "/v1/traces/"+id)
+		if tr == nil {
+			t.Fatalf("problem %d: trace = %d: %s", i, trec.Code, trec.Body)
+		}
+		if tr.EventsDropped != 0 || len(tr.Events) != len(resp.Events) {
+			t.Fatalf("problem %d: ring has %d events (%d dropped), the response %d",
+				i, len(tr.Events), tr.EventsDropped, len(resp.Events))
+		}
+		for j := range tr.Events {
+			var a, b bytes.Buffer
+			if err := json.Compact(&a, tr.Events[j]); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Compact(&b, resp.Events[j]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("problem %d event %d: ring %s, response %s", i, j, a.Bytes(), b.Bytes())
+			}
+		}
+	}
 }
