@@ -136,8 +136,8 @@ type Engine struct {
 	cfg Config
 
 	// mu is the table lock: it guards the store's records and runs. Every
-	// transition stages its WAL line under mu; the store's Flush writes
-	// them after mu is released.
+	// commit stages its WAL line under mu; the store's Flush writes them
+	// after mu is released.
 	mu    sync.Mutex
 	store *durable.Store[*Record]
 	// runs holds a run state for every record that is not terminal; it
@@ -548,6 +548,7 @@ func (e *Engine) Cancel(id string) (*Record, error) {
 	if rs.queued {
 		rs.queued = false
 		e.finish(r, Cancelled, "cancelled", 0)
+		e.store.Put(r)
 		close(rs.done)
 		c := r.clone()
 		e.mu.Unlock()
@@ -589,8 +590,8 @@ func (e *Engine) Close(ctx context.Context) error {
 	return e.store.Close()
 }
 
-// finish commits rec's terminal state (caller holds mu): a step still
-// running when a workflow is cancelled fails as cancelled.
+// finish sets rec's terminal state (caller holds mu, and stages it): a
+// step still running when a workflow is cancelled fails as cancelled.
 func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64) {
 	rec.State = st
 	rec.Error = errMsg
@@ -605,7 +606,6 @@ func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64) 
 			}
 		}
 	}
-	e.store.Put(rec)
 }
 
 // doneEvent is the workflow.done stream event for rec's terminal state.
@@ -620,6 +620,10 @@ func doneEvent(rec *Record, at float64) obs.StreamEvent {
 	}
 }
 
+// stepLaunch is a step attempt a run-loop pass started, launched once the
+// pass has committed.
+type stepLaunch struct{ step, proc int }
+
 // stepOutcome carries one finished step attempt back to the run loop.
 type stepOutcome struct {
 	step int
@@ -633,6 +637,13 @@ type stepOutcome struct {
 // observed durations back, and re-map the un-dispatched frontier whenever
 // observation drifts from estimate. It owns all scheduling state; the
 // shared Record is only touched under e.mu.
+//
+// Each pass of the loop commits once. Its transitions — the completion or
+// retry it absorbed, the re-plan that followed, and every start dispatch
+// made — only mutate rec and mark it dirty; commit then stages rec with one
+// Put and writes it with one Flush, and only after that publishes the
+// pass's stream events and launches its steps. A step's running line, with
+// its attempt count, is therefore durable before its command starts.
 func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runState) {
 	defer e.wg.Done()
 	defer close(rs.done)
@@ -679,6 +690,11 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	failing := false
 	var failErr string
 
+	// What the current pass staged for commit.
+	dirty := false
+	var events []obs.StreamEvent
+	var launches []stepLaunch
+
 	e.mu.Lock()
 	rec.State = Running
 	rec.StartedAt = wfStart
@@ -690,9 +706,8 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 			doneCount++
 		}
 	}
-	e.store.Put(rec)
 	e.mu.Unlock()
-	e.store.Flush()
+	dirty = true
 	for i := 0; i < n; i++ {
 		for _, a := range pr.G.Preds(dag.TaskID(i)) {
 			if state[a.Task] != StepDone {
@@ -789,16 +804,15 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 			rec.Steps[t].EstSeconds = est(int(t), assign[t])
 		}
 		rec.Replans++
-		e.store.Put(rec)
 		e.mu.Unlock()
-		e.store.Flush()
+		dirty = true
 		e.replans.Inc()
 		tr.Emit(obs.Event{Type: obs.EvReplan, Alg: "exec", Task: -1, Proc: -1,
 			Time: nowS, Value: float64(len(pending))})
 		_, sp := obs.StartSpan(ctx, "workflow.replan",
 			obs.KeyWorkflow, id, obs.KeyPhase, reason)
 		sp.Finish()
-		e.cfg.Stream.Publish(obs.StreamEvent{
+		events = append(events, obs.StreamEvent{
 			Kind:     obs.KindWorkflowReplan,
 			Workflow: id,
 			TraceID:  rec.TraceID,
@@ -832,10 +846,9 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		rec.Steps[i].Attempts = attempts[i]
 		rec.Steps[i].StartedAt = time.Now()
 		rec.Steps[i].QueueWaitSeconds = wait
-		e.store.Put(rec)
 		e.mu.Unlock()
-		e.store.Flush()
-		e.cfg.Stream.Publish(obs.StreamEvent{
+		dirty = true
+		events = append(events, obs.StreamEvent{
 			Kind:     obs.KindStepRun,
 			Workflow: id,
 			TraceID:  rec.TraceID,
@@ -844,6 +857,12 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 			Time:     startRel[i],
 			Value:    wait,
 		})
+		launches = append(launches, stepLaunch{step: i, proc: p})
+	}
+
+	// launch runs one committed step attempt on its own goroutine, which
+	// reports back on completions.
+	launch := func(i, p int) {
 		step := wf.Steps[i]
 		stepWG.Add(1)
 		go func() {
@@ -884,13 +903,37 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		}
 	}
 
+	// commit ends a pass: one Put and one Flush of whatever it staged,
+	// then its stream events and step launches. A pass that staged nothing
+	// writes nothing.
+	commit := func() {
+		if dirty {
+			e.mu.Lock()
+			e.store.Put(rec)
+			e.mu.Unlock()
+			e.store.Flush()
+			dirty = false
+		}
+		for _, ev := range events {
+			e.cfg.Stream.Publish(ev)
+		}
+		events = events[:0]
+		for _, l := range launches {
+			launch(l.step, l.proc)
+		}
+		launches = launches[:0]
+	}
+
+	// finalize commits the terminal state together with the rest of the
+	// final pass.
 	finalize := func(st State, errMsg string) {
 		e.mu.Lock()
 		e.finish(rec, st, errMsg, now())
 		e.mu.Unlock()
-		e.store.Flush()
+		dirty = true
+		events = append(events, doneEvent(rec, now()))
+		commit()
 		runSpan.SetAttr(obs.KeyStatus, string(st))
-		e.cfg.Stream.Publish(doneEvent(rec, now()))
 	}
 
 	if initOrder == nil {
@@ -921,6 +964,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 				return
 			}
 		}
+		commit()
 		select {
 		case out := <-completions:
 			i, p := out.step, out.proc
@@ -941,9 +985,8 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 					rec.Steps[i].State = StepFailed
 					rec.Steps[i].FinishedAt = time.Now()
 				}
-				e.store.Put(rec)
 				e.mu.Unlock()
-				e.store.Flush()
+				dirty = true
 				phase := "failed"
 				if retryable {
 					e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "retried").Inc()
@@ -957,7 +1000,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 					failing = true
 					failErr = out.err.Error()
 				}
-				e.cfg.Stream.Publish(obs.StreamEvent{
+				events = append(events, obs.StreamEvent{
 					Kind:     obs.KindStepFail,
 					Workflow: id,
 					TraceID:  rec.TraceID,
@@ -978,15 +1021,14 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 			rec.ObservedW = append(rec.ObservedW, WEntry{
 				Step: wf.Steps[i].Name, Task: i, Proc: p, Seconds: observed,
 			})
-			e.store.Put(rec)
 			e.mu.Unlock()
-			e.store.Flush()
+			dirty = true
 			e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "done").Inc()
 			e.stepSecs.Observe(observed)
 			e.driftHist.Observe(ratio)
 			tr.Emit(obs.Event{Type: obs.EvComplete, Alg: "exec", Task: i, Proc: p,
 				Start: startRel[i], Finish: finRel[i], Value: observed})
-			e.cfg.Stream.Publish(obs.StreamEvent{
+			events = append(events, obs.StreamEvent{
 				Kind:     obs.KindStepDone,
 				Workflow: id,
 				TraceID:  rec.TraceID,

@@ -393,11 +393,25 @@ func (m *Manager) attempt(id string) func() {
 			return
 		}
 		defer m.wg.Done()
+		// The claim is durable before the run: recovery counts it against
+		// max_attempts, which is what bounds how often a job that crashes
+		// the process is re-run (TestRecoveryBoundsCrashReruns).
 		m.store.Flush()
-		result, err := m.cfg.Run(ctx, algorithm, problem)
+		result, err := m.run(ctx, algorithm, problem)
 		m.finishJob(id, result, err)
 		m.store.Flush()
 	}
+}
+
+// run calls Config.Run, turning a panic into the attempt's error so that
+// the job fails instead of the pool worker, and with it the process.
+func (m *Manager) run(ctx context.Context, algorithm string, problem json.RawMessage) (result json.RawMessage, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			result, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return m.cfg.Run(ctx, algorithm, problem)
 }
 
 // claimJob flips a queued job to running and returns what the attempt

@@ -96,6 +96,31 @@ func TestSubmitRunsToDone(t *testing.T) {
 	}
 }
 
+// TestPanickingRunFailsJob: a RunFunc that panics fails its job with a
+// "panic:" error. The pool's one worker survives it and runs the next
+// job, and Close (on cleanup) still returns.
+func TestPanickingRunFailsJob(t *testing.T) {
+	run := func(ctx context.Context, algorithm string, problem json.RawMessage) (json.RawMessage, error) {
+		if string(problem) == `"boom"` {
+			panic("decode exploded")
+		}
+		return okRun(nil)(ctx, algorithm, problem)
+	}
+	m := newTestManager(t, Config{Run: run, Pool: newTestPool(t, 1, 4)})
+	bad, err := m.Submit("HDLTS", "h-bad", json.RawMessage(`"boom"`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitState(t, m, bad.ID, Failed); got.Error != "panic: decode exploded" {
+		t.Errorf("panicked job error = %q", got.Error)
+	}
+	good, err := m.Submit("HDLTS", "h-good", json.RawMessage(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, good.ID, Done)
+}
+
 func TestCacheHitServesWithoutRun(t *testing.T) {
 	var runs atomic.Int64
 	reg := obs.NewRegistry()
