@@ -11,6 +11,8 @@ package durable
 import (
 	"crypto/rand"
 	"encoding/hex"
+
+	"hdlts/internal/wire"
 )
 
 // State is one phase of a durable run's lifecycle.
@@ -58,10 +60,16 @@ func NewID(prefix string) string {
 }
 
 // Record is what a Store holds: a pointer to a JSON-serialisable struct
-// that reports its handle, submission sequence and lifecycle phase.
+// that reports its handle, submission sequence and lifecycle phase, and
+// decodes itself on replay.
 type Record interface {
 	comparable
 	RecordID() string
 	RecordSeq() uint64
 	RecordState() State
+	// DecodeRecord decodes the JSON value at the scanner, a WAL payload
+	// or snapshot element (never null), into the record as json.Unmarshal
+	// would, merging into the fields a repeated payload key already set.
+	// Any error ends replay; nothing decoded may alias the scanned bytes.
+	DecodeRecord(*wire.Scanner) error
 }

@@ -1,0 +1,195 @@
+package durable_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"hdlts/internal/durable"
+	"hdlts/internal/exec"
+	"hdlts/internal/jobs"
+)
+
+// refEnvelope is a WAL line as the encoding/json replay decoded it.
+type refEnvelope[R any] struct {
+	Op  string `json:"op"`
+	Job R      `json:"job,omitempty"`
+	Rec R      `json:"rec,omitempty"`
+	ID  string `json:"id,omitempty"`
+}
+
+// recovery is what opening a store yields: the live table, the next
+// sequence number, and the WAL's length once a torn tail is cut.
+type recovery[R durable.Record] struct {
+	recs    map[string]R
+	nextSeq uint64
+	walLen  int64
+}
+
+// referenceOpen is the store's recovery as it was when replay decoded
+// every line with json.Unmarshal: the oracle FuzzReplayMatchesStdlib holds
+// Open's wire walk to. The snapshot is read when present; WAL lines apply
+// in order until the first that does not decode or is not
+// newline-terminated.
+func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bool, wal []byte) (*recovery[R], error) {
+	var zero R
+	rv := &recovery[R]{recs: make(map[string]R)}
+	if hasSnapshot {
+		var list []R
+		if err := json.Unmarshal(snapshot, &list); err != nil {
+			return nil, fmt.Errorf("decode snapshot: %w", err)
+		}
+		for _, r := range list {
+			if r == zero || r.RecordID() == "" {
+				return nil, errors.New("decode snapshot: record without an id")
+			}
+			rv.recs[r.RecordID()] = r
+		}
+	}
+	for rest := wal; ; {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		var env refEnvelope[R]
+		if err := json.Unmarshal(rest[:i], &env); err != nil {
+			break
+		}
+		switch env.Op {
+		case "put":
+			r := env.Job
+			if key == durable.RecKey {
+				r = env.Rec
+			}
+			if r != zero && r.RecordID() != "" {
+				rv.recs[r.RecordID()] = r
+			}
+		case "del":
+			delete(rv.recs, env.ID)
+		}
+		rv.walLen += int64(i) + 1
+		rest = rest[i+1:]
+	}
+	for _, r := range rv.recs {
+		if !r.RecordState().Valid() {
+			return nil, fmt.Errorf("record %s has unknown state %q", r.RecordID(), r.RecordState())
+		}
+		rv.nextSeq = max(rv.nextSeq, r.RecordSeq()+1)
+	}
+	return rv, nil
+}
+
+// openFiles runs durable.Open on a store directory holding the given
+// files and reports what it recovered.
+func openFiles[R recordPtr[T], T any](t *testing.T, key string, snapshot []byte, hasSnapshot bool, wal []byte) (*recovery[R], error) {
+	t.Helper()
+	dir := t.TempDir()
+	if hasSnapshot {
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walPath := filepath.Join(dir, "wal.jsonl")
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	s, recovered, err := durable.Open[R](durable.Config{Dir: dir, Key: key}, &mu)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	st, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv := &recovery[R]{recs: make(map[string]R), walLen: st.Size()}
+	for _, r := range recovered {
+		rv.recs[r.RecordID()] = r
+	}
+	mu.Lock()
+	rv.nextSeq = s.NextSeq()
+	mu.Unlock()
+	return rv, nil
+}
+
+func matchStdlib[R recordPtr[T], T any](t *testing.T, key string, snapshot []byte, hasSnapshot bool, wal []byte) {
+	t.Helper()
+	want, werr := referenceOpen[R](key, snapshot, hasSnapshot, wal)
+	got, gerr := openFiles[R](t, key, snapshot, hasSnapshot, wal)
+	switch {
+	case (gerr == nil) != (werr == nil):
+		t.Fatalf("%T under %q: Open error %v, encoding/json replay error %v", *new(R), key, gerr, werr)
+	case gerr != nil:
+	case !reflect.DeepEqual(got.recs, want.recs):
+		g, _ := json.Marshal(got.recs)
+		w, _ := json.Marshal(want.recs)
+		t.Fatalf("%T under %q: recovered\n%s\nencoding/json replay recovered\n%s", *new(R), key, g, w)
+	case got.nextSeq != want.nextSeq:
+		t.Fatalf("%T under %q: NextSeq %d, encoding/json replay %d", *new(R), key, got.nextSeq, want.nextSeq)
+	case got.walLen != want.walLen:
+		t.Fatalf("%T under %q: WAL cut to %d bytes, encoding/json replay to %d", *new(R), key, got.walLen, want.walLen)
+	}
+}
+
+// Job lines whose decoding leans on encoding/json's finer rules.
+var stdlibRuleLines = []string{
+	// Case-folded envelope and record keys.
+	`{"OP":"put","JOB":{"Id":"a","STATE":"done","Seq":3}}`,
+	`{"op":"del","Id":"a"}`,
+	// Repeated keys: the record merges, the last scalar wins.
+	`{"op":"put","job":{"id":"b","problem":{"x":1},"seq":1},"job":{"state":"done","problem":[2],"seq":5,"seq":6}}`,
+	// A null record, and a null problem.
+	`{"op":"put","job":{"id":"c","state":"done"},"job":null}`,
+	`{"op":"put","job":{"id":"d","state":"done","problem":null,"result":null}}`,
+	// Raw bytes kept as written.
+	`{"op":"put","job":{"id":"e","state":"done","problem":{ "name" : "<a>&b" , "v":[1, 2.50] }}}`,
+	// Timestamps: an offset, and a \u escape time.Time refuses.
+	`{"op":"put","job":{"id":"f","state":"done","submitted_at":"2024-01-02T03:04:05.5+02:00"}}`,
+	`{"op":"put","job":{"id":"g","state":"done","submitted_at":"2024-01-02T03:04:05\u002e5Z"}}`,
+	// seq at the edges of uint64.
+	`{"op":"put","job":{"id":"h","state":"done","seq":18446744073709551615}}`,
+	`{"op":"put","job":{"id":"i","state":"done","seq":-1}}`,
+	`{"op":"put","job":{"id":"j","state":"done","seq":1e3}}`,
+	// A workflow payload in a job store.
+	`{"op":"put","rec":{"id":"k","state":"done","steps":[]}}`,
+	// Type errors in a superseded line and under the other key.
+	`{"op":"put","job":{"id":"l","state":"done","attempts":"1"},"job":{"id":"l","state":"done"}}`,
+	`{"op":"put","job":{"id":"m","state":"done"},"rec":{"id":7}}`,
+	`null`,
+	` {"op":"put","job":{"id":"n","state":"queued","cache_hit":true,"unknown":[{}]}} ` + "\r",
+}
+
+// FuzzReplayMatchesStdlib holds recovery to the encoding/json replay it
+// replaced: for any snapshot and WAL bytes, under either payload key and
+// for both record types, Open and the oracle both refuse, or they recover
+// the same records, the same NextSeq, and cut the WAL to the same length.
+func FuzzReplayMatchesStdlib(f *testing.F) {
+	for i, name := range []string{"jobs", "workflows"} {
+		snap, _ := os.ReadFile(filepath.Join("testdata", "parent", name, "snapshot.json"))
+		wal, _ := os.ReadFile(filepath.Join("testdata", "parent", name, "wal.jsonl"))
+		f.Add(snap, wal, uint8(2|i))
+	}
+	for i, line := range stdlibRuleLines {
+		f.Add([]byte(nil), []byte(line+"\n"+`{"op":"put","job":{"id":"after","state":"done"}}`+"\n"), uint8(i%2))
+		f.Add([]byte("["+line+"]"), []byte(nil), uint8(2|i%2))
+	}
+	for _, snap := range []string{`null`, `[null]`, `{}`, ``, `[{"id":"x","state":"queued","seq":2}] `, `[{"id":"x"}]x`} {
+		f.Add([]byte(snap), []byte(`{"op":"del","id":"x"}`+"\n"+`{"op":"put","job":{"id":"to`), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, snapshot, wal []byte, mode uint8) {
+		key := durable.JobKey
+		if mode&1 != 0 {
+			key = durable.RecKey
+		}
+		hasSnapshot := mode&2 != 0
+		matchStdlib[*jobs.Job](t, key, snapshot, hasSnapshot, wal)
+		matchStdlib[*exec.Record](t, key, snapshot, hasSnapshot, wal)
+	})
+}

@@ -2,10 +2,10 @@ package durable
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hdlts/internal/obs"
+	"hdlts/internal/wire"
 )
 
 // A Store keeps two files in its directory:
@@ -67,8 +68,9 @@ type Config struct {
 }
 
 // envelope is one WAL line: a full-record upsert under the store's payload
-// key, or a deletion by ID. Both keys are fields so one type decodes
-// either record type's lines; a put sets exactly one of them.
+// key, or a deletion by ID. A put sets exactly one of the two keys. Lines
+// are encoded from it with encoding/json and read back by replay's walk,
+// which accepts what json.Unmarshal into it accepts.
 type envelope[R any] struct {
 	Op  string `json:"op"` // "put" | "del"
 	Job R      `json:"job,omitempty"`
@@ -88,6 +90,7 @@ type Store[R Record] struct {
 	nextSeq uint64
 	pending [][]byte // encoded WAL lines staged for the next Flush
 	errs    *obs.Counter
+	newRec  func() R // allocates a record for replay to decode into
 
 	// wmu is the WAL-writer lock: it serialises appends, compaction and
 	// close. Lock order is wmu → mu; mu never covers disk I/O, so table
@@ -109,12 +112,18 @@ type wal struct {
 // from the directory's snapshot and WAL. It returns the recovered records
 // in submission (Seq) order for the owner to adopt, with NextSeq already
 // past every one of them. Files that parse but hold a record without an
-// ID or with an unknown state are refused with an error.
-func Open[R Record](cfg Config, mu *sync.Mutex) (*Store[R], []R, error) {
+// ID or with an unknown state are refused with an error. R is a pointer
+// to T, so replay can allocate the records it decodes: Open[*Job] infers
+// T.
+func Open[R interface {
+	*T
+	Record
+}, T any](cfg Config, mu *sync.Mutex) (*Store[R], []R, error) {
 	if cfg.Key != JobKey && cfg.Key != RecKey {
 		return nil, nil, fmt.Errorf("durable: unknown payload key %q", cfg.Key)
 	}
-	s := &Store[R]{mu: mu, key: cfg.Key, recs: make(map[string]R), errs: cfg.Errors}
+	s := &Store[R]{mu: mu, key: cfg.Key, recs: make(map[string]R), errs: cfg.Errors,
+		newRec: func() R { return new(T) }}
 	if s.errs == nil {
 		s.errs = new(obs.Counter)
 	}
@@ -175,18 +184,35 @@ func (s *Store[R]) load(log *wal) error {
 	return nil
 }
 
-// loadSnapshot decodes the snapshot payload into the table.
+// loadSnapshot decodes the snapshot, a JSON array of records (or null),
+// into the table. It refuses what json.Unmarshal into a []R would, and a
+// null or ID-less element.
 func (s *Store[R]) loadSnapshot(b []byte) error {
-	var list []R
-	if err := json.Unmarshal(b, &list); err != nil {
-		return fmt.Errorf("durable: decode snapshot: %w", err)
-	}
 	var zero R
-	for _, r := range list {
-		if r == zero || r.RecordID() == "" {
-			return errors.New("durable: decode snapshot: record without an id")
+	sc := wire.NewScanner(b)
+	switch k := sc.Peek(); k {
+	case wire.Null:
+		sc.Null()
+	case wire.Array:
+		arr := sc.Array()
+		for arr.Next() {
+			var r R
+			if err := s.decode(sc, &r); err != nil {
+				return fmt.Errorf("durable: decode snapshot: %w", err)
+			}
+			if r == zero || r.RecordID() == "" {
+				return errors.New("durable: decode snapshot: record without an id")
+			}
+			s.recs[r.RecordID()] = r
 		}
-		s.recs[r.RecordID()] = r
+	default:
+		sc.Skip()
+		if sc.Err() == nil {
+			return fmt.Errorf("durable: decode snapshot: cannot decode %s into a record list", k)
+		}
+	}
+	if !sc.AtEOF() {
+		return fmt.Errorf("durable: decode snapshot: %w", sc.Err())
 	}
 	return nil
 }
@@ -194,7 +220,9 @@ func (s *Store[R]) loadSnapshot(b []byte) error {
 // replayWAL applies every newline-terminated WAL line in file order,
 // stopping at the first that does not decode — after a crash mid-append
 // only the tail can be torn, since each append was fsynced. It returns the
-// byte length of the lines applied.
+// byte length of the lines applied. Lines are streamed, with no cap on
+// their length: a line longer than the read buffer is gathered into a
+// reused one.
 func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -204,49 +232,103 @@ func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 		return 0, fmt.Errorf("durable: open wal: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			return i + 1, data[:i], nil
-		}
-		return 0, nil, nil // at EOF an unterminated fragment is torn
-	})
+	rd := bufio.NewReaderSize(f, 64<<10)
+	var long []byte
 	var good int64
-	for sc.Scan() {
-		if !s.replay(sc.Bytes()) {
+	for {
+		line, err := rd.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = rd.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if err == io.EOF {
+			break // an unterminated fragment at EOF is torn
+		}
+		if err != nil {
+			return 0, fmt.Errorf("durable: replay wal: %w", err)
+		}
+		if !s.replay(line[:len(line)-1]) {
 			break
 		}
 		log.appends++
-		good += int64(len(sc.Bytes())) + 1
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("durable: replay wal: %w", err)
+		good += int64(len(line))
 	}
 	return good, nil
 }
 
 // replay applies one WAL line to the table, reporting whether it decoded.
-// A put without a record or ID, and an unknown op, are skipped.
+// It walks the envelope with internal/wire and hands each payload to the
+// record's own decoder, accepting exactly the lines json.Unmarshal into an
+// envelope accepts: a syntax or type error anywhere, under either payload
+// key or in a repeated key, ends replay. A put without a record or ID, and
+// an unknown op, are skipped.
 func (s *Store[R]) replay(line []byte) bool {
-	var env envelope[R]
-	if err := json.Unmarshal(line, &env); err != nil {
+	sc := wire.NewScanner(line)
+	switch sc.Peek() {
+	case wire.Null:
+		sc.Null()
+		return sc.AtEOF()
+	case wire.Object:
+	default:
 		return false
 	}
-	switch env.Op {
+	var op, id string
+	var job, rec R
+	obj := sc.Object()
+	for obj.Next() {
+		var err error
+		switch {
+		case obj.Is("op"):
+			err = sc.StringInto(&op)
+		case obj.Is(JobKey):
+			err = s.decode(sc, &job)
+		case obj.Is(RecKey):
+			err = s.decode(sc, &rec)
+		case obj.Is("id"):
+			err = sc.StringInto(&id)
+		default:
+			sc.Skip()
+		}
+		if err != nil {
+			return false
+		}
+	}
+	if !sc.AtEOF() {
+		return false
+	}
+	switch op {
 	case "put":
-		r := env.Job
+		r := job
 		if s.key == RecKey {
-			r = env.Rec
+			r = rec
 		}
 		var zero R
 		if r != zero && r.RecordID() != "" {
 			s.recs[r.RecordID()] = r
 		}
 	case "del":
-		delete(s.recs, env.ID)
+		delete(s.recs, id)
 	}
 	return true
+}
+
+// decode decodes one payload into *dst as encoding/json decodes into a
+// record pointer: null sets it nil, and anything else is decoded by the
+// record itself, into the record already there when a key repeats.
+func (s *Store[R]) decode(sc *wire.Scanner, dst *R) error {
+	var zero R
+	if sc.Null() {
+		*dst = zero
+		return nil
+	}
+	if *dst == zero {
+		*dst = s.newRec()
+	}
+	return (*dst).DecodeRecord(sc)
 }
 
 // Get returns the live record for id (caller holds mu). The pointer is the

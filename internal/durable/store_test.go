@@ -51,7 +51,14 @@ type store[R durable.Record] struct {
 	s  *durable.Store[R]
 }
 
-func openStore[R durable.Record](t *testing.T, dir, key string) (*store[R], []R) {
+// recordPtr is durable.Open's constraint: R points to T, which replay
+// allocates.
+type recordPtr[T any] interface {
+	*T
+	durable.Record
+}
+
+func openStore[R recordPtr[T], T any](t *testing.T, dir, key string) (*store[R], []R) {
 	t.Helper()
 	st := &store[R]{}
 	s, recovered, err := durable.Open[R](durable.Config{Dir: dir, Key: key}, &st.mu)
@@ -123,7 +130,7 @@ func TestRecoveryMatrix(t *testing.T) {
 	t.Run("workflow", func(t *testing.T) { runMatrix(t, workflowKind) })
 }
 
-func runMatrix[R durable.Record](t *testing.T, k kind[R]) {
+func runMatrix[R recordPtr[T], T any](t *testing.T, k kind[R]) {
 	t.Run("torn_tail", func(t *testing.T) {
 		dir := t.TempDir()
 		st, _ := openStore[R](t, dir, k.key)
@@ -385,7 +392,7 @@ func TestParentLinesReencode(t *testing.T) {
 	t.Run("workflows", func(t *testing.T) { reencode[*exec.Record](t, "workflows", durable.RecKey) })
 }
 
-func reencode[R durable.Record](t *testing.T, name, key string) {
+func reencode[R recordPtr[T], T any](t *testing.T, name, key string) {
 	src := filepath.Join("testdata", "parent", name)
 	parentWAL, err := os.ReadFile(filepath.Join(src, "wal.jsonl"))
 	if err != nil {

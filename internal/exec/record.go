@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"encoding/json"
 	"time"
 
 	"hdlts/internal/durable"
+	"hdlts/internal/wire"
 )
 
 // State is one phase of the workflow lifecycle — the durable core's,
@@ -131,3 +133,14 @@ func (r *Record) clone() *Record {
 func (r *Record) RecordID() string           { return r.ID }
 func (r *Record) RecordSeq() uint64          { return r.Seq }
 func (r *Record) RecordState() durable.State { return r.State }
+
+// DecodeRecord decodes one workflow record, a WAL payload or snapshot
+// element: the durable core walks the line with internal/wire, and the
+// record's own bytes go through json.Unmarshal.
+func (r *Record) DecodeRecord(s *wire.Scanner) error {
+	raw, err := s.Raw()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, r)
+}

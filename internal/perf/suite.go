@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"hdlts/internal/core"
+	"hdlts/internal/durable"
 	"hdlts/internal/gen"
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
@@ -64,6 +67,8 @@ func Suite() []Bench {
 		// the bench pins GOMAXPROCS as layerBench does.
 		{Name: "hash/canonical/v1k", Quick: true, F: hashBench(1000)},
 		{Name: "wal/submit_fsync", Quick: true, F: walBench},
+		// Not hot-gated until a trajectory epoch records it.
+		{Name: "wal/replay/jobs", Quick: true, F: replayBench},
 		{Name: "service/schedule_roundtrip", Quick: true, F: serviceBench},
 	}
 }
@@ -292,6 +297,133 @@ func walBench(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// replayJobs is how many jobs the wal/replay/jobs store holds.
+const replayJobs = 300
+
+// replaySeed is the wal/replay/jobs store's WAL, written once per process
+// like the cached problems: testing.Benchmark calls a bench body several
+// times, and seeding costs more than the replays it times.
+var replaySeed struct {
+	once sync.Once
+	wal  []byte
+	err  error
+}
+
+// replayBench times jobs.Open on a fresh copy of a seeded job store: the
+// WAL replay a restarted daemon performs before it serves.
+func replayBench(b *testing.B) {
+	replaySeed.once.Do(func() {
+		dir, err := os.MkdirTemp("", "hdltsbench-seed-")
+		if err != nil {
+			replaySeed.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		replaySeed.wal, replaySeed.err = seedJobWAL(dir)
+	})
+	if replaySeed.err != nil {
+		b.Fatal(replaySeed.err)
+	}
+	root, err := os.MkdirTemp("", "hdltsbench-replay-")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(root)
+	refuse := func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
+		return nil, errors.New("the replay bench runs no jobs")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, strconv.Itoa(i))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), replaySeed.wal, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		m, err := jobs.Open(jobs.Config{Dir: dir, Metrics: obs.NewRegistry(), Run: refuse})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = m.Close(ctx)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+}
+
+// seedJobWAL writes a job store in dir and returns its WAL: replayJobs
+// distinct seeded V=100 problems, each with the queued, running and done
+// put lines a solved /v1/jobs submission leaves, its result the
+// /v1/schedule answer for the problem.
+func seedJobWAL(dir string) ([]byte, error) {
+	srv, err := server.New(server.Config{Metrics: obs.NewRegistry()})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	rng := rand.New(rand.NewSource(11))
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var lines []*jobs.Job
+	for i := 0; i < replayJobs; i++ {
+		pr, err := gen.Random(gen.Params{V: 100, Alpha: 1.5, Density: 3, CCR: 2, Procs: 8, WDAG: 80, Beta: 1.2}, rng)
+		if err != nil {
+			return nil, err
+		}
+		canon, err := server.CanonicalProblemJSON(pr)
+		if err != nil {
+			return nil, err
+		}
+		body, err := json.Marshal(server.ScheduleRequest{Algorithm: "hdlts", Problem: canon})
+		if err != nil {
+			return nil, err
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("seed problem %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		hash, err := server.CanonicalHash("HDLTS", pr)
+		if err != nil {
+			return nil, err
+		}
+		queued := jobs.Job{ID: durable.NewID("j-"), Algorithm: "HDLTS", Hash: hash, TraceID: fmt.Sprintf("%016x", rng.Uint64()),
+			Problem: canon, State: jobs.Queued, MaxAttempts: 3, Seq: uint64(i), SubmittedAt: at}
+		running := queued
+		running.State, running.Attempts, running.StartedAt = jobs.Running, 1, at.Add(time.Millisecond)
+		done := running
+		done.State, done.Result, done.FinishedAt = jobs.Done, rec.Body.Bytes(), at.Add(2*time.Millisecond)
+		lines = append(lines, &queued, &running, &done)
+		at = at.Add(10 * time.Millisecond)
+	}
+	var mu sync.Mutex
+	st, _, err := durable.Open[*jobs.Job](durable.Config{Dir: dir, Key: durable.JobKey}, &mu)
+	if err != nil {
+		return nil, err
+	}
+	mu.Lock()
+	for _, j := range lines {
+		st.Put(j)
+	}
+	mu.Unlock()
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(filepath.Join(dir, "wal.jsonl"))
 }
 
 // serviceBench times one synchronous POST /v1/schedule round trip through

@@ -10,7 +10,7 @@ var readPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ReadAll reads r to EOF into a pooled buffer. The caller decodes the
 // bytes and then calls release; nothing decoded may alias them, which the
-// Scanner guarantees for everything but its Key and Str views. Readers
+// Scanner guarantees for everything but its Key, Str and Raw views. Readers
 // that report their remaining length (bytes.Reader, strings.Reader) are
 // read without regrowing the buffer.
 func ReadAll(r io.Reader) (data []byte, release func(), err error) {

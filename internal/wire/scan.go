@@ -4,7 +4,8 @@
 // standard library's encoding/json does for the same Go structures:
 //
 //   - Scanner walks one in-memory document in a single pass. Readers built
-//     on it (dag, sched, server) decode straight into their final
+//     on it (dag, sched, server, and the durable WAL and snapshot replay
+//     with the job record's decoder) decode straight into their final
 //     structures with encoding/json's semantics: keys match
 //     case-insensitively, unknown keys can be skipped, the last of
 //     a repeated key wins, and null leaves scalars untouched.
@@ -82,7 +83,7 @@ type Scanner struct {
 }
 
 // NewScanner returns a scanner positioned at the start of data. Values it
-// returns never alias data except the []byte views of Key and Str.
+// returns never alias data except the []byte views of Key, Str and Raw.
 func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
 // Err returns the first syntax error, if any.
@@ -110,13 +111,20 @@ func (s *Scanner) fail(msg string) {
 }
 
 // failHere records a syntax error at the cursor, phrased like
-// encoding/json's: the offending byte plus where it was found.
+// encoding/json's: the offending byte plus where it was found, or the
+// end of the input.
 func (s *Scanner) failHere(context string) {
 	if s.pos >= len(s.data) {
 		s.fail("unexpected end of JSON input")
 		return
 	}
 	s.fail("invalid character " + quoteChar(s.data[s.pos]) + " " + context)
+}
+
+// failAt moves the cursor to offset i and records a syntax error there.
+func (s *Scanner) failAt(i int, context string) {
+	s.pos = i
+	s.failHere(context)
 }
 
 func quoteChar(c byte) string {
@@ -130,15 +138,15 @@ func quoteChar(c byte) string {
 	return "'" + q[1:len(q)-1] + "'"
 }
 
-func (s *Scanner) skipSpace() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
+func (s *Scanner) skipSpace() { s.pos = skipSpace(s.data, s.pos) }
+
+// skipSpace returns the offset of the first non-whitespace byte at or
+// after data[i:].
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && data[i] <= ' ' && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
 	}
+	return i
 }
 
 // Peek skips whitespace and classifies the next value without consuming
@@ -267,6 +275,31 @@ func (s *Scanner) IntInto(dst *int) error {
 	}
 }
 
+// Uint64Into decodes a non-negative integer or null into *dst, with
+// strconv.ParseUint as encoding/json converts into a uint64: signs,
+// fractions, exponents and out-of-range values are TypeErrors.
+func (s *Scanner) Uint64Into(dst *uint64) error {
+	switch k := s.Peek(); k {
+	case Null:
+		s.literal("null")
+		return s.err
+	case Number:
+		off := s.pos
+		lit := s.number()
+		if s.err != nil {
+			return s.err
+		}
+		v, err := strconv.ParseUint(string(lit), 10, 64)
+		if err != nil {
+			return &TypeError{Value: "number " + string(lit), Want: "uint64", Offset: off}
+		}
+		*dst = v
+		return nil
+	default:
+		return s.mismatch(k, "uint64")
+	}
+}
+
 // BoolInto decodes true, false or null into *dst.
 func (s *Scanner) BoolInto(dst *bool) error {
 	switch k := s.Peek(); k {
@@ -324,112 +357,134 @@ func (s *Scanner) Str() ([]byte, error) {
 // number consumes one numeric literal, validating JSON's number grammar.
 func (s *Scanner) number() []byte {
 	start := s.pos
-	if s.data[s.pos] == '-' {
-		s.pos++
-	}
-	if s.pos >= len(s.data) {
-		s.fail("unexpected end of JSON input")
+	end, bad := numberEnd(s.data, start)
+	if bad != "" {
+		s.failAt(end, bad)
 		return nil
 	}
-	switch c := s.data[s.pos]; {
-	case c == '0':
-		s.pos++
-	case c >= '1' && c <= '9':
-		s.digits()
-	default:
-		s.failHere("in numeric literal")
-		return nil
-	}
-	if s.pos < len(s.data) && s.data[s.pos] == '.' {
-		s.pos++
-		if !s.digits() {
-			s.failHere("after decimal point in numeric literal")
-			return nil
-		}
-	}
-	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
-		s.pos++
-		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
-			s.pos++
-		}
-		if !s.digits() {
-			s.failHere("in exponent of numeric literal")
-			return nil
-		}
-	}
-	return s.data[start:s.pos]
+	s.pos = end
+	return s.data[start:end]
 }
 
-// digits consumes a run of decimal digits and reports whether there was
-// at least one.
-func (s *Scanner) digits() bool {
-	i := s.pos
-	for i < len(s.data) && s.data[i] >= '0' && s.data[i] <= '9' {
+// numberEnd returns the offset just past the numeric literal starting at
+// data[i]. On a byte that breaks the grammar it returns that byte's offset
+// and the syntax error's context instead.
+func numberEnd(data []byte, i int) (end int, bad string) {
+	if data[i] == '-' {
 		i++
 	}
-	ok := i > s.pos
-	s.pos = i
-	return ok
+	switch {
+	case i >= len(data):
+		return i, "in numeric literal"
+	case data[i] == '0':
+		i++
+	case data[i] >= '1' && data[i] <= '9':
+		i = digitsEnd(data, i+1)
+	default:
+		return i, "in numeric literal"
+	}
+	if i < len(data) && data[i] == '.' {
+		j := digitsEnd(data, i+1)
+		if j == i+1 {
+			return j, "after decimal point in numeric literal"
+		}
+		i = j
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		j := digitsEnd(data, i)
+		if j == i {
+			return j, "in exponent of numeric literal"
+		}
+		i = j
+	}
+	return i, ""
+}
+
+// digitsEnd returns the offset past the run of decimal digits at data[i:].
+func digitsEnd(data []byte, i int) int {
+	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // scanString consumes one string literal and returns its raw contents.
 // plain reports that the contents need no unquoting: no escapes and
 // valid UTF-8.
 func (s *Scanner) scanString() (raw []byte, plain bool) {
-	s.pos++ // opening quote
 	start := s.pos
+	end, plain, bad := stringEnd(s.data, start)
+	if bad != "" {
+		s.failAt(end, bad)
+		return nil, false
+	}
+	s.pos = end
+	return s.data[start+1 : end-1], plain
+}
+
+// stringEnd returns the offset just past the string literal whose opening
+// quote is data[i], and whether its contents are plain. On a byte that
+// breaks the grammar it returns that byte's offset and the syntax error's
+// context instead.
+func stringEnd(data []byte, i int) (end int, plain bool, bad string) {
+	i++
+	start := i
 	plain = true
 	ascii := true
-	for s.pos < len(s.data) {
-		c := s.data[s.pos]
-		switch {
+	for {
+		for i < len(data) && plainByte[data[i]] {
+			i++
+		}
+		if i >= len(data) {
+			return i, false, "in string literal"
+		}
+		switch c := data[i]; {
 		case c == '"':
-			raw = s.data[start:s.pos]
-			s.pos++
-			if plain && !ascii && !utf8.Valid(raw) {
+			if plain && !ascii && !utf8.Valid(data[start:i]) {
 				plain = false
 			}
-			return raw, plain
+			return i + 1, plain, ""
 		case c == '\\':
 			plain = false
-			s.pos++
-			if s.pos >= len(s.data) {
-				s.fail("unexpected end of JSON input")
-				return nil, false
+			i++
+			if i >= len(data) {
+				return i, false, "in string escape code"
 			}
-			switch s.data[s.pos] {
+			switch data[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				s.pos++
+				i++
 			case 'u':
-				s.pos++
-				for i := 0; i < 4; i++ {
-					if s.pos >= len(s.data) {
-						s.fail("unexpected end of JSON input")
-						return nil, false
+				i++
+				for k := 0; k < 4; k++ {
+					if i >= len(data) || !isHex(data[i]) {
+						return i, false, "in \\u hexadecimal character escape"
 					}
-					if !isHex(s.data[s.pos]) {
-						s.failHere("in \\u hexadecimal character escape")
-						return nil, false
-					}
-					s.pos++
+					i++
 				}
 			default:
-				s.failHere("in string escape code")
-				return nil, false
+				return i, false, "in string escape code"
 			}
 		case c < 0x20:
-			s.failHere("in string literal")
-			return nil, false
+			return i, false, "in string literal"
 		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			s.pos++
+			ascii = false
+			i++
 		}
 	}
-	s.fail("unexpected end of JSON input")
-	return nil, false
 }
+
+// plainByte marks the string bytes stringEnd passes over in its inner
+// loop: printable ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
@@ -510,107 +565,146 @@ func getu4(s []byte) rune {
 }
 
 // Skip consumes one complete value of any kind, validating its syntax. It
-// walks nested containers iteratively, so deep documents cannot exhaust
-// the stack; nesting beyond encoding/json's limit is a syntax error.
+// walks nested containers iteratively with a local cursor, so deep
+// documents cannot exhaust the stack; nesting beyond encoding/json's limit
+// is a syntax error.
 func (s *Scanner) Skip() {
+	if s.err != nil {
+		return
+	}
+	data, i := s.data, s.pos
 	base := len(s.stack)
-	for s.err == nil {
-		switch s.Peek() {
-		case Invalid:
-			s.failHere("looking for beginning of value")
+	for {
+		i = skipSpace(data, i)
+		if i >= len(data) {
+			s.failAt(i, "looking for beginning of value")
 			return
-		case Null:
-			s.literal("null")
-		case Bool:
-			s.literal(boolWord(s.data[s.pos] == 't'))
-		case Number:
-			s.number()
-		case String:
-			s.scanString()
-		case Object, Array:
-			open := s.data[s.pos]
-			if !s.push(open) {
+		}
+		switch c := data[i]; {
+		case c == '"':
+			end, _, bad := stringEnd(data, i)
+			if bad != "" {
+				s.failAt(end, bad)
 				return
 			}
-			s.skipSpace()
-			if s.pos < len(s.data) && s.data[s.pos] == open+2 { // '{'+2 == '}', '['+2 == ']'
-				s.pos++
-				s.pop()
-			} else if open == '[' || s.memberKey() {
-				continue // a member value follows
-			} else {
+			i = end
+		case c == '-' || c >= '0' && c <= '9':
+			end, bad := numberEnd(data, i)
+			if bad != "" {
+				s.failAt(end, bad)
 				return
 			}
+			i = end
+		case c == 't' || c == 'f' || c == 'n':
+			word := "null"
+			if c != 'n' {
+				word = boolWord(c == 't')
+			}
+			if len(data)-i < len(word) || string(data[i:i+len(word)]) != word {
+				s.pos = i
+				s.literal(word)
+				return
+			}
+			i += len(word)
+		case c == '{' || c == '[':
+			i++
+			s.depth++
+			s.stack = append(s.stack, c)
+			if s.depth > maxDepth {
+				s.pos = i
+				s.fail("exceeded max depth")
+				return
+			}
+			i = skipSpace(data, i)
+			if i >= len(data) || data[i] != c+2 { // '{'+2 == '}', '['+2 == ']'
+				// An element or a member's value follows.
+				if c == '{' {
+					if i = s.memberKey(i); s.err != nil {
+						return
+					}
+				}
+				continue
+			}
+			i++
+			s.depth--
+			s.stack = s.stack[:len(s.stack)-1]
+		default:
+			s.failAt(i, "looking for beginning of value")
+			return
 		}
 		// A value ended: consume separators and closing brackets until
 		// another value is due or the outermost skipped value is done.
 		for {
-			if s.err != nil || len(s.stack) == base {
+			if len(s.stack) == base {
+				s.pos = i
 				return
 			}
-			s.skipSpace()
-			if s.pos >= len(s.data) {
+			i = skipSpace(data, i)
+			if i >= len(data) {
+				s.pos = i
 				s.fail("unexpected end of JSON input")
 				return
 			}
 			top := s.stack[len(s.stack)-1]
-			c := s.data[s.pos]
-			if c == top+2 {
-				s.pos++
-				s.pop()
+			if c := data[i]; c == top+2 {
+				i++
+				s.depth--
+				s.stack = s.stack[:len(s.stack)-1]
 				continue
-			}
-			if c != ',' {
+			} else if c != ',' {
 				if top == '{' {
-					s.failHere("after object key:value pair")
+					s.failAt(i, "after object key:value pair")
 				} else {
-					s.failHere("after array element")
+					s.failAt(i, "after array element")
 				}
 				return
 			}
-			s.pos++
-			if top == '{' && !s.memberKey() {
-				return
+			i++
+			if top == '{' {
+				if i = s.memberKey(i); s.err != nil {
+					return
+				}
 			}
 			break
 		}
 	}
 }
 
-func (s *Scanner) push(open byte) bool {
-	s.pos++
-	s.depth++
-	s.stack = append(s.stack, open)
-	if s.depth > maxDepth {
-		s.fail("exceeded max depth")
-		return false
+// memberKey consumes `"key":` at or after data[i] inside an object Skip is
+// walking and returns the offset past the colon, or records the syntax
+// error.
+func (s *Scanner) memberKey(i int) int {
+	data := s.data
+	i = skipSpace(data, i)
+	if i >= len(data) || data[i] != '"' {
+		s.failAt(i, "looking for beginning of object key string")
+		return i
 	}
-	return true
+	end, _, bad := stringEnd(data, i)
+	if bad != "" {
+		s.failAt(end, bad)
+		return end
+	}
+	i = skipSpace(data, end)
+	if i >= len(data) || data[i] != ':' {
+		s.failAt(i, "after object key")
+		return i
+	}
+	return i + 1
 }
 
-func (s *Scanner) pop() {
-	s.depth--
-	s.stack = s.stack[:len(s.stack)-1]
-}
-
-// memberKey consumes `"key":` inside an object Skip is walking.
-func (s *Scanner) memberKey() bool {
-	s.skipSpace()
-	if s.pos >= len(s.data) || s.data[s.pos] != '"' {
-		s.failHere("looking for beginning of object key string")
-		return false
-	}
-	s.scanString()
+// Raw consumes one value of any kind, validating it as Skip does, and
+// returns its bytes as they appear in the document, without surrounding
+// whitespace: what encoding/json hands a json.RawMessage or a
+// json.Unmarshaler. The view aliases the document; copy it to keep it.
+func (s *Scanner) Raw() ([]byte, error) {
+	s.Peek() // skips leading whitespace
+	start := s.pos
+	s.Skip()
 	if s.err != nil {
-		return false
+		return nil, s.err
 	}
-	s.skipSpace()
-	if s.pos >= len(s.data) || s.data[s.pos] != ':' {
-		s.failHere("after object key")
-		return false
-	}
-	s.pos++
-	return true
+	return s.data[start:s.pos], nil
 }
 
 // ObjectIter walks the members of one object. Obtain it with

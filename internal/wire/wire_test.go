@@ -295,3 +295,42 @@ func FuzzEmbedMatchesEncoder(f *testing.F) {
 		}
 	})
 }
+
+// TestRawMatchesRawMessage holds Raw to what encoding/json hands a
+// json.RawMessage member: the value's own bytes, inner whitespace and
+// escapes kept, and the same documents rejected.
+func TestRawMatchesRawMessage(t *testing.T) {
+	for _, doc := range append(embedSeeds, " null ", `"a<b>&c"`, "-1.5e+3\t", `"é"`, `[1,{"x":[]} ]`, `nul`, `"open`) {
+		wrapped := []byte(`{"v":` + doc + `}`)
+		var want struct{ V json.RawMessage }
+		werr := json.Unmarshal(wrapped, &want)
+		s := NewScanner(wrapped)
+		var got []byte
+		var gerr error
+		obj := s.Object()
+		for obj.Next() {
+			got, gerr = s.Raw()
+		}
+		if gerr == nil && !s.AtEOF() {
+			gerr = s.Err()
+		}
+		if (werr == nil) != (gerr == nil) || werr == nil && !bytes.Equal(got, want.V) {
+			t.Errorf("Raw in %s = %q (%v), encoding/json %q (%v)", wrapped, got, gerr, want.V, werr)
+		}
+	}
+}
+
+// TestUint64MatchesStdlib holds Uint64Into to encoding/json's decoding
+// into a uint64: the same values accepted and converted, null leaving the
+// destination as it was.
+func TestUint64MatchesStdlib(t *testing.T) {
+	for _, lit := range []string{"0", "1", "-0", "-1", "1e3", "1.0", "0.5", "18446744073709551615", "18446744073709551616",
+		"99999999999999999999", "null", `"7"`, "true", "[]", "{}", "-"} {
+		want, got := uint64(42), uint64(42)
+		werr := json.Unmarshal([]byte(lit), &want)
+		gerr := NewScanner([]byte(lit)).Uint64Into(&got)
+		if (werr == nil) != (gerr == nil) || got != want {
+			t.Errorf("Uint64Into(%s) = %d (%v), encoding/json %d (%v)", lit, got, gerr, want, werr)
+		}
+	}
+}
