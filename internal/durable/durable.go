@@ -2,10 +2,13 @@
 // share: solve jobs (internal/jobs) and workflows (internal/exec). It owns
 // what both would otherwise keep a copy of — the five-state lifecycle,
 // handle generation, the id→record table with submission sequence
-// numbers, the write-ahead log under it (full-record put and del lines,
-// group-committed with one fsync per flush, compacted into an atomic
-// snapshot), and Seq-ordered crash recovery. What a record means, and what
-// recovery does with an unfinished one, stays with its owner.
+// numbers, the write-ahead log under it (a full put line for a record's
+// first transition, patch lines of only what each later transition
+// changed, del lines; group-committed with one fsync per flush, compacted
+// into an atomic snapshot once the log's bytes outgrow the last
+// snapshot's), and Seq-ordered crash recovery. What a record means, what
+// its patches hold, and what recovery does with an unfinished one, stays
+// with its owner.
 package durable
 
 import (
@@ -70,6 +73,8 @@ type Record interface {
 	// DecodeRecord decodes the JSON value at the scanner, a WAL payload
 	// or snapshot element (never null), into the record as json.Unmarshal
 	// would, merging into the fields a repeated payload key already set.
-	// Any error ends replay; nothing decoded may alias the scanned bytes.
+	// A patch line's payload is decoded the same way onto the live
+	// record, so keys a patch leaves out must keep their values. Any error
+	// ends replay; nothing decoded may alias the scanned bytes.
 	DecodeRecord(*wire.Scanner) error
 }

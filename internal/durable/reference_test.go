@@ -24,6 +24,15 @@ type refEnvelope[R any] struct {
 	ID  string `json:"id,omitempty"`
 }
 
+// rawPayloads collects every value of a repeated payload key, in line
+// order: the patches a patch line applies one after the other.
+type rawPayloads [][]byte
+
+func (p *rawPayloads) UnmarshalJSON(b []byte) error {
+	*p = append(*p, bytes.Clone(b))
+	return nil
+}
+
 // recovery is what opening a store yields: the live table, the next
 // sequence number, and the WAL's length once a torn tail is cut.
 type recovery[R durable.Record] struct {
@@ -36,7 +45,10 @@ type recovery[R durable.Record] struct {
 // every line with json.Unmarshal: the oracle FuzzReplayMatchesStdlib holds
 // Open's wire walk to. The snapshot is read when present; WAL lines apply
 // in order until the first that does not decode or is not
-// newline-terminated.
+// newline-terminated. A patch line json.Unmarshals each of its non-null
+// payloads under the store's key onto the record with the line's ID. A
+// patch of an ID not in the table is skipped, and so is one that changes
+// the ID of a record that held only that ID.
 func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bool, wal []byte) (*recovery[R], error) {
 	var zero R
 	rv := &recovery[R]{recs: make(map[string]R)}
@@ -52,6 +64,7 @@ func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bo
 			rv.recs[r.RecordID()] = r
 		}
 	}
+replay:
 	for rest := wal; ; {
 		i := bytes.IndexByte(rest, '\n')
 		if i < 0 {
@@ -69,6 +82,38 @@ func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bo
 			}
 			if r != zero && r.RecordID() != "" {
 				rv.recs[r.RecordID()] = r
+			}
+		case "patch":
+			r, ok := rv.recs[env.ID]
+			if !ok {
+				break
+			}
+			var raw refEnvelope[rawPayloads]
+			json.Unmarshal(rest[:i], &raw) // cannot fail: the line decoded above
+			payloads := raw.Job
+			if key == durable.RecKey {
+				payloads = raw.Rec
+			}
+			var probe R
+			seed, _ := json.Marshal(map[string]string{"id": env.ID})
+			if err := json.Unmarshal(seed, &probe); err != nil {
+				break replay
+			}
+			for _, p := range payloads {
+				if string(p) != "null" {
+					json.Unmarshal(p, probe) // cannot fail: the line decoded above
+				}
+			}
+			if probe.RecordID() != env.ID {
+				break
+			}
+			for _, p := range payloads {
+				if string(p) == "null" {
+					continue
+				}
+				if err := json.Unmarshal(p, r); err != nil {
+					break replay
+				}
 			}
 		case "del":
 			delete(rv.recs, env.ID)
@@ -166,6 +211,43 @@ var stdlibRuleLines = []string{
 	` {"op":"put","job":{"id":"n","state":"queued","cache_hit":true,"unknown":[{}]}} ` + "\r",
 }
 
+// Patch lines, each WAL opening with the puts they patch: job patches as
+// the job manager writes them, workflow patches as the executor does, and
+// the envelope rules a patch shares with a put.
+var patchWALs = []string{
+	`{"op":"put","job":{"id":"a","state":"queued","problem":{"x":1},"seq":2}}
+{"op":"patch","job":{"id":"a","state":"running","attempts":1,"started_at":"2024-01-02T03:04:05Z"},"id":"a"}
+{"op":"patch","job":{"id":"a","state":"done","attempts":1,"result":{"m":73},"finished_at":"2024-01-02T03:04:06Z"},"id":"a"}`,
+	`{"op":"put","rec":{"id":"w","state":"queued","spec":{"procs":1,"steps":[{"name":"a","command":"true"},{"name":"b","command":"true"}]},` +
+		`"steps":[{"name":"a","state":"pending"},{"name":"b","state":"pending"}],"seq":1}}
+{"op":"patch","rec":{"state":"running","error":"","replans":0,"makespan_seconds":0,"started_at":"2024-01-02T03:04:05Z",` +
+		`"finished_at":"0001-01-01T00:00:00Z","changed_steps":[{"index":1,"name":"b","state":"running","proc":0,"attempts":1}]},"id":"w"}
+{"op":"patch","rec":{"state":"done","changed_steps":[{"index":1,"name":"b","state":"done"},{"index":7,"name":"x"},{"index":-1}],` +
+		`"observed_w_added":[{"step":"b","task":1,"proc":0,"seconds":0.5}]},"id":"w"}
+{"op":"patch","rec":{"observed_w_from":1,"observed_w_added":[{"step":"a","task":0,"seconds":2}]},"id":"w"}
+{"op":"patch","rec":{"observed_w_from":9,"observed_w_added":[]},"id":"w"}`,
+	// A patch of an ID not in the table, a null and a repeated payload,
+	// the other key's payload, and case-folded keys.
+	`{"op":"patch","job":{"state":"done"},"id":"nobody"}
+{"op":"put","job":{"id":"b","state":"queued","seq":1}}
+{"op":"patch","job":null,"id":"b"}
+{"op":"patch","job":{"attempts":2},"job":{"state":"running"},"rec":{"id":"c"},"id":"b"}
+{"OP":"PATCH","JOB":{"Error":"e","STATE":"failed"},"Id":"b"}`,
+	// Patches that would move their record to another ID or empty its ID,
+	// which are skipped, one that repeats the ID, and one that breaks the
+	// payload's type.
+	`{"op":"put","job":{"id":"d","state":"done","seq":4}}
+{"op":"put","job":{"id":"e","state":"done","seq":5}}
+{"op":"patch","job":{"id":"e2","attempts":3},"id":"e"}
+{"op":"patch","job":{"id":"","attempts":3},"id":"d"}
+{"op":"patch","job":{"id":"x"},"job":{"ID":"d","attempts":4},"id":"d"}
+{"op":"patch","job":{"id":null,"state":"failed"},"id":"e"}
+{"op":"patch","job":{"attempts":"1"},"id":"e"}`,
+	// A patch whose payload breaks the record's state.
+	`{"op":"put","rec":{"id":"f","state":"done","steps":[]}}
+{"op":"patch","rec":{"state":"paused"},"id":"f"}`,
+}
+
 // FuzzReplayMatchesStdlib holds recovery to the encoding/json replay it
 // replaced: for any snapshot and WAL bytes, under either payload key and
 // for both record types, Open and the oracle both refuse, or they recover
@@ -179,6 +261,11 @@ func FuzzReplayMatchesStdlib(f *testing.F) {
 	for i, line := range stdlibRuleLines {
 		f.Add([]byte(nil), []byte(line+"\n"+`{"op":"put","job":{"id":"after","state":"done"}}`+"\n"), uint8(i%2))
 		f.Add([]byte("["+line+"]"), []byte(nil), uint8(2|i%2))
+	}
+	for i, wal := range patchWALs {
+		f.Add([]byte(nil), []byte(wal+"\n"), uint8(i%2))
+		f.Add([]byte(nil), []byte(wal+"\n"), uint8(1-i%2))
+		f.Add([]byte(`[{"id":"b","state":"queued","seq":0},{"id":"w","state":"running","steps":[{"name":"a"}]}]`), []byte(wal+"\n"), uint8(2|i%2))
 	}
 	for _, snap := range []string{`null`, `[null]`, `{}`, ``, `[{"id":"x","state":"queued","seq":2}] `, `[{"id":"x"}]x`} {
 		f.Add([]byte(snap), []byte(`{"op":"del","id":"x"}`+"\n"+`{"op":"put","job":{"id":"to`), uint8(2))

@@ -22,25 +22,33 @@ import (
 //	snapshot.json — a JSON array of records, the state as of the last compaction
 //	wal.jsonl     — one line per transition since that snapshot
 //
-// Every transition appends the full record to the WAL, so the newest line
-// for an ID wins on replay. When the WAL grows past a few multiples of the
-// live set, compaction writes a fresh snapshot (tmp file + fsync + rename)
-// and truncates the WAL. Load order is snapshot first, then WAL replay; a
-// torn final line — the expected debris of SIGKILL mid-append — ends
-// replay cleanly, losing at most the transition being written, and is cut
-// off so the next append starts on a fresh line.
+// A record's first line is a full put; each later transition may instead
+// append a patch line that carries only what changed since the record's
+// previous line, which replay decodes onto the live record with the
+// record's own decoder. When the WAL's bytes grow past a few multiples of
+// the last snapshot's, compaction writes a fresh snapshot (tmp file +
+// fsync + rename) and truncates the WAL. Load order is snapshot first, then WAL
+// replay; a torn final line — the expected debris of SIGKILL mid-append —
+// ends replay cleanly, losing at most the transition being written, and is
+// cut off so the next append starts on a fresh line.
 const (
 	snapshotFile = "snapshot.json"
 	walFile      = "wal.jsonl"
 
-	// minCompact floors the compaction trigger so small stores don't
+	// compactRatio is how many times the last snapshot's bytes the WAL may
+	// hold before a flush compacts it.
+	compactRatio = 4
+	// minCompactBytes floors the compaction trigger so small stores don't
 	// rewrite the snapshot every few transitions.
-	minCompact = 256
+	minCompactBytes = 64 << 10
+	// maxSpareBatch caps the batch buffer a store keeps for reuse, so one
+	// huge line does not pin its buffer for the life of the process.
+	maxSpareBatch = 1 << 20
 )
 
-// Payload keys of WAL put lines. The key is fixed per record type by the
-// on-disk format: jobs have always been written under "job", workflow
-// records under "rec".
+// Payload keys of WAL put and patch lines. The key is fixed per record
+// type by the on-disk format: jobs have always been written under "job",
+// workflow records under "rec".
 const (
 	JobKey = "job"
 	RecKey = "rec"
@@ -57,7 +65,7 @@ type Config struct {
 	// Dir is the store directory; empty means memory-only (nothing
 	// survives a restart, and nothing is encoded).
 	Dir string
-	// Key is the payload key of put lines: JobKey or RecKey.
+	// Key is the payload key of put and patch lines: JobKey or RecKey.
 	Key string
 	// Fsync, when non-nil, observes each flush's fsync latency.
 	Fsync *obs.Histogram
@@ -68,44 +76,49 @@ type Config struct {
 }
 
 // envelope is one WAL line: a full-record upsert under the store's payload
-// key, or a deletion by ID. A put sets exactly one of the two keys. Lines
-// are encoded from it with encoding/json and read back by replay's walk,
-// which accepts what json.Unmarshal into it accepts.
+// key, a patch of the record with the ID under that key, or a deletion by
+// ID. A put or patch sets exactly one of the two keys. Lines are encoded
+// from it with encoding/json and read back by replay's walk, which accepts
+// what json.Unmarshal into it accepts.
 type envelope[R any] struct {
-	Op  string `json:"op"` // "put" | "del"
+	Op  string `json:"op"` // "put" | "patch" | "del"
 	Job R      `json:"job,omitempty"`
 	Rec R      `json:"rec,omitempty"`
 	ID  string `json:"id,omitempty"`
 }
 
 // Store is a durable id→record table. Its table methods (Get, NextSeq,
-// List, Put, Delete) run under the owner's table lock — the mutex given to
-// Open, which also guards the owner's own indexes. Put and Delete stage an
-// encoded WAL line; Flush, called after the owner releases its lock,
-// writes every staged line with a single fsync and compacts when due.
+// List, Put, Patch, Delete) run under the owner's table lock — the mutex
+// given to Open, which also guards the owner's own indexes. Put, Patch and
+// Delete stage an encoded WAL line; Flush, called after the owner releases
+// its lock, writes every staged line with a single fsync and compacts when
+// due.
 type Store[R Record] struct {
 	mu      *sync.Mutex // the owner's table lock
 	key     string
 	recs    map[string]R
 	nextSeq uint64
-	pending [][]byte // encoded WAL lines staged for the next Flush
+	pending *lineBuffer   // encoded WAL lines staged for the next Flush
+	enc     *json.Encoder // encodes lines onto pending
 	errs    *obs.Counter
 	newRec  func() R // allocates a record for replay to decode into
 
 	// wmu is the WAL-writer lock: it serialises appends, compaction and
 	// close. Lock order is wmu → mu; mu never covers disk I/O, so table
 	// readers are not exposed to fsync latency.
-	wmu sync.Mutex
-	log *wal // nil in memory-only mode
+	wmu   sync.Mutex
+	log   *wal   // nil in memory-only mode
+	spare []byte // the last written batch's buffer, for the next (under wmu)
 }
 
 // wal is the open WAL file and its compaction bookkeeping; every method
 // runs under the Store's writer lock.
 type wal struct {
-	dir     string
-	f       *os.File
-	appends int            // WAL lines since the last compaction
-	fsync   *obs.Histogram // per-flush fsync latency, owner-named
+	dir   string
+	f     *os.File
+	bytes int            // WAL bytes since the last compaction
+	snap  int            // bytes of the snapshot last written or loaded
+	fsync *obs.Histogram // per-flush fsync latency, owner-named
 }
 
 // Open builds a Store guarded by mu and, when cfg.Dir is set, recovers it
@@ -122,8 +135,9 @@ func Open[R interface {
 	if cfg.Key != JobKey && cfg.Key != RecKey {
 		return nil, nil, fmt.Errorf("durable: unknown payload key %q", cfg.Key)
 	}
+	pending := new(lineBuffer)
 	s := &Store[R]{mu: mu, key: cfg.Key, recs: make(map[string]R), errs: cfg.Errors,
-		newRec: func() R { return new(T) }}
+		newRec: func() R { return new(T) }, pending: pending, enc: json.NewEncoder(pending)}
 	if s.errs == nil {
 		s.errs = new(obs.Counter)
 	}
@@ -164,6 +178,7 @@ func (s *Store[R]) load(log *wal) error {
 		if err := s.loadSnapshot(b); err != nil {
 			return err
 		}
+		log.snap = len(b)
 	}
 	path := filepath.Join(log.dir, walFile)
 	good, err := s.replayWAL(path, log)
@@ -254,7 +269,7 @@ func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 		if !s.replay(line[:len(line)-1]) {
 			break
 		}
-		log.appends++
+		log.bytes += len(line)
 		good += int64(len(line))
 	}
 	return good, nil
@@ -264,8 +279,14 @@ func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 // It walks the envelope with internal/wire and hands each payload to the
 // record's own decoder, accepting exactly the lines json.Unmarshal into an
 // envelope accepts: a syntax or type error anywhere, under either payload
-// key or in a repeated key, ends replay. A put without a record or ID, and
-// an unknown op, are skipped.
+// key or in a repeated key, ends replay. A put without a record or ID, a
+// patch of an ID not in the table or one that would change its record's
+// ID, and an unknown op are skipped.
+//
+// A patch's payloads are decoded into fresh records by the walk, which is
+// the check above; then onto a record holding only the line's ID, which is
+// the ID check; and only then onto the live record, so that a line replay
+// refuses or skips leaves the table as it was.
 func (s *Store[R]) replay(line []byte) bool {
 	sc := wire.NewScanner(line)
 	switch sc.Peek() {
@@ -284,10 +305,12 @@ func (s *Store[R]) replay(line []byte) bool {
 		switch {
 		case obj.Is("op"):
 			err = sc.StringInto(&op)
-		case obj.Is(JobKey):
-			err = s.decode(sc, &job)
-		case obj.Is(RecKey):
-			err = s.decode(sc, &rec)
+		case obj.Is(JobKey), obj.Is(RecKey):
+			dst := &job
+			if obj.Is(RecKey) {
+				dst = &rec
+			}
+			err = s.decode(sc, dst)
 		case obj.Is("id"):
 			err = sc.StringInto(&id)
 		default:
@@ -310,10 +333,51 @@ func (s *Store[R]) replay(line []byte) bool {
 		if r != zero && r.RecordID() != "" {
 			s.recs[r.RecordID()] = r
 		}
+	case "patch":
+		r, ok := s.recs[id]
+		if !ok || !s.keepsID(line, id) {
+			break
+		}
+		if err := s.patchOnto(line, r); err != nil {
+			return false
+		}
 	case "del":
 		delete(s.recs, id)
 	}
 	return true
+}
+
+// keepsID reports whether a patch line, already accepted by replay's walk,
+// leaves its record's ID at id: decoded onto a record that holds only that
+// ID, its payloads leave the ID there.
+func (s *Store[R]) keepsID(line []byte, id string) bool {
+	q, err := json.Marshal(id)
+	if err != nil {
+		return false
+	}
+	r := s.newRec()
+	seed := append(append([]byte(`{"id":`), q...), '}')
+	if err := r.DecodeRecord(wire.NewScanner(seed)); err != nil {
+		return false
+	}
+	return s.patchOnto(line, r) == nil && r.RecordID() == id
+}
+
+// patchOnto decodes each non-null payload under the store's key of a patch
+// line, already accepted by replay's walk, onto r in line order.
+func (s *Store[R]) patchOnto(line []byte, r R) error {
+	sc := wire.NewScanner(line)
+	obj := sc.Object()
+	for obj.Next() {
+		if !obj.Is(s.key) {
+			sc.Skip()
+		} else if !sc.Null() {
+			if err := r.DecodeRecord(sc); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
 }
 
 // decode decodes one payload into *dst as encoding/json decodes into a
@@ -358,14 +422,34 @@ func (s *Store[R]) List(keep func(R) bool) []R {
 	return out
 }
 
-// Put inserts or replaces r and stages a WAL line capturing its current
-// state (caller holds mu). The line is encoded now, so it snapshots the
-// record as of this transition, but reaches disk only at the next Flush.
+// Put inserts or replaces r and stages a full WAL line capturing its
+// current state (caller holds mu). The line is encoded now, so it
+// snapshots the record as of this transition, but reaches disk only at
+// the next Flush.
 func (s *Store[R]) Put(r R) {
 	s.recs[r.RecordID()] = r
 	env := envelope[R]{Op: "put", Job: r}
 	if s.key == RecKey {
 		env = envelope[R]{Op: "put", Rec: r}
+	}
+	s.stage(env)
+}
+
+// Patch stages a patch line for r, a record already in the table whose
+// previous line is staged (caller holds mu). delta is the line's payload:
+// what changed since that line, in a shape r's DecodeRecord merges onto
+// the record — keys it leaves out keep their values. Replay applies it to
+// the record with r's ID, so delta must not change that ID: replay skips a
+// patch that would.
+//
+// Compaction may snapshot a record while its patch is still staged, and
+// replay then applies the patch on top of that snapshot. An owner keeps
+// this sound by not changing a record between staging its patch and the
+// Flush that writes it, or by staging every change as it makes it.
+func (s *Store[R]) Patch(r R, delta any) {
+	env := envelope[any]{Op: "patch", ID: r.RecordID(), Job: delta}
+	if s.key == RecKey {
+		env = envelope[any]{Op: "patch", ID: r.RecordID(), Rec: delta}
 	}
 	s.stage(env)
 }
@@ -376,17 +460,22 @@ func (s *Store[R]) Delete(id string) {
 	s.stage(envelope[R]{Op: "del", ID: id})
 }
 
-// stage encodes one WAL line into the pending batch (caller holds mu).
-func (s *Store[R]) stage(env envelope[R]) {
+// stage encodes one WAL line onto the pending batch (caller holds mu).
+func (s *Store[R]) stage(env any) {
 	if s.log == nil {
 		return
 	}
-	b, err := json.Marshal(env)
-	if err != nil {
+	if err := s.enc.Encode(env); err != nil {
 		s.errs.Inc()
-		return
 	}
-	s.pending = append(s.pending, append(b, '\n'))
+}
+
+// lineBuffer is the pending batch as the line encoder's io.Writer.
+type lineBuffer []byte
+
+func (b *lineBuffer) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
 // snapshot renders the live set, ordered by submission sequence, as the
@@ -402,12 +491,12 @@ func (s *Store[R]) snapshot() ([]byte, error) {
 }
 
 // Flush writes every staged line with one write and one fsync, then
-// compacts once the WAL holds several times more lines than there are
-// live records. Callers invoke it after releasing mu; durability-before-
-// return still holds because a caller's lines are either in the batch
-// this flush writes or were written by a concurrent flusher that claimed
-// them first — claiming under the writer lock keeps batches in staging
-// order. Failures are counted, not returned.
+// compacts once the WAL holds several times the last snapshot's bytes.
+// Callers invoke it after releasing mu; durability-before-return still
+// holds because a caller's lines are either in the batch this flush
+// writes or were written by a concurrent flusher that claimed them first —
+// claiming under the writer lock keeps batches in staging order. Failures
+// are counted, not returned.
 func (s *Store[R]) Flush() {
 	if s.log == nil {
 		return
@@ -415,18 +504,22 @@ func (s *Store[R]) Flush() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
-	batch := s.pending
-	s.pending = nil
+	batch := *s.pending
+	*s.pending = s.spare[:0]
 	s.mu.Unlock()
 	//lint:hdltsvet-ignore lockedio wmu is the WAL-writer lock; its whole purpose is covering this batch write
-	if err := s.log.append(batch); err != nil {
+	err := s.log.append(batch)
+	s.spare = nil
+	if cap(batch) <= maxSpareBatch {
+		s.spare = batch
+	}
+	if err != nil {
 		s.errs.Inc()
 		return
 	}
 	s.mu.Lock()
 	var snap []byte
-	if s.log.appends >= max(4*len(s.recs), minCompact) {
-		var err error
+	if s.log.bytes >= max(compactRatio*s.log.snap, minCompactBytes) {
 		if snap, err = s.snapshot(); err != nil {
 			s.errs.Inc()
 		}
@@ -442,15 +535,11 @@ func (s *Store[R]) Flush() {
 
 // append durably writes a batch of encoded lines: one write, one fsync
 // (timed into the fsync histogram) for the whole group.
-func (w *wal) append(batch [][]byte) error {
+func (w *wal) append(batch []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	var buf []byte
-	for _, b := range batch {
-		buf = append(buf, b...)
-	}
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.f.Write(batch); err != nil {
 		return fmt.Errorf("durable: append wal: %w", err)
 	}
 	start := time.Now()
@@ -460,7 +549,7 @@ func (w *wal) append(batch [][]byte) error {
 	if w.fsync != nil {
 		w.fsync.ObserveSince(start)
 	}
-	w.appends += len(batch)
+	w.bytes += len(batch)
 	return nil
 }
 
@@ -489,7 +578,7 @@ func (w *wal) compact(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: compact: %w", err)
 	}
-	w.appends = 0
+	w.bytes, w.snap = 0, len(b)
 	return nil
 }
 

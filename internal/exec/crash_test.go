@@ -139,12 +139,17 @@ func openCopy(dir string) ([]*Record, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(cp)
-	b, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(cp, "wal.jsonl"), b, 0o644); err != nil {
-		return nil, err
+	for _, name := range []string{"snapshot.json", "wal.jsonl"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) && name == "snapshot.json" {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), b, 0o644); err != nil {
+			return nil, err
+		}
 	}
 	var mu sync.Mutex
 	s, recs, err := durable.Open[*Record](durable.Config{Dir: cp, Key: durable.RecKey}, &mu)
@@ -154,8 +159,9 @@ func openCopy(dir string) ([]*Record, error) {
 	return recs, s.Close()
 }
 
-// walLines splits a WAL into its newline-terminated lines and decodes
-// each put's record, stopping at a torn tail.
+// walLines splits a WAL into its newline-terminated lines and rebuilds
+// the record each one leaves behind: a put's record, or a patch decoded
+// onto a copy of the record before it. It stops at a torn tail.
 func walLines(t *testing.T, b []byte) (lines [][]byte, recs []*Record) {
 	t.Helper()
 	for {
@@ -164,14 +170,26 @@ func walLines(t *testing.T, b []byte) (lines [][]byte, recs []*Record) {
 			return lines, recs
 		}
 		var env struct {
-			Op  string  `json:"op"`
-			Rec *Record `json:"rec"`
+			Op  string          `json:"op"`
+			Rec json.RawMessage `json:"rec"`
 		}
-		if err := json.Unmarshal(b[:i], &env); err != nil || env.Op != "put" || env.Rec == nil {
-			t.Fatalf("WAL line %d is not a record put: %.80s", len(lines)+1, b[:i])
+		if err := json.Unmarshal(b[:i], &env); err != nil || env.Rec == nil {
+			t.Fatalf("WAL line %d is not a record line: %.80s", len(lines)+1, b[:i])
+		}
+		var r *Record
+		switch {
+		case env.Op == "put":
+			r = new(Record)
+		case env.Op == "patch" && len(recs) > 0:
+			r = recs[len(recs)-1].clone()
+		default:
+			t.Fatalf("WAL line %d is not a record put or patch: %.80s", len(lines)+1, b[:i])
+		}
+		if err := json.Unmarshal(env.Rec, r); err != nil {
+			t.Fatalf("WAL line %d: %v", len(lines)+1, err)
 		}
 		lines = append(lines, b[:i+1])
-		recs = append(recs, env.Rec)
+		recs = append(recs, r)
 		b = b[i+1:]
 	}
 }

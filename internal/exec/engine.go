@@ -640,10 +640,13 @@ type stepOutcome struct {
 //
 // Each pass of the loop commits once. Its transitions — the completion or
 // retry it absorbed, the re-plan that followed, and every start dispatch
-// made — only mutate rec and mark it dirty; commit then stages rec with one
-// Put and writes it with one Flush, and only after that publishes the
-// pass's stream events and launches its steps. A step's running line, with
-// its attempt count, is therefore durable before its command starts.
+// made — only mutate rec and mark in the pass's delta what they changed;
+// commit then stages one patch line of those changes and writes it with one
+// Flush, and only after that publishes the pass's stream events and
+// launches its steps. A step's running line, with its attempt count, is
+// therefore durable before its command starts. Nothing else changes rec
+// while the loop runs, so no pass changes it between staging its patch and
+// writing it, which is what a patch needs of its owner.
 func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runState) {
 	defer e.wg.Done()
 	defer close(rs.done)
@@ -690,8 +693,8 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	failing := false
 	var failErr string
 
-	// What the current pass staged for commit.
-	dirty := false
+	// What the current pass changed, for its commit.
+	delta := newPassDelta(rec)
 	var events []obs.StreamEvent
 	var launches []stepLaunch
 
@@ -707,7 +710,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		}
 	}
 	e.mu.Unlock()
-	dirty = true
+	delta.dirty = true
 	for i := 0; i < n; i++ {
 		for _, a := range pr.G.Preds(dag.TaskID(i)) {
 			if state[a.Task] != StepDone {
@@ -800,12 +803,15 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		order = newOrder
 		e.mu.Lock()
 		for _, t := range pending {
-			rec.Steps[t].Proc = assign[t]
-			rec.Steps[t].EstSeconds = est(int(t), assign[t])
+			st := &rec.Steps[t]
+			if p, w := assign[t], est(int(t), assign[t]); st.Proc != p || st.EstSeconds != w {
+				st.Proc, st.EstSeconds = p, w
+				delta.step(int(t))
+			}
 		}
 		rec.Replans++
 		e.mu.Unlock()
-		dirty = true
+		delta.dirty = true
 		e.replans.Inc()
 		tr.Emit(obs.Event{Type: obs.EvReplan, Alg: "exec", Task: -1, Proc: -1,
 			Time: nowS, Value: float64(len(pending))})
@@ -847,7 +853,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		rec.Steps[i].StartedAt = time.Now()
 		rec.Steps[i].QueueWaitSeconds = wait
 		e.mu.Unlock()
-		dirty = true
+		delta.step(i)
 		events = append(events, obs.StreamEvent{
 			Kind:     obs.KindStepRun,
 			Workflow: id,
@@ -903,17 +909,11 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		}
 	}
 
-	// commit ends a pass: one Put and one Flush of whatever it staged,
-	// then its stream events and step launches. A pass that staged nothing
-	// writes nothing.
+	// commit ends a pass: one patch line of what it changed and one
+	// Flush, then its stream events and step launches. A pass that changed
+	// nothing writes nothing.
 	commit := func() {
-		if dirty {
-			e.mu.Lock()
-			e.store.Put(rec)
-			e.mu.Unlock()
-			e.store.Flush()
-			dirty = false
-		}
+		e.commit(rec, delta)
 		for _, ev := range events {
 			e.cfg.Stream.Publish(ev)
 		}
@@ -928,12 +928,32 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	// final pass.
 	finalize := func(st State, errMsg string) {
 		e.mu.Lock()
+		for i := range rec.Steps {
+			if rec.Steps[i].State == StepRunning {
+				delta.step(i) // a cancel fails it
+			}
+		}
 		e.finish(rec, st, errMsg, now())
 		e.mu.Unlock()
-		dirty = true
+		delta.dirty = true
 		events = append(events, doneEvent(rec, now()))
 		commit()
 		runSpan.SetAttr(obs.KeyStatus, string(st))
+	}
+
+	// stop ends the run once its context is done, by shutdown or
+	// cancellation: it waits for the killed step commands' goroutines
+	// before deciding what to record.
+	stop := func() {
+		stepWG.Wait()
+		e.mu.Lock()
+		cancelled := rs.cancelled
+		e.mu.Unlock()
+		if cancelled {
+			finalize(Cancelled, "cancelled")
+		}
+		// Engine shutdown: leave the record running in the WAL so the
+		// next Open resumes it.
 	}
 
 	if initOrder == nil {
@@ -967,6 +987,12 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		commit()
 		select {
 		case out := <-completions:
+			if rs.ctx.Err() != nil {
+				// The attempt ended because the run is stopping, and its
+				// result won the race with the stop: stop as if it had not.
+				stop()
+				return
+			}
 			i, p := out.step, out.proc
 			state[i] = StepDone
 			procBusy[p] = false
@@ -986,7 +1012,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 					rec.Steps[i].FinishedAt = time.Now()
 				}
 				e.mu.Unlock()
-				dirty = true
+				delta.step(i)
 				phase := "failed"
 				if retryable {
 					e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "retried").Inc()
@@ -1022,7 +1048,7 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 				Step: wf.Steps[i].Name, Task: i, Proc: p, Seconds: observed,
 			})
 			e.mu.Unlock()
-			dirty = true
+			delta.step(i)
 			e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "done").Inc()
 			e.stepSecs.Observe(observed)
 			e.driftHist.Observe(ratio)
@@ -1070,21 +1096,43 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 				replan("overdue")
 			}
 		case <-rs.ctx.Done():
-			// Shutdown or cancellation: kill step commands and wait for
-			// their goroutines before deciding what to record.
-			stepWG.Wait()
-			e.mu.Lock()
-			cancelled := rs.cancelled
-			e.mu.Unlock()
-			if cancelled {
-				finalize(Cancelled, "cancelled")
-				return
-			}
-			// Engine shutdown: leave the record running in the WAL so the
-			// next Open resumes it.
+			stop()
 			return
 		}
 	}
+}
+
+// passDelta is what one run-loop pass changed in its record, for the
+// patch line its commit writes. Only the run loop's goroutine touches it.
+type passDelta struct {
+	dirty   bool
+	changed []bool // per step
+	wFrom   int    // len(ObservedW) as of the record's previous line
+}
+
+func newPassDelta(rec *Record) *passDelta {
+	return &passDelta{changed: make([]bool, len(rec.Steps)), wFrom: len(rec.ObservedW)}
+}
+
+// step marks step i changed.
+func (d *passDelta) step(i int) {
+	d.changed[i] = true
+	d.dirty = true
+}
+
+// commit stages rec's patch line for what d marked, writes it with one
+// Flush, and clears d. A clean d writes nothing.
+func (e *Engine) commit(rec *Record, d *passDelta) {
+	if !d.dirty {
+		return
+	}
+	e.mu.Lock()
+	e.store.Patch(rec, rec.patch(d.changed, d.wFrom))
+	d.wFrom = len(rec.ObservedW)
+	e.mu.Unlock()
+	e.store.Flush()
+	clear(d.changed)
+	d.dirty = false
 }
 
 func maxf(a, b float64) float64 {

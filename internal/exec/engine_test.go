@@ -371,6 +371,62 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestCancelBeatsKilledAttempt: when a cancel kills a running step while
+// the run loop is busy with another step's completion, the killed
+// attempt's result and the cancel are both ready at the loop's next
+// select. Whichever it takes, the workflow ends cancelled, not failed by
+// the killed attempt's "context canceled". Each round leaves the choice
+// to the select, so a loop that took the result as a step failure would
+// pass all rounds with odds of 1 in 4096.
+func TestCancelBeatsKilledAttempt(t *testing.T) {
+	started := make(chan string, 2)
+	finishA := make(chan struct{})
+	killed := make(chan struct{}, 1)
+	e := testEngine(t, Config{OverdueTick: time.Hour, Runner: func(ctx context.Context, st Step) error {
+		started <- st.Name
+		if st.Name == "a" {
+			<-finishA
+			return nil
+		}
+		<-ctx.Done()
+		killed <- struct{}{}
+		return ctx.Err()
+	}})
+	wf := &Workflow{Procs: 2, Steps: []Step{
+		{Name: "a", Command: "true", Costs: []float64{1, 9}},
+		{Name: "b", Command: "true", Costs: []float64{9, 1}},
+	}}
+	for round := 0; round < 12; round++ {
+		rec, err := e.Submit(context.Background(), wf)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		<-started
+		<-started
+		// Hold the table lock, so the loop, once it takes a's completion,
+		// waits for it; meanwhile cancel as Engine.Cancel does, and let the
+		// killed attempt of b report back. The sleeps give the loop and the
+		// step goroutines time to get there.
+		e.mu.Lock()
+		finishA <- struct{}{}
+		time.Sleep(10 * time.Millisecond)
+		rs := e.runs[rec.ID]
+		rs.cancelled = true
+		rs.cancel()
+		<-killed
+		time.Sleep(10 * time.Millisecond)
+		e.mu.Unlock()
+		<-rs.done
+		final, err := e.Get(rec.ID)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if final.State != Cancelled {
+			t.Fatalf("round %d: state = %v (%q), want cancelled", round, final.State, final.Error)
+		}
+	}
+}
+
 func TestEngineStepTimeout(t *testing.T) {
 	fr := newFakeRunner()
 	fr.sleep["slow"] = time.Minute

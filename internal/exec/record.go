@@ -134,13 +134,88 @@ func (r *Record) RecordID() string           { return r.ID }
 func (r *Record) RecordSeq() uint64          { return r.Seq }
 func (r *Record) RecordState() durable.State { return r.State }
 
-// DecodeRecord decodes one workflow record, a WAL payload or snapshot
-// element: the durable core walks the line with internal/wire, and the
-// record's own bytes go through json.Unmarshal.
+// DecodeRecord decodes one workflow record or patch, a WAL payload or
+// snapshot element: the durable core walks the line with internal/wire,
+// and the record's own bytes go through UnmarshalJSON.
 func (r *Record) DecodeRecord(s *wire.Scanner) error {
 	raw, err := s.Raw()
 	if err != nil {
 		return err
 	}
-	return json.Unmarshal(raw, r)
+	return r.UnmarshalJSON(raw)
+}
+
+// recordPatch is the payload of a workflow's patch WAL line: the top-level
+// scalars, the steps a run-loop pass changed (each whole, at its index),
+// and the observed W entries appended since the record's previous line.
+// The spec and the unchanged steps stay in the lines before it.
+type recordPatch struct {
+	State           State     `json:"state"`
+	Error           string    `json:"error"`
+	Replans         int       `json:"replans"`
+	MakespanSeconds float64   `json:"makespan_seconds"`
+	StartedAt       time.Time `json:"started_at"`
+	FinishedAt      time.Time `json:"finished_at"`
+	patchKeys
+}
+
+// patchKeys are the keys of a patch payload that a full record does not
+// have. ObservedWAdded replaces ObservedW from index ObservedWFrom on, so
+// applying a patch twice — once through a compaction snapshot taken while
+// it was staged, once from the WAL — appends its entries once.
+type patchKeys struct {
+	ChangedSteps   []indexedStep `json:"changed_steps,omitempty"`
+	ObservedWFrom  int           `json:"observed_w_from,omitempty"`
+	ObservedWAdded []WEntry      `json:"observed_w_added,omitempty"`
+}
+
+// indexedStep is one changed step of a patch, written whole.
+type indexedStep struct {
+	Index int `json:"index"`
+	*StepStatus
+}
+
+// patch builds the payload of r's patch line for a pass that changed the
+// steps marked in changed, with wFrom entries of ObservedW already on disk
+// (caller holds the engine lock until the line is staged: it points into
+// r).
+func (r *Record) patch(changed []bool, wFrom int) *recordPatch {
+	p := &recordPatch{State: r.State, Error: r.Error, Replans: r.Replans,
+		MakespanSeconds: r.MakespanSeconds, StartedAt: r.StartedAt, FinishedAt: r.FinishedAt}
+	for i, c := range changed {
+		if c {
+			p.ChangedSteps = append(p.ChangedSteps, indexedStep{Index: i, StepStatus: &r.Steps[i]})
+		}
+	}
+	if wFrom < len(r.ObservedW) {
+		p.ObservedWFrom, p.ObservedWAdded = wFrom, r.ObservedW[wFrom:]
+	}
+	return p
+}
+
+// UnmarshalJSON decodes a full record, or merges a patch payload into r:
+// keys it leaves out keep their values, each changed step replaces the
+// step at its index, and the added observed W entries replace ObservedW
+// from their index on. A changed step or observed W index outside the
+// record is ignored, so a patch decodes without error into any record it
+// decodes into without error.
+func (r *Record) UnmarshalJSON(b []byte) error {
+	type fields Record // without this method
+	var p struct {
+		*fields
+		patchKeys
+	}
+	p.fields = (*fields)(r)
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	for _, st := range p.ChangedSteps {
+		if st.StepStatus != nil && st.Index >= 0 && st.Index < len(r.Steps) {
+			r.Steps[st.Index] = *st.StepStatus
+		}
+	}
+	if from := p.ObservedWFrom; p.ObservedWAdded != nil && from >= 0 && from <= len(r.ObservedW) {
+		r.ObservedW = append(r.ObservedW[:from], p.ObservedWAdded...)
+	}
+	return nil
 }

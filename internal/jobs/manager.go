@@ -334,10 +334,10 @@ func (m *Manager) cancelLocked(id string) (*Job, error) {
 		m.setState(j, Cancelled)
 		j.FinishedAt = m.now()
 		delete(m.byHash, j.Hash)
-		m.store.Put(j)
+		m.patch(j)
 	case j.State == Running:
 		j.CancelRequested = true
-		m.store.Put(j)
+		m.patch(j)
 	default:
 		return nil, ErrFinished
 	}
@@ -429,7 +429,7 @@ func (m *Manager) claimJob(id string) (algorithm string, problem json.RawMessage
 	m.setState(j, Running)
 	j.Attempts++
 	j.StartedAt = m.now()
-	m.store.Put(j)
+	m.patch(j)
 	// The execution context carries the job's trace ID — the persisted
 	// correlation with the submitting request — so re-runs after a crash
 	// trace under the original ID.
@@ -458,7 +458,16 @@ func (m *Manager) finishJob(id string, result json.RawMessage, err error) {
 	}
 	j.FinishedAt = m.now()
 	delete(m.byHash, j.Hash)
-	m.store.Put(j)
+	m.patch(j)
+}
+
+// patch stages j's transition as a patch line: the whole job but its
+// problem, which only the job's first line carries (caller holds mu).
+// Every change to a job is staged in the critical section that makes it.
+func (m *Manager) patch(j *Job) {
+	p := *j
+	p.Problem = nil
+	m.store.Patch(j, &p)
 }
 
 // gcLoop drops finished jobs older than TTL every GCInterval.

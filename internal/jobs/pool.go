@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"log"
+	"runtime/debug"
 	"sync"
 
 	"hdlts/internal/obs"
@@ -12,7 +14,8 @@ import (
 // admitted without blocking: when the queue is full, TrySubmit refuses
 // immediately so the HTTP layer can answer 429 instead of building an
 // unbounded backlog. Close drains — every admitted func runs before Close
-// returns, which is what makes SIGTERM drain graceful.
+// returns, which is what makes SIGTERM drain graceful. A func that panics
+// is logged and abandoned; its worker goes on to the next.
 type Pool struct {
 	queue chan func()
 	wg    sync.WaitGroup
@@ -34,11 +37,24 @@ func NewPool(workers, capacity int, depth *obs.Gauge) *Pool {
 				if p.depth != nil {
 					p.depth.Dec()
 				}
-				job()
+				runRecovered(job)
 			}
 		}()
 	}
 	return p
+}
+
+// runRecovered calls job, logging a panic instead of letting it end the
+// process: the solves recover their own, but a bug in what runs around
+// them (claiming or committing a job) must not take every other request
+// and job down with it.
+func runRecovered(job func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("jobs: pool func panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	job()
 }
 
 // TrySubmit enqueues job without blocking. It reports false when the queue
