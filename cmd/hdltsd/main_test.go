@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -378,6 +379,9 @@ func TestDaemonJobsPersistAcrossRestart(t *testing.T) {
 	}
 
 	// Resubmitting the identical problem is answered from the result cache.
+	// The counter lives in the process-wide registry, so earlier runs in
+	// this process have moved it: require a rise of exactly one.
+	hits := cacheHits(t, base)
 	resp, err = http.Post(base+"/v1/jobs", "application/json", jobRequest(t))
 	if err != nil {
 		t.Fatal(err)
@@ -394,15 +398,34 @@ func TestDaemonJobsPersistAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !again.CacheHit || again.State != "done" {
 		t.Errorf("resubmit = %d %+v, want 200 done cache_hit", resp.StatusCode, again)
 	}
-	mresp, err := http.Get(base + "/metrics")
+	if got := cacheHits(t, base); got != hits+1 {
+		t.Errorf("hdltsd_jobs_cache_hits_total went from %g to %g, want one more", hits, got)
+	}
+}
+
+// cacheHits reads hdltsd_jobs_cache_hits_total from the daemon's /metrics;
+// an absent series reads 0.
+func cacheHits(t *testing.T, base string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "hdltsd_jobs_cache_hits_total 1") {
-		t.Errorf("/metrics missing cache hit counter:\n%s", mbody)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "hdltsd_jobs_cache_hits_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("cache hit counter %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 // TestDaemonWorkflowsResumeAcrossRestart drives the execution subsystem

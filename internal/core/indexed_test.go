@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -113,16 +114,37 @@ func eventStreams(t testing.TB, pr *sched.Problem, o Options) (indexed, ring []b
 	return bi.Bytes(), jsonlBytes(t, tr.Events), tr.EventsDropped, br.Bytes()
 }
 
-// jsonlBytes encodes events the way a JSONLSink streams them.
+// jsonlLine is the JSONL wire form of an event as encoding/json renders
+// it: the oracle internal/obs holds its encoder to, restated here because
+// test files do not export.
+type jsonlLine struct {
+	Seq    uint64  `json:"seq"`
+	Ev     string  `json:"ev"`
+	Alg    string  `json:"alg,omitempty"`
+	Task   int     `json:"task"`
+	Proc   int     `json:"proc"`
+	Iter   int     `json:"iter,omitempty"`
+	Time   float64 `json:"t,omitempty"`
+	Start  float64 `json:"start,omitempty"`
+	Finish float64 `json:"finish,omitempty"`
+	Value  float64 `json:"value,omitempty"`
+	Dup    bool    `json:"dup,omitempty"`
+}
+
+// jsonlBytes encodes events the way a JSONLSink streams them, by the
+// encoding/json oracle.
 func jsonlBytes(t testing.TB, evs []obs.Event) []byte {
 	t.Helper()
-	lines, err := obs.EncodeEvents(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b bytes.Buffer
-	for _, l := range lines {
-		b.Write(l)
+	for i, ev := range evs {
+		line, err := json.Marshal(jsonlLine{
+			Seq: uint64(i + 1), Ev: ev.Type.String(), Alg: ev.Alg, Task: ev.Task, Proc: ev.Proc, Iter: ev.Iter,
+			Time: ev.Time, Start: ev.Start, Finish: ev.Finish, Value: ev.Value, Dup: ev.Dup,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
 		b.WriteByte('\n')
 	}
 	return b.Bytes()

@@ -2,27 +2,57 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"sync"
 	"time"
+
+	"hdlts/internal/wire"
 )
 
-// lineEvent is the JSON Lines wire form of an Event. Field order is fixed,
-// so identical event sequences serialise to identical bytes.
-type lineEvent struct {
-	Seq    uint64  `json:"seq"`
-	Ev     string  `json:"ev"`
-	WallNS int64   `json:"wall_ns,omitempty"`
-	Alg    string  `json:"alg,omitempty"`
-	Task   int     `json:"task"`
-	Proc   int     `json:"proc"`
-	Iter   int     `json:"iter,omitempty"`
-	Time   float64 `json:"t,omitempty"`
-	Start  float64 `json:"start,omitempty"`
-	Finish float64 `json:"finish,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	Dup    bool    `json:"dup,omitempty"`
+// AppendEvent writes ev to w as one object in the JSONL wire form, the one
+// encoder of that form: the bytes encoding/json produces for the record,
+// compact or indented as w is, keys in a fixed order, optional members
+// left out when zero. A NaN or ±Inf field is left in w.Err, where
+// json.Marshal refuses it.
+func AppendEvent(w *wire.Writer, seq uint64, wallNS int64, ev Event) {
+	w.BeginObject()
+	w.Key(WireSeq)
+	w.Uint64(seq)
+	w.Key(WireEvent)
+	w.String(ev.Type.String())
+	if wallNS != 0 {
+		w.Key(WireWallNS)
+		w.Int64(wallNS)
+	}
+	if ev.Alg != "" {
+		w.Key(WireAlg)
+		w.String(ev.Alg)
+	}
+	w.Key(WireTask)
+	w.Int(ev.Task)
+	w.Key(WireProc)
+	w.Int(ev.Proc)
+	if ev.Iter != 0 {
+		w.Key(WireIter)
+		w.Int(ev.Iter)
+	}
+	appendNonZero(w, WireTime, ev.Time)
+	appendNonZero(w, WireStart, ev.Start)
+	appendNonZero(w, WireFinish, ev.Finish)
+	appendNonZero(w, WireValue, ev.Value)
+	if ev.Dup {
+		w.Key(WireDup)
+		w.Bool(true)
+	}
+	w.EndObject()
+}
+
+// appendNonZero writes key: v unless v is zero (-0 included), as omitempty.
+func appendNonZero(w *wire.Writer, key string, v float64) {
+	if v != 0 {
+		w.Key(key)
+		w.Float(v)
+	}
 }
 
 // JSONLSink writes one JSON object per event, one event per line. By
@@ -31,7 +61,6 @@ type lineEvent struct {
 type JSONLSink struct {
 	mu   sync.Mutex
 	bw   *bufio.Writer
-	enc  *json.Encoder
 	seq  uint64
 	wall bool
 	err  error
@@ -40,8 +69,7 @@ type JSONLSink struct {
 // NewJSONL returns a sink writing JSON Lines to w. Call Flush (or Close on
 // the underlying file after Flush) when done.
 func NewJSONL(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{bw: bufio.NewWriter(w)}
 }
 
 // WallClock enables wall-clock timestamps on every event. Streams with
@@ -56,25 +84,8 @@ func (s *JSONLSink) WallClock(on bool) *JSONLSink {
 // Enabled implements Tracer.
 func (s *JSONLSink) Enabled() bool { return true }
 
-// wireEvent renders ev in the JSONL wire form with the given sequence
-// number — shared by the streaming sink and EncodeEvents.
-func wireEvent(seq uint64, ev Event) lineEvent {
-	return lineEvent{
-		Seq:    seq,
-		Ev:     ev.Type.String(),
-		Alg:    ev.Alg,
-		Task:   ev.Task,
-		Proc:   ev.Proc,
-		Iter:   ev.Iter,
-		Time:   ev.Time,
-		Start:  ev.Start,
-		Finish: ev.Finish,
-		Value:  ev.Value,
-		Dup:    ev.Dup,
-	}
-}
-
-// Emit implements Tracer.
+// Emit implements Tracer. An event the wire form refuses stops the stream;
+// Flush reports it.
 func (s *JSONLSink) Emit(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -82,30 +93,19 @@ func (s *JSONLSink) Emit(ev Event) {
 		return
 	}
 	s.seq++
-	le := wireEvent(s.seq, ev)
+	var wallNS int64
 	if s.wall {
-		le.WallNS = time.Now().UnixNano()
+		wallNS = time.Now().UnixNano()
 	}
-	// The sink's mutex exists precisely to serialize writes to the one
-	// output stream; the encoder targets a bufio.Writer, so an Emit is an
-	// in-memory append except when the buffer spills.
-	//lint:hdltsvet-ignore lockedio the lock's purpose is serializing writes to the buffered stream
-	s.err = s.enc.Encode(le)
-}
-
-// EncodeEvents renders events in the JSONL wire form, one standalone JSON
-// object per event with sequence numbers from 1 — byte-compatible with
-// what a JSONLSink would stream for the same events.
-func EncodeEvents(evs []Event) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(evs))
-	for i, ev := range evs {
-		b, err := json.Marshal(wireEvent(uint64(i+1), ev))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
+	line := wire.GetWriter(false)
+	defer line.Free()
+	AppendEvent(line, s.seq, wallNS, ev)
+	line.Newline()
+	if s.err = line.Err(); s.err == nil {
+		// The target is a bufio.Writer, so an Emit is an in-memory append
+		// except when the buffer spills.
+		_, s.err = s.bw.Write(line.Bytes())
 	}
-	return out, nil
 }
 
 // Flush writes buffered lines through and reports the first emit or write

@@ -29,15 +29,16 @@ const (
 )
 
 // Canonical wire-field names: the JSON keys the obs package is allowed to
-// emit, mirroring the json tags of the wire structs (lineEvent, traceEvent,
-// Span, BuildInfo, jsonMetric). The eventkey analyzer checks every json tag
-// in this package against this set, so adding a wire field means adding a
-// constant here — a deliberate speed bump on schema growth.
+// emit: the keys AppendEvent writes and the json tags of the wire structs
+// (traceEvent, Span, BuildInfo, jsonMetric). The eventkey analyzer checks
+// every json tag in this package against this set, so adding a wire field
+// means adding a constant here — a deliberate speed bump on schema growth.
 const (
-	// JSONL decision-event stream (lineEvent).
+	// JSONL decision-event stream (AppendEvent).
 	WireSeq    = "seq"
 	WireEvent  = "ev"
 	WireWallNS = "wall_ns"
+	WireAlg    = "alg"
 	WireTask   = "task"
 	WireProc   = "proc"
 	WireIter   = "iter"

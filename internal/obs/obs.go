@@ -13,9 +13,9 @@
 //     Two sinks ship with the package — JSONLSink (one JSON object per
 //     line) and ChromeSink (Chrome trace-event format, loadable in
 //     chrome://tracing or Perfetto). An HDLTS solve hands its tracer one
-//     DecisionRecord instead of per-task events (EmitRecord): the trace
-//     store keeps it whole, every other tracer receives its rendered
-//     events.
+//     DecisionRecord instead of per-task events (EmitRecord): a
+//     DecisionLog, which each trace in the trace store holds, keeps it
+//     under the per-trace cap; every other tracer receives its events.
 //
 //   - Metrics. Counter, Gauge, and Histogram are lock-free atomics
 //     registered in a Registry with Prometheus-text and JSON exposition

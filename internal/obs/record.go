@@ -2,6 +2,7 @@ package obs
 
 import (
 	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -175,4 +176,76 @@ func EmitRecord(t Tracer, r *DecisionRecord) {
 		return
 	}
 	r.Render(t.Emit)
+}
+
+// DecisionLog holds one trace's decision state in arrival order under a
+// byte cap of maxTraceBytes: single events at their in-memory size, and
+// decision records whole, at their Size. A record over the remaining
+// budget keeps its leading whole iterations; after that cut the log takes
+// nothing more, so it holds a prefix of what it was handed and counts the
+// rest as dropped events. The zero value is an empty log; it is a Tracer,
+// safe for concurrent use.
+type DecisionLog struct {
+	mu      sync.Mutex
+	events  []Event
+	records []heldRecord
+	bytes   int
+	dropped int
+}
+
+// heldRecord is a kept decision record; its events follow events[:at].
+type heldRecord struct {
+	at  int
+	rec *DecisionRecord
+}
+
+// Enabled implements Tracer.
+func (l *DecisionLog) Enabled() bool { return true }
+
+// Emit implements Tracer: it keeps ev while the cap has room.
+func (l *DecisionLog) Emit(ev Event) {
+	l.mu.Lock()
+	if l.bytes+eventBytes > maxTraceBytes {
+		l.dropped++
+	} else {
+		l.events = append(l.events, ev)
+		l.bytes += eventBytes
+	}
+	l.mu.Unlock()
+}
+
+// takeRecord keeps r's longest prefix of whole iterations that fits the
+// remaining budget, as an exact-size copy.
+func (l *DecisionLog) takeRecord(r *DecisionRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	kept, dropped := r.prefix(maxTraceBytes - l.bytes)
+	l.dropped += dropped
+	l.bytes += kept.Size()
+	if dropped > 0 {
+		l.bytes = maxTraceBytes // a cut log takes nothing more
+	}
+	if kept.Len() > 0 {
+		l.records = append(l.records, heldRecord{at: len(l.events), rec: kept})
+	}
+}
+
+// Render hands emit every held event in arrival order, records rendered in
+// place, and returns how many events the cap dropped. emit runs outside
+// the lock: held entries are only appended to, and records are immutable.
+func (l *DecisionLog) Render(emit func(Event)) (dropped int) {
+	l.mu.Lock()
+	events, records, dropped := l.events, l.records, l.dropped
+	l.mu.Unlock()
+	i := 0
+	for _, h := range records {
+		for ; i < h.at; i++ {
+			emit(events[i])
+		}
+		h.rec.Render(emit)
+	}
+	for ; i < len(events); i++ {
+		emit(events[i])
+	}
+	return dropped
 }

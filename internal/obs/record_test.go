@@ -117,6 +117,32 @@ func TestTraceStoreRecordCap(t *testing.T) {
 	}
 }
 
+// TestDecisionLogTakesNothingAfterCut: once a record is cut, the log keeps
+// nothing more, not even an event that would fit the bytes left, so what
+// it holds stays a prefix of the stream.
+func TestDecisionLogTakesNothingAfterCut(t *testing.T) {
+	var l DecisionLog
+	fill := maxTraceBytes/eventBytes - 2 // 160 bytes left
+	for i := 0; i < fill; i++ {
+		l.Emit(Event{Type: EvReplan, Task: -1, Proc: -1})
+	}
+	// Iteration 1 takes 42 bytes; iteration 2, with 100 queued tasks, 1230.
+	newTasks := make([]int32, 101)
+	for i := range newTasks {
+		newTasks[i] = int32(i)
+	}
+	EmitRecord(&l, &DecisionRecord{
+		Procs: 1, Task: []int32{0, 1}, Proc: []int32{0, 0}, EST: []float64{0, 1},
+		Dup: []bool{false, false}, Slotted: []bool{false, false}, Entered: []int32{1, 100},
+		EFT: []float64{1, 2}, PV: make([]float64, 101), NewTasks: newTasks,
+	})
+	l.Emit(Event{Type: EvReplan, Task: -1, Proc: -1}) // 80 of the 118 bytes left
+	var kept int
+	if dropped := l.Render(func(Event) { kept++ }); kept != fill+3 || dropped != 102+1 {
+		t.Errorf("kept %d events, dropped %d; want %d kept and 103 dropped (iteration 2, then the event)", kept, dropped, fill+3)
+	}
+}
+
 // TestTraceStoreRecordOnHub: while a subscriber listens, a stored record is
 // republished as its rendered decision events.
 func TestTraceStoreRecordOnHub(t *testing.T) {

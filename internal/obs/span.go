@@ -158,9 +158,9 @@ func randHex8() string {
 }
 
 // Per-trace retention bounds: a runaway scheduler must not balloon one
-// trace without limit. Decision state is capped in bytes: a stored event
-// costs its in-memory size and a decision record its Size, and the cap
-// equals 4096 stored events.
+// trace without limit. Decision state is capped in bytes (DecisionLog): a
+// stored event costs its in-memory size and a decision record its Size,
+// and the cap equals 4096 stored events.
 const (
 	maxSpansPerTrace = 512
 	maxTraceBytes    = 4096 * eventBytes
@@ -172,27 +172,16 @@ const (
 type Trace struct {
 	TraceID       string  `json:"trace_id"`
 	Spans         []*Span `json:"spans"`
-	Events        []Event `json:"-"` // wire-encode with EncodeEvents
+	Events        []Event `json:"-"` // wire-encode with AppendEvent
 	SpansDropped  int     `json:"spans_dropped,omitempty"`
 	EventsDropped int     `json:"events_dropped,omitempty"`
 }
 
-// traceEntry is the store's mutable per-trace state. Decision records are
-// kept whole, each at the position in the event sequence it arrived at,
-// and rendered on Get.
+// traceEntry is the store's mutable per-trace state.
 type traceEntry struct {
-	spans         []*Span
-	events        []Event
-	records       []heldRecord
-	bytes         int // decision bytes held, against maxTraceBytes
-	spansDropped  int
-	eventsDropped int
-}
-
-// heldRecord is a stored decision record; its events follow events[:at].
-type heldRecord struct {
-	at  int
-	rec *DecisionRecord
+	spans        []*Span
+	spansDropped int
+	decisions    DecisionLog
 }
 
 // TraceStore retains recent traces in a bounded in-memory ring: starting a
@@ -293,54 +282,6 @@ func (ts *TraceStore) addSpan(s *Span) {
 	}
 }
 
-// addEvent records one decision event against traceID, republishing it on
-// the attached hub (outside the mutex) when anyone is listening.
-func (ts *TraceStore) addEvent(traceID string, ev Event) {
-	ts.mu.Lock()
-	e, ok := ts.traces[traceID]
-	if ok {
-		if e.bytes+eventBytes > maxTraceBytes {
-			e.eventsDropped++
-		} else {
-			e.events = append(e.events, ev)
-			e.bytes += eventBytes
-		}
-	}
-	hub := ts.hub
-	ts.mu.Unlock()
-	if ok && hub.Active() {
-		hub.publishDecision(traceID, ev)
-	}
-}
-
-// addRecord keeps one solve's decision record against traceID, as an
-// exact-size copy. A record over the trace's remaining byte budget keeps
-// its leading whole iterations and counts the rest as dropped events; after
-// a cut the trace takes no further decision state, so what it holds is
-// always a prefix. The hub gets the rendered events only when a subscriber
-// is attached — all of them at once, when the solve hands its record over.
-func (ts *TraceStore) addRecord(traceID string, r *DecisionRecord) {
-	ts.mu.Lock()
-	e, ok := ts.traces[traceID]
-	if ok {
-		kept, dropped := r.prefix(maxTraceBytes - e.bytes)
-		e.eventsDropped += dropped
-		if dropped > 0 {
-			e.bytes = maxTraceBytes
-		} else {
-			e.bytes += kept.Size()
-		}
-		if kept.Len() > 0 {
-			e.records = append(e.records, heldRecord{at: len(e.events), rec: kept})
-		}
-	}
-	hub := ts.hub
-	ts.mu.Unlock()
-	if ok && hub.Active() {
-		r.Render(func(ev Event) { hub.publishDecision(traceID, ev) })
-	}
-}
-
 // Get returns a snapshot of the trace, or false when the ID was never
 // started, sampled out, or already evicted. Decision records are rendered
 // into Events here, outside the store's mutex: records are immutable.
@@ -352,20 +293,12 @@ func (ts *TraceStore) Get(traceID string) (*Trace, bool) {
 		return nil, false
 	}
 	t := &Trace{
-		TraceID:       traceID,
-		Spans:         append([]*Span(nil), e.spans...),
-		SpansDropped:  e.spansDropped,
-		EventsDropped: e.eventsDropped,
+		TraceID:      traceID,
+		Spans:        append([]*Span(nil), e.spans...),
+		SpansDropped: e.spansDropped,
 	}
-	events, records := e.events, e.records
 	ts.mu.Unlock()
-	prev := 0
-	for _, h := range records {
-		t.Events = append(t.Events, events[prev:h.at]...)
-		h.rec.Render(func(ev Event) { t.Events = append(t.Events, ev) })
-		prev = h.at
-	}
-	t.Events = append(t.Events, events[prev:]...)
+	t.EventsDropped = e.decisions.Render(func(ev Event) { t.Events = append(t.Events, ev) })
 	return t, true
 }
 
@@ -383,22 +316,16 @@ func (ts *TraceStore) Evicted() uint64 {
 	return ts.evicted
 }
 
-// Tracer returns a Tracer appending decision events to traceID's trace,
-// or Nop when the trace is not retained — attach it to a Problem with
+// Tracer returns a Tracer keeping decision events in traceID's trace, or
+// Nop when the trace is not retained — attach it to a Problem with
 // WithTracer and the scheduler's decision log lands next to the span tree.
+// While a hub subscriber listens it also republishes each event, uncut.
 func (ts *TraceStore) Tracer(traceID string) Tracer {
-	if traceID == "" || !ts.Sampled(traceID) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	e, ok := ts.traces[traceID]
+	if !ok {
 		return Nop
 	}
-	return traceTracer{ts: ts, traceID: traceID}
+	return Multi(&e.decisions, hubTracer{hub: ts.hub, traceID: traceID})
 }
-
-// traceTracer is the Tracer TraceStore.Tracer hands out.
-type traceTracer struct {
-	ts      *TraceStore
-	traceID string
-}
-
-func (t traceTracer) Enabled() bool                { return true }
-func (t traceTracer) Emit(ev Event)                { t.ts.addEvent(t.traceID, ev) }
-func (t traceTracer) takeRecord(r *DecisionRecord) { t.ts.addRecord(t.traceID, r) }

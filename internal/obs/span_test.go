@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -191,42 +190,6 @@ func TestTraceStoreConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if ts.Len() == 0 {
 		t.Error("no traces retained after concurrent use")
-	}
-}
-
-func TestEncodeEventsMatchesJSONLWireForm(t *testing.T) {
-	evs := []Event{
-		{Type: EvIteration, Alg: "HDLTS", Task: 2, Proc: 1, Iter: 1, Value: 3.5},
-		{Type: EvCommit, Alg: "HDLTS", Task: 2, Proc: 1, Start: 0, Finish: 9, Dup: true},
-	}
-	raw, err := EncodeEvents(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != 2 {
-		t.Fatalf("got %d records", len(raw))
-	}
-	var first struct {
-		Seq  uint64 `json:"seq"`
-		Ev   string `json:"ev"`
-		Alg  string `json:"alg"`
-		Task int    `json:"task"`
-	}
-	if err := json.Unmarshal(raw[0], &first); err != nil {
-		t.Fatal(err)
-	}
-	if first.Seq != 1 || first.Ev != "iteration" || first.Alg != "HDLTS" || first.Task != 2 {
-		t.Errorf("first record = %+v", first)
-	}
-	var second struct {
-		Seq uint64 `json:"seq"`
-		Dup bool   `json:"dup"`
-	}
-	if err := json.Unmarshal(raw[1], &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.Seq != 2 || !second.Dup {
-		t.Errorf("second record = %+v", second)
 	}
 }
 

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
+
+	"hdlts/internal/wire"
 )
 
 // This file is the live half of the observability layer: a broadcast Hub
@@ -277,12 +280,6 @@ func EncodeSpan(s *Span) (json.RawMessage, error) {
 	return json.Marshal(s)
 }
 
-// EncodeEvent renders one decision event in the JSONL wire form (seq 0 —
-// the stream event carries the hub sequence instead).
-func EncodeEvent(ev Event) (json.RawMessage, error) {
-	return json.Marshal(wireEvent(0, ev))
-}
-
 // publishSpan republishes a finished span on the live stream (Kind "span",
 // payload = the span's wire form). Called by the trace store outside its
 // mutex, only when a subscriber is attached.
@@ -300,19 +297,29 @@ func (h *Hub) publishSpan(s *Span) {
 	})
 }
 
-// publishDecision republishes one scheduler decision event on the live
-// stream (Kind "decision", payload = the JSONL wire form).
-func (h *Hub) publishDecision(traceID string, ev Event) {
-	data, err := EncodeEvent(ev)
-	if err != nil {
+// hubTracer republishes a trace's decision events on a hub (Kind "decision").
+type hubTracer struct {
+	hub     *Hub
+	traceID string
+}
+
+func (t hubTracer) Enabled() bool                { return t.hub.Active() }
+func (t hubTracer) takeRecord(r *DecisionRecord) { r.Render(t.Emit) }
+
+// Emit publishes ev's JSONL wire form, seq 0: the hub stamps its own.
+func (t hubTracer) Emit(ev Event) {
+	w := wire.GetWriter(false)
+	defer w.Free()
+	AppendEvent(w, 0, 0, ev)
+	if w.Err() != nil {
 		return
 	}
-	h.Publish(StreamEvent{
+	t.hub.Publish(StreamEvent{
 		Kind:    KindDecision,
-		TraceID: traceID,
+		TraceID: t.traceID,
 		Name:    ev.Type.String(),
 		Proc:    ev.Proc,
 		Time:    ev.Time,
-		Data:    data,
+		Data:    bytes.Clone(w.Bytes()),
 	})
 }

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
+	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 	"hdlts/internal/wire"
 )
@@ -22,7 +22,8 @@ type ScheduleRequest struct {
 	// Problem is the workflow + platform + cost matrix to schedule.
 	Problem json.RawMessage `json:"problem"`
 	// Trace opts in to per-request decision events: the response carries
-	// the same JSONL records `hdltsched -events` would write.
+	// the same JSONL records `hdltsched -events` would write, cut as the
+	// trace ring cuts them.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -40,8 +41,10 @@ type ScheduleResponse struct {
 	// cmd/validate accepts.
 	Schedule json.RawMessage `json:"schedule"`
 	// Events holds the decision-event stream (one JSONL record per entry)
-	// when the request set "trace": true.
+	// when the request set "trace": true, cut as the trace ring cuts it.
 	Events []json.RawMessage `json:"events,omitempty"`
+	// EventsDropped counts the events the cut left out.
+	EventsDropped int `json:"events_dropped,omitempty"`
 	// Explain holds the explainability report (explain.Report: placement
 	// rationale, critical path, per-processor accounting) when the request
 	// passed ?explain=1.
@@ -135,10 +138,10 @@ func decodeProblem(raw json.RawMessage) (*sched.Problem, error) {
 }
 
 // appendScheduleResponse writes resp as a ScheduleResponse whose Schedule
-// is sc's WriteScheduleJSON form, with the bytes encoding/json would
-// produce for it (compact or indented to match w). resp.Schedule is not
-// read.
-func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Schedule) error {
+// is sc's WriteScheduleJSON form and whose events are what events holds,
+// with the bytes encoding/json would produce for it (compact or indented
+// to match w). resp.Schedule, Events and EventsDropped are not read.
+func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Schedule, events *obs.DecisionLog) error {
 	w.BeginObject()
 	w.Key("algorithm")
 	w.String(r.Algorithm)
@@ -160,15 +163,24 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 	if err := sc.AppendScheduleJSON(w, r.Algorithm); err != nil {
 		return err
 	}
-	if len(r.Events) > 0 {
-		w.Key("events")
-		w.BeginArray()
-		for _, ev := range r.Events {
-			if err := w.Embed(ev); err != nil {
-				return err
+	if events != nil {
+		// Events are numbered from 1, as a JSONL sink numbers them.
+		var seq uint64
+		dropped := events.Render(func(ev obs.Event) {
+			if seq == 0 {
+				w.Key("events")
+				w.BeginArray()
 			}
+			seq++
+			obs.AppendEvent(w, seq, 0, ev)
+		})
+		if seq > 0 {
+			w.EndArray()
 		}
-		w.EndArray()
+		if dropped > 0 {
+			w.Key("events_dropped")
+			w.Int(dropped)
+		}
 	}
 	if len(r.Explain) > 0 {
 		w.Key("explain")
@@ -180,17 +192,4 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 	w.Float(r.ElapsedSeconds)
 	w.EndObject()
 	return w.Err()
-}
-
-// splitJSONL cuts a JSON Lines buffer into one raw message per line, for
-// embedding an event stream in a JSON response.
-func splitJSONL(b []byte) []json.RawMessage {
-	var out []json.RawMessage
-	for _, line := range bytes.Split(b, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		out = append(out, json.RawMessage(append([]byte(nil), line...)))
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -186,18 +185,5 @@ func TestDecodeCyclicWrapsErrCycle(t *testing.T) {
 	_, _, err := decodeScheduleRequest(strings.NewReader(body))
 	if !errors.Is(err, dag.ErrCycle) {
 		t.Errorf("err = %v, want errors.Is(_, dag.ErrCycle)", err)
-	}
-}
-
-func TestSplitJSONL(t *testing.T) {
-	in := []byte("{\"a\":1}\n\n{\"b\":2}\n")
-	got := splitJSONL(in)
-	if len(got) != 2 {
-		t.Fatalf("got %d records, want 2", len(got))
-	}
-	for _, raw := range got {
-		if !json.Valid(raw) {
-			t.Errorf("record %s is not valid JSON", raw)
-		}
 	}
 }

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -425,7 +424,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			s.scheduleError(w, out.status, "schedule", out.err)
 			return
 		}
-		writeScheduleResponse(w, out.body)
+		writeBody(w, out.body)
 	case <-ctx.Done():
 		s.scheduleError(w, http.StatusGatewayTimeout, "timeout",
 			fmt.Errorf("request exceeded %s: %w", s.cfg.RequestTimeout, ctx.Err()))
@@ -454,12 +453,12 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	}()
 	start := time.Now()
 	prA := pr
-	var sink *obs.JSONLSink
-	var events bytes.Buffer
+	// A traced request keeps its own decision log, capped as a ring trace is.
+	var events *obs.DecisionLog
 	var tracers []obs.Tracer
 	if trace {
-		sink = obs.NewJSONL(&events)
-		tracers = append(tracers, sink)
+		events = new(obs.DecisionLog)
+		tracers = append(tracers, events)
 	}
 	if st := obs.TraceStoreFrom(ctx); st != nil {
 		tracers = append(tracers, st.Tracer(obs.TraceIDFrom(ctx)))
@@ -519,13 +518,6 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 		Duplicates:     res.Duplicates,
 		ElapsedSeconds: elapsed,
 	}
-	if sink != nil {
-		if err := sink.Flush(); err != nil {
-			return scheduleOutcome{status: http.StatusInternalServerError,
-				err: fmt.Errorf("event stream: %w", err)}
-		}
-		resp.Events = splitJSONL(events.Bytes())
-	}
 	if explainReq {
 		_, ex := obs.StartSpan(ctx, "schedule.explain")
 		rep, rerr := explain.Schedule(sc, alg.Name(), decisions)
@@ -543,7 +535,7 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	}
 	_, encode := obs.StartSpan(ctx, "schedule.encode")
 	body := wire.GetWriter(indent)
-	err = appendScheduleResponse(body, resp, sc)
+	err = appendScheduleResponse(body, resp, sc, events)
 	encode.Finish()
 	if err != nil {
 		body.Free()
@@ -597,9 +589,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeScheduleResponse sends an encoded ScheduleResponse as the complete
-// 200 body, with writeJSON's framing, and frees it.
-func writeScheduleResponse(w http.ResponseWriter, body *wire.Writer) {
+// writeBody sends an indented document as the complete 200 body, with
+// writeJSON's framing, and frees it.
+func writeBody(w http.ResponseWriter, body *wire.Writer) {
 	defer body.Free()
 	body.Newline()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -2,45 +2,56 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"hdlts/internal/obs"
 	"hdlts/internal/registry"
+	"hdlts/internal/wire"
 )
 
-// TraceResponse is the wire form of one recorded trace: the span tree the
-// serving path produced plus the scheduler's decision events, both stamped
-// with the same trace ID the client saw in X-Request-ID. Events use the
-// exact wire form of the streaming trace (ScheduleResponse.Events), so
-// tooling written against one reads the other.
-type TraceResponse struct {
-	TraceID string      `json:"trace_id"`
-	Spans   []*obs.Span `json:"spans"`
-	// Events is the decision log (iteration / pv / commit records) in JSONL
-	// record form.
-	Events []json.RawMessage `json:"events,omitempty"`
-	// SpansDropped / EventsDropped count records discarded once the
-	// per-trace caps were hit; non-zero means the trace is a prefix.
-	SpansDropped  int `json:"spans_dropped,omitempty"`
-	EventsDropped int `json:"events_dropped,omitempty"`
-	// JobID is set when the trace was reached via /v1/jobs/{id}/trace.
-	JobID string `json:"job_id,omitempty"`
-}
-
-// traceResponse assembles the wire form of one stored trace.
-func (s *Server) traceResponse(tr *obs.Trace) (*TraceResponse, error) {
-	events, err := obs.EncodeEvents(tr.Events)
-	if err != nil {
-		return nil, fmt.Errorf("encode trace events: %w", err)
+// writeTrace answers one trace request with tr: trace_id, spans, the
+// decision events in the form "trace": true bodies carry them (events),
+// spans_dropped and events_dropped (non-zero when a cap cut the trace to a
+// prefix) and job_id; empty members are left out, as writeJSON would.
+func (s *Server) writeTrace(rw http.ResponseWriter, tr *obs.Trace, jobID string) {
+	w := wire.GetWriter(true)
+	spans, err := json.Marshal(tr.Spans)
+	w.BeginObject()
+	w.Key("trace_id")
+	w.String(tr.TraceID)
+	w.Key("spans")
+	if err == nil {
+		err = w.Embed(spans)
 	}
-	return &TraceResponse{
-		TraceID:       tr.TraceID,
-		Spans:         tr.Spans,
-		Events:        events,
-		SpansDropped:  tr.SpansDropped,
-		EventsDropped: tr.EventsDropped,
-	}, nil
+	if len(tr.Events) > 0 {
+		w.Key("events")
+		w.BeginArray()
+		for i, ev := range tr.Events {
+			obs.AppendEvent(w, uint64(i+1), 0, ev)
+		}
+		w.EndArray()
+	}
+	if tr.SpansDropped > 0 {
+		w.Key("spans_dropped")
+		w.Int(tr.SpansDropped)
+	}
+	if tr.EventsDropped > 0 {
+		w.Key("events_dropped")
+		w.Int(tr.EventsDropped)
+	}
+	if jobID != "" {
+		w.Key("job_id")
+		w.String(jobID)
+	}
+	w.EndObject()
+	if err = errors.Join(err, w.Err()); err != nil {
+		w.Free()
+		s.traceError(rw, http.StatusInternalServerError, "encode", fmt.Errorf("encode trace: %w", err))
+		return
+	}
+	writeBody(rw, w)
 }
 
 // handleTraceGet serves GET /v1/traces/{id}: the trace recorded for one
@@ -54,12 +65,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no trace %q (evicted, sampled out, or never recorded)", id))
 		return
 	}
-	resp, err := s.traceResponse(tr)
-	if err != nil {
-		s.traceError(w, http.StatusInternalServerError, "encode", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeTrace(w, tr, "")
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's persisted
@@ -84,13 +90,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 				j.TraceID, j.ID))
 		return
 	}
-	resp, err := s.traceResponse(tr)
-	if err != nil {
-		s.traceError(w, http.StatusInternalServerError, "encode", err)
-		return
-	}
-	resp.JobID = j.ID
-	writeJSON(w, http.StatusOK, resp)
+	s.writeTrace(w, tr, j.ID)
 }
 
 // VersionResponse answers GET /v1/version with the binary's identity —

@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hdlts/internal/core"
 	"hdlts/internal/gen"
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
+	"hdlts/internal/sched"
 )
 
 // doWithRequestID drives one request with an X-Request-ID header set.
@@ -42,7 +46,19 @@ func doWithRequestID(srv *Server, method, path, reqID string, body any) *httptes
 	return rec
 }
 
-// getTrace fetches and decodes one trace endpoint response.
+// TraceResponse is a trace endpoint body as encoding/json renders it: the
+// oracle getTrace holds writeTrace's bytes to.
+type TraceResponse struct {
+	TraceID       string            `json:"trace_id"`
+	Spans         []*obs.Span       `json:"spans"`
+	Events        []json.RawMessage `json:"events,omitempty"`
+	SpansDropped  int               `json:"spans_dropped,omitempty"`
+	EventsDropped int               `json:"events_dropped,omitempty"`
+	JobID         string            `json:"job_id,omitempty"`
+}
+
+// getTrace fetches and decodes one trace endpoint response, and checks
+// that the body has the bytes an indenting json.Encoder makes of it.
 func getTrace(t *testing.T, srv *Server, path string) (*TraceResponse, *httptest.ResponseRecorder) {
 	t.Helper()
 	rec := doJSON(srv, http.MethodGet, path, nil)
@@ -52,6 +68,15 @@ func getTrace(t *testing.T, srv *Server, path string) (*TraceResponse, *httptest
 	var tr TraceResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
 		t.Fatalf("trace response not decodable: %v\n%s", err, rec.Body)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: body differs from encoding/json's:\n%s\nencoding/json:\n%s", path, rec.Body, want.Bytes())
 	}
 	return &tr, rec
 }
@@ -222,6 +247,15 @@ func TestScheduleTraceRecordedInRing(t *testing.T) {
 	}
 	if len(tr.Events) == 0 {
 		t.Error("no decision events recorded in the ring")
+	}
+	// Requests reusing the ID add to the same trace until its span cap
+	// cuts it; the body then reports spans_dropped.
+	for i := 0; i < 100; i++ {
+		doWithRequestID(srv, http.MethodPost, "/v1/schedule", reqID,
+			ScheduleRequest{Algorithm: "hdlts", Problem: problemJSON(t)})
+	}
+	if tr, trec = getTrace(t, srv, "/v1/traces/"+reqID); tr == nil || tr.SpansDropped == 0 {
+		t.Errorf("trace after 101 requests = %d, %+v; want spans dropped", trec.Code, tr)
 	}
 }
 
@@ -549,6 +583,103 @@ func TestV1kTraceCompleteInRing(t *testing.T) {
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Fatalf("problem %d event %d: ring %s, response %s", i, j, a.Bytes(), b.Bytes())
 			}
+		}
+	}
+}
+
+// TestV10kTraceBoundedLikeRing: a 10k-task solve's decision record
+// outgrows the per-trace cap. The "trace": true body then holds what the
+// ring keeps for the request: the same events_dropped, and events equal to
+// /v1/traces/{id}'s byte for byte. The traced request allocates at most
+// twice what the same request untraced does.
+func TestV10kTraceBoundedLikeRing(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	pr, err := gen.Random(gen.Params{V: 10000, Alpha: 1.5, Density: 3, CCR: 2, Procs: 8, WDAG: 80, Beta: 1.2},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := pr.WriteJSON(&raw); err != nil {
+		t.Fatal(err)
+	}
+	post := func(id string, trace bool) (rec *httptest.ResponseRecorder, alloc uint64) {
+		t.Helper()
+		body, err := json.Marshal(ScheduleRequest{Algorithm: "hdlts", Problem: raw.Bytes(), Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body))
+		req.Header.Set("X-Request-ID", id)
+		rec = httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d: %.200s", id, rec.Code, rec.Body)
+		}
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	post("v10k-warm", false)
+	_, plain := post("v10k-plain", false)
+	rec, traced := post("v10k-traced", true)
+
+	var resp ScheduleResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("traced body %d bytes, %d events (%d dropped); allocated %.1f MiB traced, %.1f MiB untraced",
+		rec.Body.Len(), len(resp.Events), resp.EventsDropped, float64(traced)/(1<<20), float64(plain)/(1<<20))
+	if traced > 2*plain {
+		t.Errorf("traced request allocated %d bytes, more than twice the untraced %d", traced, plain)
+	}
+	tr, trec := getTrace(t, srv, "/v1/traces/v10k-traced")
+	if tr == nil {
+		t.Fatalf("trace = %d: %s", trec.Code, trec.Body)
+	}
+	if resp.EventsDropped == 0 || resp.EventsDropped != tr.EventsDropped || len(resp.Events) != len(tr.Events) {
+		t.Fatalf("response has %d events (%d dropped), the ring %d (%d dropped); want the same cut trace",
+			len(resp.Events), resp.EventsDropped, len(tr.Events), tr.EventsDropped)
+	}
+	for j := range tr.Events {
+		var a, b bytes.Buffer
+		if err := json.Compact(&a, tr.Events[j]); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&b, resp.Events[j]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("event %d: ring %s, response %s", j, a.Bytes(), b.Bytes())
+		}
+	}
+}
+
+// nanAlg is HDLTS plus one decision event whose value is NaN.
+type nanAlg struct{}
+
+func (nanAlg) Name() string { return "HDLTS" }
+
+func (nanAlg) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
+	pr.Tracer().Emit(obs.Event{Type: obs.EvPV, Task: 0, Proc: -1, Iter: 1, Value: math.NaN()})
+	return core.New().Schedule(pr)
+}
+
+// TestNaNEventRefused: an event encoding/json cannot encode fails the
+// "trace": true response and the trace endpoint with a 500, as it did when
+// encoding/json wrote events; the untraced response is unaffected.
+func TestNaNEventRefused(t *testing.T) {
+	srv := newTestServer(t, Config{Lookup: func(string) (sched.Algorithm, error) { return nanAlg{}, nil }})
+	for _, trace := range []bool{false, true} {
+		id := fmt.Sprintf("nan-%v", trace)
+		rec := doWithRequestID(srv, http.MethodPost, "/v1/schedule", id,
+			ScheduleRequest{Problem: problemJSON(t), Trace: trace})
+		if want := map[bool]int{false: http.StatusOK, true: http.StatusInternalServerError}[trace]; rec.Code != want {
+			t.Errorf("trace=%v: status %d, want %d: %s", trace, rec.Code, want, rec.Body)
+		}
+		if _, rec := getTrace(t, srv, "/v1/traces/"+id); rec.Code != http.StatusInternalServerError {
+			t.Errorf("trace=%v: GET trace = %d, want 500: %s", trace, rec.Code, rec.Body)
 		}
 	}
 }

@@ -154,9 +154,18 @@ func (w *Writer) String(v string) {
 }
 
 // Int writes an integer value.
-func (w *Writer) Int(v int) {
+func (w *Writer) Int(v int) { w.Int64(int64(v)) }
+
+// Int64 writes an int64 value.
+func (w *Writer) Int64(v int64) {
 	w.value()
-	w.buf = strconv.AppendInt(w.buf, int64(v), 10)
+	w.buf = strconv.AppendInt(w.buf, v, 10)
+}
+
+// Uint64 writes a uint64 value.
+func (w *Writer) Uint64(v uint64) {
+	w.value()
+	w.buf = strconv.AppendUint(w.buf, v, 10)
 }
 
 // Float writes a float64 value in encoding/json's format.
