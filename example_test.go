@@ -26,10 +26,9 @@ func ExampleNewHDLTS() {
 // ExampleNewHDLTSWithOptions runs the solve API's ablation knobs: turning
 // entry-task duplication off costs the Fig. 1 instance five time units,
 // while the σ-definition and CPU-selection variants happen to agree with
-// the canonical configuration on this graph. MaxWorkers caps the threads
-// the solver may use on wide instances; 1 forces a serial solve. Every
-// variant is bit-reproducible — the options select a deterministic
-// algorithm, never a heuristic budget.
+// the canonical configuration on this graph. Every variant is
+// bit-reproducible — the options select a deterministic algorithm, never a
+// heuristic budget.
 func ExampleNewHDLTSWithOptions() {
 	pr := hdlts.PaperExample()
 	for _, o := range []hdlts.HDLTSOptions{
@@ -37,7 +36,6 @@ func ExampleNewHDLTSWithOptions() {
 		{DisableDuplication: true}, // ablation: no entry-task duplication
 		{Insertion: true},          // insertion-based CPU selection
 		{PopulationSigma: true},    // PV via population σ (n denominator)
-		{MaxWorkers: 1},            // serial solve, same schedule
 	} {
 		alg := hdlts.NewHDLTSWithOptions(o)
 		s, err := alg.Schedule(pr)
@@ -51,7 +49,6 @@ func ExampleNewHDLTSWithOptions() {
 	// HDLTS-nodup 78
 	// HDLTS-ins 73
 	// HDLTS-popσ 73
-	// HDLTS 73
 }
 
 // ExampleScheduleWithTrace replays Table I's first two decisions.

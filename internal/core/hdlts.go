@@ -70,12 +70,11 @@ type Options struct {
 	// structure of the application and the impact of a CPU assignment for a
 	// task to its child tasks".
 	Lookahead bool
-	// MaxWorkers caps the goroutines the indexed core may use to recompute
-	// EFT/PV vectors across queued tasks. 0 means automatic:
-	// min(GOMAXPROCS, 8). 1 forces the recompute serial. The parallel path
-	// only engages on wide queues (see parMinRows) and never changes the
-	// schedule — selection is a total order on (PV, task ID). The setting
-	// does not alter Name(): it is an execution knob, not an ablation.
+	// MaxWorkers is ignored: every solve runs its update pass on the
+	// calling goroutine.
+	//
+	// Deprecated: there are no solver worker goroutines to cap. The field
+	// remains only so existing callers keep compiling.
 	MaxWorkers int
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"hdlts/internal/dag"
@@ -35,9 +34,9 @@ const timeSampleStride = 8
 //     processor's availability moves almost every queued task's EFT every
 //     iteration, which degenerates a heap to |ITQ| sift operations per
 //     iteration. The update pass already touches every live row, so the
-//     selection argmax rides along with it for free — per-chunk maxima
-//     merged over the (PV descending, task ID ascending) total order,
-//     which keeps extraction deterministic under any chunking.
+//     selection argmax rides along with it for free, taken over the
+//     (PV descending, task ID ascending) total order so that extraction
+//     is deterministic.
 //
 // The arena is pooled (arenaPool) and every slice is truncated, never
 // freed, between solves: after the first solve of a given shape the only
@@ -51,23 +50,10 @@ type arena struct {
 	popSigma bool
 	np       int
 
-	// Parameters of the in-flight column update, read by worker
-	// goroutines; set before dispatch, constant during a pass.
-	col      platform.Proc
-	availCol float64
-	iterMark uint32
-
-	wg sync.WaitGroup
-
-	// Per-chunk argmax and re-estimate counts of the current update pass,
-	// indexed by chunk. Fixed-size: the worker cap (8) bounds the fan-out.
-	bestPV   [16]float64
-	bestRow  [16]int32
-	updCount [16]int64
-	// Per-chunk scratch listing the rows whose EFT moved during the pass,
-	// so their σ recomputations can run pairwise-interleaved afterwards
-	// (see stats.SampleStdDev2). Chunk-local, like the argmax slots.
-	dirty [16][]int32
+	// Scratch of the update pass listing the rows whose EFT moved, so
+	// their σ recomputations can run pairwise-interleaved afterwards (see
+	// stats.SampleStdDev2).
+	dirty []int32
 
 	// remaining[t] counts unscheduled parents; tasks enter the queue at 0.
 	remaining []int32
@@ -183,7 +169,7 @@ func (a *arena) enqueue(t dag.TaskID, iter uint32) error {
 		wr[q] = w
 	}
 	if et == dag.None && !a.pol.Insertion {
-		// Fast path mirroring updateRange: no duplication candidate and
+		// Fast path mirroring updateColumn: no duplication candidate and
 		// avail-based placement reduce the EFT to max(ready, Avail) + w.
 		for q := 0; q < np; q++ {
 			est := a.otherArr[base+q]
@@ -232,117 +218,32 @@ func (a *arena) selectScan() int32 {
 	return bRow
 }
 
-// parMinRows gates the parallel recompute: below this queue width the
-// dispatch handshake costs more than the row updates it spreads. A var,
-// not a const, so the race/equivalence tests can force the parallel path
-// on small problems.
-var parMinRows = 2048
-
-// parJob is one chunk of a column-update pass.
-type parJob struct {
-	a      *arena
-	lo, hi int
-	chunk  int
-}
-
-var (
-	workersOnce sync.Once
-	workerJobs  chan parJob
-	numWorkers  int
-)
-
-// startWorkers launches the process-persistent recompute pool. Spawning
-// goroutines per solve would put per-solve allocations back on the hot
-// path (and trip the allocs/op gate on multi-core runners), so the pool
-// starts once, lazily, on the first solve that can use it, and its workers
-// idle on a channel receive between passes.
-func startWorkers() {
-	numWorkers = runtime.GOMAXPROCS(0) - 1
-	if numWorkers > 7 {
-		numWorkers = 7
-	}
-	if numWorkers <= 0 {
-		return
-	}
-	workerJobs = make(chan parJob, numWorkers)
-	for i := 0; i < numWorkers; i++ {
-		go func() {
-			for j := range workerJobs {
-				j.a.updateRange(j.lo, j.hi, j.chunk)
-				j.a.wg.Done()
-			}
-		}()
-	}
-}
-
 // updateColumn brings the committed processor's EFT column current for
-// every stale queued row, fanning the row recompute across the worker pool
-// when the queue is wide enough, and returns the next selection (the fused
-// argmax) plus the number of rows re-estimated (the substrate counter
-// batch). Chunking cannot affect the selection: the per-chunk maxima merge
-// over the (PV, task ID) total order.
+// every stale queued row, refreshes their PVs, and returns the next
+// selection (the fused argmax) plus the number of rows re-estimated (the
+// substrate counter batch).
 //
 //hdlts:hotpath
-func (a *arena) updateColumn(q platform.Proc, iter uint32, workers int) (int32, int64) {
-	k := len(a.live)
-	a.col = q
-	a.availCol = a.s.Avail(q)
-	a.iterMark = iter
-	nchunks := 1
-	if workers > 1 && k >= parMinRows && workerJobs != nil {
-		chunk := (k + workers - 1) / workers
-		nchunks = (k + chunk - 1) / chunk
-		a.wg.Add(nchunks - 1)
-		for c := 1; c < nchunks; c++ {
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > k {
-				hi = k
-			}
-			workerJobs <- parJob{a: a, lo: lo, hi: hi, chunk: c}
-		}
-		a.updateRange(0, chunk, 0)
-		a.wg.Wait()
-	} else {
-		a.updateRange(0, k, 0)
-	}
-	bPV, bRow, updated := a.bestPV[0], a.bestRow[0], a.updCount[0]
-	for c := 1; c < nchunks; c++ {
-		if pv := a.bestPV[c]; pv > bPV || (pv == bPV && a.taskOf[a.bestRow[c]] < a.taskOf[bRow]) {
-			bPV, bRow = pv, a.bestRow[c]
-		}
-		updated += a.updCount[c]
-	}
-	return bRow, updated
-}
-
-// updateRange recomputes the committed processor's EFT column for queued
-// rows [lo, hi), refreshes their PVs, and records the chunk's argmax and
-// re-estimate count. Writes are row-local or chunk-local, so disjoint
-// ranges run safely from several workers.
-//
-//hdlts:hotpath
-func (a *arena) updateRange(lo, hi, chunk int) {
-	q := a.col
+func (a *arena) updateColumn(q platform.Proc, iter uint32) (int32, int64) {
 	qi := int(q)
 	np := a.np
-	skip := a.iterMark - 1
-	avail := a.availCol
+	skip := iter - 1
+	avail := a.s.Avail(q)
 	insertion := a.pol.Insertion
 	popSigma := a.popSigma
 	// Locals pin the slice headers in registers: the a.pv store inside the
 	// loop would otherwise force the backing arrays to reload every row.
-	live := a.live[lo:hi]
+	live := a.live
 	taskOf, filledIter, entryTask := a.taskOf, a.filledIter, a.entryTask
 	otherArr, eftM, pvs, wRows := a.otherArr, a.eftM, a.pv, a.wRow
 	// Rows whose EFT moves are only recorded here; their σ recomputations
 	// run pairwise afterwards, interleaving two independent FP dependency
 	// chains (the serial add chain inside one σ is the latency bound).
-	// Sized to the chunk once, before the row loop, so the appends below
+	// Sized to the queue once, before the row loop, so the appends below
 	// never grow it.
-	dirty := a.dirty[chunk]
+	dirty := a.dirty
 	if cap(dirty) < len(live) {
-		dirty = make([]int32, 0, len(a.live))
+		dirty = make([]int32, 0, len(live))
 	}
 	dirty = dirty[:0]
 	updated := int64(0)
@@ -374,7 +275,7 @@ func (a *arena) updateRange(lo, hi, chunk int) {
 			}
 		}
 	}
-	a.dirty[chunk] = dirty
+	a.dirty = dirty
 	i := 0
 	for ; i+1 < len(dirty); i += 2 {
 		r0, r1 := dirty[i], dirty[i+1]
@@ -394,9 +295,9 @@ func (a *arena) updateRange(lo, hi, chunk int) {
 			pvs[r] = stats.SampleStdDev(eftM[b : b+np])
 		}
 	}
-	// Selection argmax over the chunk, now that every PV is current. The
-	// task ID loads only on the rare tie/new-max, keeping the common step
-	// to one float load and one compare.
+	// Selection argmax, now that every PV is current. The task ID loads
+	// only on the rare tie/new-max, keeping the common step to one float
+	// load and one compare.
 	bPV := -1.0
 	bRow, bTask := int32(-1), int32(0)
 	for _, row := range live {
@@ -406,9 +307,7 @@ func (a *arena) updateRange(lo, hi, chunk int) {
 			bRow, bTask = row, taskOf[row]
 		}
 	}
-	a.bestPV[chunk] = bPV
-	a.bestRow[chunk] = bRow
-	a.updCount[chunk] = updated
+	return bRow, updated
 }
 
 // refreshRows rebuilds every stale row from scratch after a duplication:
@@ -506,20 +405,6 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 	defer a.recycle()
 	a.bind(s, pr, pol, h.opts.PopulationSigma, n, np)
 
-	workers := h.opts.MaxWorkers
-	if workers <= 0 {
-		workers = 8
-	}
-	if gmp := runtime.GOMAXPROCS(0); workers > gmp {
-		workers = gmp
-	}
-	if workers > 1 {
-		workersOnce.Do(startWorkers)
-		if workers > numWorkers+1 {
-			workers = numWorkers + 1
-		}
-	}
-
 	scanAcc := prof.Accum(obs.PhaseScan)
 	eftAcc := prof.Accum(obs.PhaseEFT)
 	insAcc := prof.Accum(obs.PhaseInsertion)
@@ -578,7 +463,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 			selRow = row
 			refreshAll = false
 		} else {
-			row, updated := a.updateColumn(lastProc, iter, workers)
+			row, updated := a.updateColumn(lastProc, iter)
 			selRow = row
 			estimates += updated
 		}

@@ -233,43 +233,6 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 	}
 }
 
-// TestIndexedParallelMatchesSerial: the parallel PV/EFT recompute must be
-// bit-identical to the serial pass under any worker count — the per-chunk
-// argmax merge preserves the (PV desc, taskID asc) total order regardless
-// of chunking. parMinRows is lowered so the small test problems actually
-// engage the workers; run under -race this also exercises the worker
-// hand-off for data races (CI runs the test suite with -race).
-func TestIndexedParallelMatchesSerial(t *testing.T) {
-	oldMin := parMinRows
-	parMinRows = 16
-	defer func() { parMinRows = oldMin }()
-
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
-		pr, err := gen.Random(gen.Params{
-			V: 300 + rng.Intn(700), Alpha: 2.0, Density: 4, CCR: 2,
-			Procs: 4 + 2*rng.Intn(3), WDAG: 80, Beta: 1.2,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := NewWithOptions(Options{MaxWorkers: 1})
-		parallel := NewWithOptions(Options{MaxWorkers: 4})
-		ss, err := serial.Schedule(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := parallel.Schedule(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs, bp := canonicalBytes(t, ss), canonicalBytes(t, sp)
-		if !bytes.Equal(bs, bp) {
-			t.Fatalf("problem %d: parallel recompute diverged from serial", i)
-		}
-	}
-}
-
 // TestScheduleIntoZeroAllocs pins the steady-state allocation contract: a
 // solve stream that reuses the previous schedule's storage via ScheduleInto
 // must not allocate at all — the arena comes from the pool, the schedule is
@@ -286,7 +249,7 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewWithOptions(Options{MaxWorkers: 1})
+	h := New()
 	s, err := h.Schedule(pr) // warm-up: binds the pool arena and the schedule
 	if err != nil {
 		t.Fatal(err)

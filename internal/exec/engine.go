@@ -552,6 +552,7 @@ func (e *Engine) Cancel(id string) (*Record, error) {
 		close(rs.done)
 		c := r.clone()
 		e.mu.Unlock()
+		rs.cancel()
 		e.store.Flush()
 		e.cfg.Stream.Publish(doneEvent(c, 0))
 		return c, nil
@@ -590,9 +591,11 @@ func (e *Engine) Close(ctx context.Context) error {
 	return e.store.Close()
 }
 
-// finish sets rec's terminal state (caller holds mu, and stages it): a
-// step still running when a workflow is cancelled fails as cancelled.
+// finish sets rec's terminal state (caller holds mu, and stages it) and
+// drops its run state, which only non-terminal records keep. A step still
+// running when a workflow is cancelled fails as cancelled.
 func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64) {
+	delete(e.runs, rec.ID)
 	rec.State = st
 	rec.Error = errMsg
 	rec.FinishedAt = time.Now()
@@ -652,11 +655,12 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	defer close(rs.done)
 	defer e.active.Dec()
 	defer func() { <-e.slots }() // return the admission slot
+	defer rs.cancel()            // release the run's context from baseCtx
 
 	id, wf := rec.ID, rec.Spec
 	ctx, runSpan := obs.StartSpan(rs.ctx, "workflow.run",
 		obs.KeyWorkflow, id, obs.KeyAlg, "exec")
-	defer runSpan.Finish()
+	defer runSpan.Finish() // shutdown path: finalize did not run
 
 	n := len(wf.Steps)
 	procs := wf.Procs
@@ -925,8 +929,11 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	}
 
 	// finalize commits the terminal state together with the rest of the
-	// final pass.
+	// final pass. The workflow.run span is finished first, so a reader
+	// that sees the record terminal also finds the span in its trace.
 	finalize := func(st State, errMsg string) {
+		runSpan.SetAttr(obs.KeyStatus, string(st))
+		runSpan.Finish()
 		e.mu.Lock()
 		for i := range rec.Steps {
 			if rec.Steps[i].State == StepRunning {
@@ -938,7 +945,6 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		delta.dirty = true
 		events = append(events, doneEvent(rec, now()))
 		commit()
-		runSpan.SetAttr(obs.KeyStatus, string(st))
 	}
 
 	// stop ends the run once its context is done, by shutdown or

@@ -121,13 +121,11 @@ func solverBench(name string, v int) func(*testing.B) {
 // stream: ScheduleInto reuses the previous schedule's storage and the
 // pooled arena, so after the warm-up solve the loop body performs zero heap
 // allocations — the hot-gate pins allocs/op at 0, turning any regression
-// into a blocking diff. MaxWorkers is 1 because the point is the per-solve
-// allocation contract, not parallel throughput (worker hand-off is timed by
-// the plain v10k bench, which uses the default options).
+// into a blocking diff.
 func steadyBench(v int) func(*testing.B) {
 	return func(b *testing.B) {
 		pr := problem(v)
-		h := core.NewWithOptions(core.Options{MaxWorkers: 1})
+		h := core.New()
 		s, err := h.Schedule(pr)
 		if err != nil {
 			b.Fatal(err)

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hdlts/internal/gen"
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
 	"hdlts/internal/registry"
@@ -101,6 +104,100 @@ func TestJobSubmitRunsToDone(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("reconstructed schedule invalid: %v", err)
+	}
+}
+
+// TestJobResultIgnoresEdgeOrder: a job is addressed by the canonical
+// problem, so two submissions that differ only in the order of their
+// edges share one hash, the second is answered from the cache, and the
+// result is the solve of the canonical form. The dag keeps arcs in input
+// order and CPOP breaks ties by it, so a worker that solved the client's
+// decoding instead of the canonical one would return a schedule that
+// depends on which edge order arrived first.
+func TestJobResultIgnoresEdgeOrder(t *testing.T) {
+	pr, err := gen.Random(gen.Params{
+		V: 10, Alpha: 1, Density: 3, CCR: 1, Procs: 3, WDAG: 50, Beta: 1,
+	}, rand.New(rand.NewSource(19)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	forward := json.RawMessage(buf.Bytes())
+	var doc map[string]any
+	if err := json.Unmarshal(forward, &doc); err != nil {
+		t.Fatal(err)
+	}
+	edges := doc["graph"].(map[string]any)["edges"].([]any)
+	slices.Reverse(edges)
+	reversed, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	alg, err := registry.Get("cpop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(raw []byte) []byte {
+		t.Helper()
+		p, err := decodeProblem(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := alg.Schedule(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := s.WriteScheduleJSON(&out, alg.Name()); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	decoded, err := decodeProblem(reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := CanonicalProblemJSON(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solve(canon)
+	if bytes.Equal(solve(reversed), want) {
+		t.Fatal("CPOP schedules the reversed edge order like the canonical one; the input no longer tells the orders apart")
+	}
+
+	srv := newTestServer(t, Config{})
+	first, _ := submitJob(t, srv, "cpop", reversed)
+	firstDone := waitJobState(t, srv, first.ID, "done")
+	second, _ := submitJob(t, srv, "cpop", forward)
+	if second.Hash != first.Hash {
+		t.Fatalf("edge orders hash apart: %s vs %s", first.Hash, second.Hash)
+	}
+	if !second.CacheHit && second.ID != first.ID {
+		t.Fatalf("second edge order = %+v, want a cache hit or the first job", second)
+	}
+	secondDone := waitJobState(t, srv, second.ID, "done")
+	if !bytes.Equal(firstDone.Result, secondDone.Result) {
+		t.Fatalf("job results differ across edge orders:\n%s\n%s", firstDone.Result, secondDone.Result)
+	}
+	var res ScheduleResponse
+	if err := json.Unmarshal(firstDone.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, res.Schedule); err != nil {
+		t.Fatal(err)
+	}
+	var wantC bytes.Buffer
+	if err := json.Compact(&wantC, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantC.Bytes()) {
+		t.Errorf("job schedule is not the canonical problem's solve:\ngot  %s\nwant %s", got.Bytes(), wantC.Bytes())
 	}
 }
 
