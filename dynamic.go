@@ -60,7 +60,7 @@ func StaticOrderPolicy(name string, s *Schedule) OnlinePolicy {
 // WriteExecutionGanttSVG renders an online execution trace as an SVG Gantt
 // chart with actual (realised) start and finish times.
 func WriteExecutionGanttSVG(w io.Writer, pr *Problem, r *Reality, res *ExecutionResult, title string) error {
-	return viz.WriteExecutionGanttSVG(w, pr, r, res, viz.GanttConfig{Title: title})
+	return viz.WriteExecutionGanttSVG(w, pr, r.Exec, res.Proc, res.Finish, res.Makespan, viz.GanttConfig{Title: title})
 }
 
 // CompareUnderUncertainty executes the standard policy panel (online HDLTS,

@@ -39,6 +39,7 @@ import (
 	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
+	"hdlts/internal/stats"
 )
 
 // metricIterations is the ITQ iteration counter series.
@@ -131,6 +132,46 @@ type Step struct {
 	// Duplicated reports whether an entry duplicate was materialised on
 	// Proc as part of this commit.
 	Duplicated bool
+}
+
+// PickHDLTS applies the paper's ITQ decision rule to an arbitrary ready
+// set: for each candidate task compute the estimated-EFT vector over the
+// given processors, take the penalty value (sample σ, Eq. 8), and return
+// the highest-PV task together with its minimum-EFT processor. Strictly-
+// greater comparisons keep the earliest candidate on ties, so iterating
+// ready ascending by task ID and procs ascending by index makes the rule
+// deterministic. ok is false when either set is empty.
+//
+// It is the run-time form of the rule Schedule applies offline, without
+// entry duplication: the online policy of internal/dynamic picks with it,
+// and the live workflow executor (internal/exec) calls it repeatedly over
+// the not-yet-dispatched frontier when observed step durations drift from
+// the estimates.
+func PickHDLTS(ready []dag.TaskID, procs []platform.Proc, eft func(dag.TaskID, platform.Proc) float64) (dag.TaskID, platform.Proc, bool) {
+	if len(procs) == 0 || len(ready) == 0 {
+		return 0, 0, false
+	}
+	bestTask, bestPV := dag.None, -1.0
+	var bestProc platform.Proc
+	v := make([]float64, 0, len(procs))
+	for _, t := range ready {
+		v = v[:0]
+		minEFT, minProc := math.Inf(1), procs[0]
+		for _, p := range procs {
+			e := eft(t, p)
+			v = append(v, e)
+			if e < minEFT {
+				minEFT, minProc = e, p
+			}
+		}
+		if pv := stats.SampleStdDev(v); pv > bestPV {
+			bestTask, bestPV, bestProc = t, pv, minProc
+		}
+	}
+	if bestTask == dag.None {
+		return 0, 0, false
+	}
+	return bestTask, bestProc, true
 }
 
 // Schedule maps the problem's workflow onto its platform and returns the

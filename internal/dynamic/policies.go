@@ -4,10 +4,10 @@ import (
 	"math"
 	"sort"
 
+	"hdlts/internal/core"
 	"hdlts/internal/dag"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
-	"hdlts/internal/stats"
 )
 
 // OnlineHDLTS replays the HDLTS decision rule at run time: at every
@@ -27,46 +27,7 @@ func (OnlineHDLTS) Name() string { return "HDLTS-online" }
 
 // Pick implements Policy.
 func (OnlineHDLTS) Pick(st *State) (dag.TaskID, platform.Proc, bool) {
-	return PickHDLTS(st.Ready, aliveProcs(st), st.EstimatedEFT)
-}
-
-// PickHDLTS applies the paper's ITQ decision rule to an arbitrary ready
-// set: for each candidate task compute the estimated-EFT vector over the
-// given processors, take the penalty value (sample σ, Eq. 8), and return
-// the highest-PV task together with its minimum-EFT processor. Strictly-
-// greater comparisons keep the earliest candidate on ties, so iterating
-// ready ascending by task ID and procs ascending by index makes the rule
-// deterministic. ok is false when either set is empty.
-//
-// This is the one re-plan rule shared between the offline-replay policies
-// here and the live workflow executor (internal/exec), which calls it
-// repeatedly over the not-yet-dispatched frontier when observed step
-// durations drift from the estimates.
-func PickHDLTS(ready []dag.TaskID, procs []platform.Proc, eft func(dag.TaskID, platform.Proc) float64) (dag.TaskID, platform.Proc, bool) {
-	if len(procs) == 0 || len(ready) == 0 {
-		return 0, 0, false
-	}
-	bestTask, bestPV := dag.None, -1.0
-	var bestProc platform.Proc
-	v := make([]float64, 0, len(procs))
-	for _, t := range ready {
-		v = v[:0]
-		minEFT, minProc := math.Inf(1), procs[0]
-		for _, p := range procs {
-			e := eft(t, p)
-			v = append(v, e)
-			if e < minEFT {
-				minEFT, minProc = e, p
-			}
-		}
-		if pv := stats.SampleStdDev(v); pv > bestPV {
-			bestTask, bestPV, bestProc = t, pv, minProc
-		}
-	}
-	if bestTask == dag.None {
-		return 0, 0, false
-	}
-	return bestTask, bestProc, true
+	return core.PickHDLTS(st.Ready, aliveProcs(st), st.EstimatedEFT)
 }
 
 // StaticMapping deploys a precomputed offline schedule as-is: every task

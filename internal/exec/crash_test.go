@@ -24,7 +24,7 @@ func TestEngineCommitsOncePerPass(t *testing.T) {
 	const n = 12
 	reg := obs.NewRegistry()
 	e := testEngine(t, Config{Dir: t.TempDir(), Metrics: reg,
-		Runner: func(context.Context, Step) error { return nil }, OverdueTick: time.Hour})
+		Runner: func(context.Context, Step) error { return nil }})
 	// A drift threshold this wide never re-plans an instant step.
 	wf := &Workflow{Procs: 2, Drift: 1e9}
 	for i := 0; i < n; i++ {

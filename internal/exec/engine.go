@@ -1,21 +1,20 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	osexec "os/exec"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"hdlts/internal/dag"
 	"hdlts/internal/durable"
-	"hdlts/internal/dynamic"
 	"hdlts/internal/obs"
-	"hdlts/internal/platform"
 	"hdlts/internal/registry"
 	"hdlts/internal/sched"
 )
@@ -51,6 +50,10 @@ var (
 // would let a submission flood translate directly into goroutine floods.
 const DefaultMaxActive = 64
 
+// overdueTick is how often the run loop checks running steps against
+// their drift deadline.
+const overdueTick = 100 * time.Millisecond
+
 // estFloor keeps drift ratios finite when a step declares a (near-)zero
 // estimate.
 const estFloor = 1e-3
@@ -73,9 +76,6 @@ type Config struct {
 	Traces *obs.TraceStore
 	// Runner executes step attempts (default: sh -c command).
 	Runner StepRunner
-	// OverdueTick is how often running steps are checked against their
-	// drift deadline (default 100ms). Tests shrink it.
-	OverdueTick time.Duration
 	// Stream, when set, receives live workflow transitions (workflow.plan,
 	// step.run, step.done, step.fail, workflow.replan, workflow.done) —
 	// the feed behind the SSE endpoints. Nil is fine: every publish site
@@ -93,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Runner == nil {
 		c.Runner = RunShell
-	}
-	if c.OverdueTick <= 0 {
-		c.OverdueTick = 100 * time.Millisecond
 	}
 	if c.MaxActive <= 0 {
 		c.MaxActive = DefaultMaxActive
@@ -364,31 +361,12 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 	id := durable.NewID("wf-")
 	_, span := obs.StartSpan(ctx, "workflow.plan",
 		obs.KeyWorkflow, id, obs.KeyAlg, "HDLTS")
-	plan, err := e.plan(ctx, pr)
+	rec, order, err := e.plan(ctx, wf, pr)
 	span.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("exec: plan: %w", err)
 	}
-	now := time.Now()
-	rec := &Record{
-		ID:          id,
-		Name:        wf.Name,
-		TraceID:     obs.TraceIDFrom(ctx),
-		Spec:        wf,
-		State:       Queued,
-		Steps:       make([]StepStatus, len(wf.Steps)),
-		SubmittedAt: now,
-	}
-	for i := range wf.Steps {
-		p := plan.assign[i]
-		rec.Steps[i] = StepStatus{
-			Name:        wf.Steps[i].Name,
-			State:       StepPending,
-			PlannedProc: p,
-			Proc:        p,
-			EstSeconds:  pr.Exec(dag.TaskID(i), platform.Proc(p)),
-		}
-	}
+	rec.ID, rec.TraceID, rec.SubmittedAt = id, obs.TraceIDFrom(ctx), time.Now()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -409,25 +387,19 @@ func (e *Engine) Submit(ctx context.Context, wf *Workflow) (*Record, error) {
 	})
 	e.active.Inc()
 	e.wg.Add(1)
-	go e.run(rec, pr, plan.order, rs)
+	go e.run(rec, pr, order, rs)
 	launched = true
 	return snapshot, nil
 }
 
-// planResult is the initial mapping: processor per step and per-processor
-// dispatch order.
-type planResult struct {
-	assign []int
-	order  [][]int
-}
-
-// plan runs HDLTS over the compiled problem and extracts the per-step
-// placement and per-processor start order. When the ctx carries a
+// plan runs HDLTS over wf's compiled problem and returns wf's admission
+// record, every step pending on its planned processor, and each
+// processor's dispatch order by planned start. When the ctx carries a
 // sampled trace, the solver's decision events land in the trace ring.
-func (e *Engine) plan(ctx context.Context, pr *sched.Problem) (*planResult, error) {
+func (e *Engine) plan(ctx context.Context, wf *Workflow, pr *sched.Problem) (*Record, [][]int, error) {
 	alg, err := registry.Get("hdlts")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	prT := pr
 	if ts := obs.TraceStoreFrom(ctx); ts != nil {
@@ -437,35 +409,27 @@ func (e *Engine) plan(ctx context.Context, pr *sched.Problem) (*planResult, erro
 	}
 	sc, err := alg.Schedule(prT)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := pr.NumTasks()
-	res := &planResult{assign: make([]int, n), order: make([][]int, pr.NumProcs())}
-	type item struct {
-		i     int
-		start float64
-	}
-	byProc := make([][]item, pr.NumProcs())
-	for i := 0; i < n; i++ {
+	rec := &Record{Name: wf.Name, Spec: wf, State: Queued, Steps: make([]StepStatus, len(wf.Steps))}
+	order := make([][]int, pr.NumProcs())
+	start := make([]float64, len(wf.Steps))
+	for i, st := range wf.Steps {
 		pl, ok := sc.PlacementOf(dag.TaskID(i))
 		if !ok {
-			return nil, fmt.Errorf("incomplete schedule: step %d unplaced", i)
+			return nil, nil, fmt.Errorf("incomplete schedule: step %d unplaced", i)
 		}
-		res.assign[i] = int(pl.Proc)
-		byProc[pl.Proc] = append(byProc[pl.Proc], item{i: i, start: pl.Start})
+		p := int(pl.Proc)
+		rec.Steps[i] = StepStatus{Name: st.Name, State: StepPending, PlannedProc: p, Proc: p,
+			EstSeconds: pr.Exec(dag.TaskID(i), pl.Proc)}
+		start[i] = pl.Start
+		order[p] = append(order[p], i)
 	}
-	for p := range byProc {
-		sort.Slice(byProc[p], func(a, b int) bool {
-			if byProc[p][a].start != byProc[p][b].start {
-				return byProc[p][a].start < byProc[p][b].start
-			}
-			return byProc[p][a].i < byProc[p][b].i
-		})
-		for _, it := range byProc[p] {
-			res.order[p] = append(res.order[p], it.i)
-		}
+	for _, q := range order {
+		// Appended by step index, so the stable sort breaks start ties by it.
+		slices.SortStableFunc(q, func(a, b int) int { return cmp.Compare(start[a], start[b]) })
 	}
-	return res, nil
+	return rec, order, nil
 }
 
 // newRun registers the run state of rec (caller holds mu). Deliberately
@@ -547,7 +511,7 @@ func (e *Engine) Cancel(id string) (*Record, error) {
 	rs := e.runs[id]
 	if rs.queued {
 		rs.queued = false
-		e.finish(r, Cancelled, "cancelled", 0)
+		e.finish(r, Cancelled, "cancelled", 0, time.Now())
 		e.store.Put(r)
 		close(rs.done)
 		c := r.clone()
@@ -591,14 +555,15 @@ func (e *Engine) Close(ctx context.Context) error {
 	return e.store.Close()
 }
 
-// finish sets rec's terminal state (caller holds mu, and stages it) and
-// drops its run state, which only non-terminal records keep. A step still
-// running when a workflow is cancelled fails as cancelled.
-func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64) {
+// finish sets rec's terminal state at wall time at (caller holds mu, and
+// stages it) and drops its run state, which only non-terminal records
+// keep. A step still running when a workflow is cancelled fails as
+// cancelled.
+func (e *Engine) finish(rec *Record, st State, errMsg string, makespan float64, at time.Time) {
 	delete(e.runs, rec.ID)
 	rec.State = st
 	rec.Error = errMsg
-	rec.FinishedAt = time.Now()
+	rec.FinishedAt = at
 	rec.MakespanSeconds = makespan
 	if st == Cancelled {
 		for i := range rec.Steps {
@@ -623,23 +588,19 @@ func doneEvent(rec *Record, at float64) obs.StreamEvent {
 	}
 }
 
-// stepLaunch is a step attempt a run-loop pass started, launched once the
-// pass has committed.
-type stepLaunch struct{ step, proc int }
-
 // stepOutcome carries one finished step attempt back to the run loop.
 type stepOutcome struct {
 	step int
-	proc int
 	dur  time.Duration
 	err  error
 }
 
-// run is the per-workflow execution loop: dispatch pending steps into
-// idle processor slots in planned order, absorb completions, write
-// observed durations back, and re-map the un-dispatched frontier whenever
-// observation drifts from estimate. It owns all scheduling state; the
-// shared Record is only touched under e.mu.
+// run is the per-workflow execution loop, the shell around a runCore: it
+// waits for a completion, an overdue tick or the end of the run context,
+// reads the clock once per wake-up, and hands the core that time. The core
+// dispatches pending steps into idle processor slots in planned order,
+// absorbs completions, writes observed durations back, and re-maps the
+// un-dispatched frontier whenever observation drifts from estimate.
 //
 // Each pass of the loop commits once. Its transitions — the completion or
 // retry it absorbed, the re-plan that followed, and every start dispatch
@@ -650,230 +611,31 @@ type stepOutcome struct {
 // therefore durable before its command starts. Nothing else changes rec
 // while the loop runs, so no pass changes it between staging its patch and
 // writing it, which is what a patch needs of its owner.
-func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runState) {
+func (e *Engine) run(rec *Record, pr *sched.Problem, order [][]int, rs *runState) {
 	defer e.wg.Done()
 	defer close(rs.done)
 	defer e.active.Dec()
 	defer func() { <-e.slots }() // return the admission slot
 	defer rs.cancel()            // release the run's context from baseCtx
 
-	id, wf := rec.ID, rec.Spec
 	ctx, runSpan := obs.StartSpan(rs.ctx, "workflow.run",
-		obs.KeyWorkflow, id, obs.KeyAlg, "exec")
-	defer runSpan.Finish() // shutdown path: finalize did not run
-
-	n := len(wf.Steps)
-	procs := wf.Procs
-	drift := wf.DriftThreshold()
+		obs.KeyWorkflow, rec.ID, obs.KeyAlg, "exec")
+	defer runSpan.Finish() // shutdown path: end did not run
 	tr := obs.Nop
 	if e.cfg.Traces != nil {
 		if tid := obs.TraceIDFrom(ctx); tid != "" {
 			tr = e.cfg.Traces.Tracer(tid)
 		}
 	}
-
-	// Goroutine-local scheduling state, all times relative to wfStart.
-	wfStart := time.Now()
-	now := func() float64 { return time.Since(wfStart).Seconds() }
-	est := func(i, p int) float64 { return pr.Exec(dag.TaskID(i), platform.Proc(p)) }
-	assign := make([]int, n)
-	state := make([]StepState, n)
-	attempts := make([]int, n)
-	depsLeft := make([]int, n)
-	startRel := make([]float64, n) // start time of the running attempt
-	finRel := make([]float64, n)   // actual (done) or projected (running) finish
-	proj := make([]float64, n)     // projected duration of the running attempt
-	readyAt := make([]float64, n)  // when the last dependency delivered (0 = ready at start)
-	procBusy := make([]bool, procs)
-	order := initOrder
-	if order == nil {
-		order = make([][]int, procs)
-	}
-	procList := make([]platform.Proc, procs)
-	for p := range procList {
-		procList[p] = platform.Proc(p)
-	}
-	doneCount, runningCount := 0, 0
-	failing := false
-	var failErr string
-
-	// What the current pass changed, for its commit.
-	delta := newPassDelta(rec)
-	var events []obs.StreamEvent
-	var launches []stepLaunch
-
-	e.mu.Lock()
-	rec.State = Running
-	rec.StartedAt = wfStart
-	for i := range rec.Steps {
-		assign[i] = rec.Steps[i].Proc
-		state[i] = rec.Steps[i].State
-		attempts[i] = rec.Steps[i].Attempts
-		if state[i] == StepDone {
-			doneCount++
-		}
-	}
-	e.mu.Unlock()
-	delta.dirty = true
-	for i := 0; i < n; i++ {
-		for _, a := range pr.G.Preds(dag.TaskID(i)) {
-			if state[a.Task] != StepDone {
-				depsLeft[i]++
-			}
-		}
-	}
-
-	// finishFor is the projection the re-plan rule estimates against:
-	// done steps have delivered their outputs (resume epoch: at t=0),
-	// running steps deliver at their revised estimate.
-	replan := func(reason string) {
-		var pending []dag.TaskID
-		for i := 0; i < n; i++ {
-			if state[i] == StepPending {
-				pending = append(pending, dag.TaskID(i))
-			}
-		}
-		if len(pending) == 0 {
-			return
-		}
-		nowS := now()
-		avail := make([]float64, procs)
-		for p := range avail {
-			avail[p] = nowS
-		}
-		finish := make([]float64, n)
-		for i := 0; i < n; i++ {
-			switch state[i] {
-			case StepDone:
-				finish[i] = finRel[i]
-			case StepRunning:
-				finish[i] = finRel[i]
-				if finish[i] > avail[assign[i]] {
-					avail[assign[i]] = finish[i]
-				}
-			}
-		}
-		// Iterative ITQ recomputation over the frontier: repeatedly apply
-		// the paper's decision rule to the steps whose predecessors all
-		// have (actual or projected) finish times, committing each pick
-		// into the projection before the next.
-		predsLeft := make([]int, n)
-		var ready []dag.TaskID
-		for _, t := range pending {
-			for _, a := range pr.G.Preds(t) {
-				if state[a.Task] == StepPending {
-					predsLeft[t]++
-				}
-			}
-			if predsLeft[t] == 0 {
-				ready = append(ready, t)
-			}
-		}
-		newOrder := make([][]int, procs)
-		eft := func(t dag.TaskID, p platform.Proc) float64 {
-			arr := avail[p]
-			for _, a := range pr.G.Preds(t) {
-				if f := finish[a.Task]; f > arr {
-					arr = f
-				}
-			}
-			return arr + est(int(t), int(p))
-		}
-		for placed := 0; placed < len(pending); placed++ {
-			sort.Slice(ready, func(i, k int) bool { return ready[i] < ready[k] })
-			t, p, ok := dynamic.PickHDLTS(ready, procList, eft)
-			if !ok {
-				return // cannot happen on a valid DAG; keep the old mapping
-			}
-			assign[t] = int(p)
-			finish[t] = eft(t, p)
-			avail[p] = finish[t]
-			newOrder[p] = append(newOrder[p], int(t))
-			for i, r := range ready {
-				if r == t {
-					ready = append(ready[:i], ready[i+1:]...)
-					break
-				}
-			}
-			for _, a := range pr.G.Succs(t) {
-				if state[a.Task] == StepPending {
-					predsLeft[a.Task]--
-					if predsLeft[a.Task] == 0 {
-						ready = append(ready, a.Task)
-					}
-				}
-			}
-		}
-		order = newOrder
-		e.mu.Lock()
-		for _, t := range pending {
-			st := &rec.Steps[t]
-			if p, w := assign[t], est(int(t), assign[t]); st.Proc != p || st.EstSeconds != w {
-				st.Proc, st.EstSeconds = p, w
-				delta.step(int(t))
-			}
-		}
-		rec.Replans++
-		e.mu.Unlock()
-		delta.dirty = true
-		e.replans.Inc()
-		tr.Emit(obs.Event{Type: obs.EvReplan, Alg: "exec", Task: -1, Proc: -1,
-			Time: nowS, Value: float64(len(pending))})
-		_, sp := obs.StartSpan(ctx, "workflow.replan",
-			obs.KeyWorkflow, id, obs.KeyPhase, reason)
-		sp.Finish()
-		events = append(events, obs.StreamEvent{
-			Kind:     obs.KindWorkflowReplan,
-			Workflow: id,
-			TraceID:  rec.TraceID,
-			Phase:    reason,
-			Proc:     -1,
-			Time:     nowS,
-			Value:    float64(len(pending)),
-		})
-	}
-
-	completions := make(chan stepOutcome, n)
+	start := time.Now()
+	c := newRunCore(e, rec, pr, order, start)
+	completions := make(chan stepOutcome, len(rec.Steps))
 	var stepWG sync.WaitGroup
-	start := func(i, p int) {
-		state[i] = StepRunning
-		procBusy[p] = true
-		runningCount++
-		attempts[i]++
-		startRel[i] = now()
-		proj[i] = est(i, p)
-		finRel[i] = startRel[i] + proj[i]
-		// Queue wait: how long the step sat dispatchable (all dependencies
-		// delivered) before its processor slot freed up — head-of-line
-		// blocking in the per-processor FIFO, the executor-side analogue of
-		// the schedule's idle gaps.
-		wait := maxf(startRel[i]-readyAt[i], 0)
-		e.queueWait.Observe(wait)
-		e.mu.Lock()
-		rec.Steps[i].State = StepRunning
-		rec.Steps[i].Proc = p
-		rec.Steps[i].EstSeconds = est(i, p)
-		rec.Steps[i].Attempts = attempts[i]
-		rec.Steps[i].StartedAt = time.Now()
-		rec.Steps[i].QueueWaitSeconds = wait
-		e.mu.Unlock()
-		delta.step(i)
-		events = append(events, obs.StreamEvent{
-			Kind:     obs.KindStepRun,
-			Workflow: id,
-			TraceID:  rec.TraceID,
-			Step:     wf.Steps[i].Name,
-			Proc:     p,
-			Time:     startRel[i],
-			Value:    wait,
-		})
-		launches = append(launches, stepLaunch{step: i, proc: p})
-	}
 
 	// launch runs one committed step attempt on its own goroutine, which
 	// reports back on completions.
 	launch := func(i, p int) {
-		step := wf.Steps[i]
+		step := rec.Spec.Steps[i]
 		stepWG.Add(1)
 		go func() {
 			defer stepWG.Done()
@@ -892,24 +654,21 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 				span.SetAttr(obs.KeyStatus, "ok")
 			}
 			span.Finish()
-			completions <- stepOutcome{step: i, proc: p, dur: time.Since(t0), err: err}
+			completions <- stepOutcome{step: i, dur: time.Since(t0), err: err}
 		}()
 	}
 
-	dispatch := func() {
-		if failing {
-			return
+	// trace hands the pass's tracer events and re-plans to the trace.
+	trace := func() {
+		for _, ev := range c.traced {
+			tr.Emit(ev)
 		}
-		for p := 0; p < procs; p++ {
-			if procBusy[p] || len(order[p]) == 0 {
-				continue
+		for _, ev := range c.events {
+			if ev.Kind == obs.KindWorkflowReplan {
+				_, sp := obs.StartSpan(ctx, "workflow.replan",
+					obs.KeyWorkflow, rec.ID, obs.KeyPhase, ev.Phase)
+				sp.Finish()
 			}
-			head := order[p][0]
-			if state[head] != StepPending || depsLeft[head] > 0 {
-				continue
-			}
-			order[p] = order[p][1:]
-			start(head, p)
 		}
 	}
 
@@ -917,33 +676,24 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 	// Flush, then its stream events and step launches. A pass that changed
 	// nothing writes nothing.
 	commit := func() {
-		e.commit(rec, delta)
-		for _, ev := range events {
+		e.commit(rec, c.delta)
+		for _, ev := range c.events {
 			e.cfg.Stream.Publish(ev)
 		}
-		events = events[:0]
-		for _, l := range launches {
+		for _, l := range c.launches {
 			launch(l.step, l.proc)
 		}
-		launches = launches[:0]
+		c.reset()
 	}
 
-	// finalize commits the terminal state together with the rest of the
-	// final pass. The workflow.run span is finished first, so a reader
-	// that sees the record terminal also finds the span in its trace.
-	finalize := func(st State, errMsg string) {
+	// end commits the terminal state together with the rest of the final
+	// pass. The workflow.run span is finished first, so a reader that sees
+	// the record terminal also finds the span in its trace.
+	end := func(now float64, st State, errMsg string) {
+		trace()
 		runSpan.SetAttr(obs.KeyStatus, string(st))
 		runSpan.Finish()
-		e.mu.Lock()
-		for i := range rec.Steps {
-			if rec.Steps[i].State == StepRunning {
-				delta.step(i) // a cancel fails it
-			}
-		}
-		e.finish(rec, st, errMsg, now())
-		e.mu.Unlock()
-		delta.dirty = true
-		events = append(events, doneEvent(rec, now()))
+		c.finalize(now, st, errMsg)
 		commit()
 	}
 
@@ -956,40 +706,21 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 		cancelled := rs.cancelled
 		e.mu.Unlock()
 		if cancelled {
-			finalize(Cancelled, "cancelled")
+			end(time.Since(start).Seconds(), Cancelled, "cancelled")
 		}
 		// Engine shutdown: leave the record running in the WAL so the
 		// next Open resumes it.
 	}
 
-	if initOrder == nil {
-		// Resume after a crash: rebuild the dispatch order — and re-map —
-		// from what the WAL says already finished.
-		replan("resume")
-	}
-
-	ticker := time.NewTicker(e.cfg.OverdueTick)
+	ticker := time.NewTicker(overdueTick)
 	defer ticker.Stop()
+	now := 0.0
 	for {
-		dispatch()
-		if doneCount == n {
-			finalize(Done, "")
+		if st, errMsg, over := c.pass(now); over {
+			end(now, st, errMsg)
 			return
 		}
-		if failing && runningCount == 0 {
-			finalize(Failed, failErr)
-			return
-		}
-		if !failing && runningCount == 0 {
-			// Cannot happen on a consistent order (see docs/EXECUTION.md);
-			// re-mapping rebuilds consistency if a bug ever breaks it.
-			replan("stall")
-			dispatch()
-			if runningCount == 0 {
-				finalize(Failed, "exec: dispatch stalled")
-				return
-			}
-		}
+		trace()
 		commit()
 		select {
 		case out := <-completions:
@@ -999,108 +730,11 @@ func (e *Engine) run(rec *Record, pr *sched.Problem, initOrder [][]int, rs *runS
 				stop()
 				return
 			}
-			i, p := out.step, out.proc
-			state[i] = StepDone
-			procBusy[p] = false
-			runningCount--
-			finRel[i] = now()
-			observed := out.dur.Seconds()
-			if out.err != nil {
-				retryable := attempts[i] <= wf.Steps[i].Retries && rs.ctx.Err() == nil
-				e.mu.Lock()
-				rec.Steps[i].Error = out.err.Error()
-				if retryable {
-					state[i] = StepPending
-					rec.Steps[i].State = StepPending
-				} else {
-					state[i] = StepFailed
-					rec.Steps[i].State = StepFailed
-					rec.Steps[i].FinishedAt = time.Now()
-				}
-				e.mu.Unlock()
-				delta.step(i)
-				phase := "failed"
-				if retryable {
-					e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "retried").Inc()
-					// Retry at the head of the same slot's queue; the retry's
-					// queue wait starts now.
-					order[assign[i]] = append([]int{i}, order[assign[i]]...)
-					readyAt[i] = now()
-					phase = "retry"
-				} else {
-					e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "failed").Inc()
-					failing = true
-					failErr = out.err.Error()
-				}
-				events = append(events, obs.StreamEvent{
-					Kind:     obs.KindStepFail,
-					Workflow: id,
-					TraceID:  rec.TraceID,
-					Step:     wf.Steps[i].Name,
-					Phase:    phase,
-					Proc:     p,
-					Time:     finRel[i],
-				})
-				continue
-			}
-			doneCount++
-			ratio := observed / maxf(est(i, p), estFloor)
-			e.mu.Lock()
-			rec.Steps[i].State = StepDone
-			rec.Steps[i].Error = ""
-			rec.Steps[i].ObservedSeconds = observed
-			rec.Steps[i].FinishedAt = time.Now()
-			rec.ObservedW = append(rec.ObservedW, WEntry{
-				Step: wf.Steps[i].Name, Task: i, Proc: p, Seconds: observed,
-			})
-			e.mu.Unlock()
-			delta.step(i)
-			e.cfg.Metrics.Counter(metricWorkflowSteps, "state", "done").Inc()
-			e.stepSecs.Observe(observed)
-			e.driftHist.Observe(ratio)
-			tr.Emit(obs.Event{Type: obs.EvComplete, Alg: "exec", Task: i, Proc: p,
-				Start: startRel[i], Finish: finRel[i], Value: observed})
-			events = append(events, obs.StreamEvent{
-				Kind:     obs.KindStepDone,
-				Workflow: id,
-				TraceID:  rec.TraceID,
-				Step:     wf.Steps[i].Name,
-				Proc:     p,
-				Time:     finRel[i],
-				Value:    observed,
-			})
-			for _, a := range pr.G.Succs(dag.TaskID(i)) {
-				depsLeft[a.Task]--
-				if depsLeft[a.Task] == 0 {
-					readyAt[a.Task] = finRel[i]
-				}
-			}
-			if ratio > drift || ratio*drift < 1 {
-				replan("drift")
-			}
+			now = time.Since(start).Seconds()
+			c.complete(now, out.step, out.dur.Seconds(), out.err)
 		case <-ticker.C:
-			// Overdue detection: a running step past its (revised) estimate
-			// by the drift factor is re-projected to need one more estimate
-			// from now, and the frontier re-maps against that — the paper's
-			// ITQ recomputation applied to live drift, before the slow step
-			// even finishes.
-			nowS := now()
-			overdue := false
-			for i := 0; i < n; i++ {
-				if state[i] != StepRunning {
-					continue
-				}
-				elapsed := nowS - startRel[i]
-				if elapsed > proj[i]*drift {
-					proj[i] = elapsed + est(i, assign[i])
-					finRel[i] = startRel[i] + proj[i]
-					e.driftHist.Observe(elapsed / maxf(est(i, assign[i]), estFloor))
-					overdue = true
-				}
-			}
-			if overdue {
-				replan("overdue")
-			}
+			now = time.Since(start).Seconds()
+			c.overdue(now)
 		case <-rs.ctx.Done():
 			stop()
 			return

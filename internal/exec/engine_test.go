@@ -63,9 +63,6 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.OverdueTick == 0 {
-		cfg.OverdueTick = 5 * time.Millisecond
-	}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -269,6 +266,106 @@ steps:
 	}
 }
 
+// TestEngineReplansOverdue is drift.yaml with slow blocked until the test
+// releases it: slow claims 0.04 s and siblings queue behind it. The
+// overdue tick must re-plan (phase overdue) while slow still runs, and
+// every sibling must finish on another processor before slow completes.
+func TestEngineReplansOverdue(t *testing.T) {
+	wf, err := DecodeWorkflow([]byte(`name: overdue
+procs: 2
+drift: 1.5
+steps:
+  - name: prep
+    command: "true"
+    cost: 0.03
+  - name: slow
+    command: "true"
+    depends: [prep]
+    costs: [0.04, 0.06]
+  - name: fan1
+    command: "true"
+    depends: [prep]
+    costs: [0.04, 0.06]
+  - name: fan2
+    command: "true"
+    depends: [prep]
+    costs: [0.04, 0.06]
+  - name: fan3
+    command: "true"
+    depends: [prep]
+    costs: [0.04, 0.06]
+  - name: join
+    command: "true"
+    depends: [slow, fan1, fan2, fan3]
+    cost: 0.03
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	runner := func(ctx context.Context, st Step) error {
+		if st.Name != "slow" {
+			return nil
+		}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	hub := obs.NewHub(obs.NewRegistry(), 0)
+	sub := hub.Subscribe(obs.StreamFilter{Kinds: map[string]bool{
+		obs.KindWorkflowReplan: true, obs.KindStepDone: true}}, 256)
+	defer sub.Close()
+	e := testEngine(t, Config{Runner: runner, Stream: hub})
+	rec, err := e.Submit(context.Background(), wf)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	behind := 0
+	for _, st := range rec.Steps[2:5] {
+		if st.PlannedProc == rec.Steps[1].PlannedProc {
+			behind++
+		}
+	}
+	if behind == 0 {
+		t.Fatalf("degenerate plan: nothing queues behind slow: %+v", rec.Steps)
+	}
+	overdue, fans := false, 0
+	timeout := time.After(10 * time.Second)
+	for !overdue || fans < 3 {
+		select {
+		case ev := <-sub.C():
+			switch {
+			case ev.Kind == obs.KindWorkflowReplan && ev.Phase == "overdue":
+				overdue = true
+			case ev.Kind == obs.KindStepDone && strings.HasPrefix(ev.Step, "fan"):
+				fans++
+			}
+		case <-timeout:
+			t.Fatalf("overdue re-plan seen: %v; %d of 3 siblings done", overdue, fans)
+		}
+	}
+	live, err := e.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := live.Steps[1]
+	if slow.State != StepRunning {
+		t.Fatalf("slow is %s, want still running", slow.State)
+	}
+	for _, st := range live.Steps[2:5] {
+		if st.Proc == slow.Proc {
+			t.Errorf("%s ran on slow's processor %d", st.Name, st.Proc)
+		}
+	}
+	close(release)
+	if final := waitDone(t, e, rec.ID); final.State != Done {
+		t.Fatalf("state = %v (error %q), want done", final.State, final.Error)
+	}
+}
+
 func TestEngineRetries(t *testing.T) {
 	fr := newFakeRunner()
 	fr.fail["flaky"] = 2
@@ -382,7 +479,7 @@ func TestCancelBeatsKilledAttempt(t *testing.T) {
 	started := make(chan string, 2)
 	finishA := make(chan struct{})
 	killed := make(chan struct{}, 1)
-	e := testEngine(t, Config{OverdueTick: time.Hour, Runner: func(ctx context.Context, st Step) error {
+	e := testEngine(t, Config{Runner: func(ctx context.Context, st Step) error {
 		started <- st.Name
 		if st.Name == "a" {
 			<-finishA

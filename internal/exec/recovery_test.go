@@ -20,7 +20,7 @@ func TestEngineRecoveryResumes(t *testing.T) {
 	fr.sleep["mid"] = time.Minute // interrupted by the "crash"
 	ts1 := obs.NewTraceStore(16, 1)
 	e1, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Traces: ts1,
-		Runner: fr.run, OverdueTick: 5 * time.Millisecond})
+		Runner: fr.run})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -121,8 +121,7 @@ func TestEngineRecoveryResumes(t *testing.T) {
 func TestEngineRecoveryTerminal(t *testing.T) {
 	dir := t.TempDir()
 	fr := newFakeRunner()
-	e1, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Runner: fr.run,
-		OverdueTick: 5 * time.Millisecond})
+	e1, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Runner: fr.run})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

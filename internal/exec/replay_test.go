@@ -106,7 +106,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	}}, 4096)
 	defer sub.Close()
 	gate := newGateRunner()
-	e := testEngine(t, Config{Dir: dir, Runner: gate.run, Stream: hub, OverdueTick: time.Hour})
+	e := testEngine(t, Config{Dir: dir, Runner: gate.run, Stream: hub})
 
 	// await consumes stream events until one matches: every pass publishes
 	// its events after its flush, so a pass's first event means its line

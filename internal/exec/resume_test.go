@@ -26,7 +26,7 @@ func TestRecoveryQueuesForSlots(t *testing.T) {
 		park.sleep[fmt.Sprintf("w%d-a", i)] = time.Minute // parked mid-step until the "crash"
 	}
 	e1, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Runner: park.run,
-		MaxActive: n, OverdueTick: 5 * time.Millisecond})
+		MaxActive: n})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestRecoveryQueuesForSlots(t *testing.T) {
 	opened := make(chan *Engine, 1)
 	go func() {
 		e, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Runner: runner,
-			MaxActive: 1, OverdueTick: 5 * time.Millisecond})
+			MaxActive: 1})
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 		}

@@ -23,7 +23,7 @@ func TestTerminalWorkflowsReleaseRunState(t *testing.T) {
 		return ctx.Err()
 	}
 	e1, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Runner: parked,
-		MaxActive: 2, OverdueTick: 5 * time.Millisecond})
+		MaxActive: 2})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

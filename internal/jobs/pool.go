@@ -71,22 +71,27 @@ func (p *Pool) Submit(stop <-chan struct{}, job func()) bool {
 	if p.closed {
 		return false
 	}
-	select {
-	case p.queue <- job:
-	default:
-		if stop == nil {
-			return false
-		}
-		select {
-		case p.queue <- job:
-		case <-stop:
-			return false
-		}
-	}
+	// Count the func before the send: once it is sent, a worker may take
+	// it and decrement the gauge before this goroutine runs again.
 	if p.depth != nil {
 		p.depth.Inc()
 	}
-	return true
+	select {
+	case p.queue <- job:
+		return true
+	default:
+	}
+	if stop != nil {
+		select {
+		case p.queue <- job:
+			return true
+		case <-stop:
+		}
+	}
+	if p.depth != nil {
+		p.depth.Dec()
+	}
+	return false
 }
 
 // Close stops intake and blocks until every admitted func has run. It is

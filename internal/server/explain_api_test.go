@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"hdlts/internal/exec"
 	"hdlts/internal/explain"
@@ -114,7 +113,7 @@ func TestScheduleExplainNonHDLTS(t *testing.T) {
 
 func TestWorkflowExplainAndGantt(t *testing.T) {
 	srv := newTestServer(t, Config{
-		Workflows: exec.Config{Runner: driftRunner, OverdueTick: 5 * time.Millisecond},
+		Workflows: exec.Config{Runner: driftRunner},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

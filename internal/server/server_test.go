@@ -410,6 +410,23 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsOmitSimulator: the daemon serves the process-wide registry,
+// and nothing it links registers the online simulator's hdlts_dynamic_
+// series there, which only internal/dynamic's runs would move.
+func TestMetricsOmitSimulator(t *testing.T) {
+	srv := newTestServer(t, Config{Metrics: obs.Default()})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics = %d", rec.Code)
+	}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.Contains(line, "hdlts_dynamic_") {
+			t.Errorf("/metrics lists a simulator series: %s", line)
+		}
+	}
+}
+
 func TestAccessLogRecords(t *testing.T) {
 	var buf syncBuffer
 	logger := newJSONLogger(&buf)

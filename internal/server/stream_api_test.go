@@ -150,7 +150,7 @@ func postWorkflowHTTP(t *testing.T, base, yaml string) *WorkflowView {
 func TestSSEWorkflowLifecycle(t *testing.T) {
 	srv := newTestServer(t, Config{
 		StreamHeartbeat: 50 * time.Millisecond,
-		Workflows:       exec.Config{Runner: driftRunner, OverdueTick: 5 * time.Millisecond},
+		Workflows:       exec.Config{Runner: driftRunner},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

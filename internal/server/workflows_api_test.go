@@ -77,7 +77,7 @@ func waitWorkflowState(t *testing.T, srv *Server, id string, want exec.State) *W
 
 func TestWorkflowSubmitRunsToDone(t *testing.T) {
 	srv := newTestServer(t, Config{Workflows: exec.Config{
-		Runner: fastRunner, OverdueTick: 5 * time.Millisecond}})
+		Runner: fastRunner}})
 	v, rec := submitWorkflow(t, srv, wfYAML)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submission status = %d, body %s", rec.Code, rec.Body)
@@ -162,7 +162,7 @@ func TestWorkflowCancelOverHTTP(t *testing.T) {
 		return ctx.Err()
 	}
 	srv := newTestServer(t, Config{Workflows: exec.Config{
-		Runner: blocker, OverdueTick: 5 * time.Millisecond}})
+		Runner: blocker}})
 	v, rec := submitWorkflow(t, srv, "steps:\n  - name: stuck\n    command: sleep 600\n")
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submission status = %d", rec.Code)
@@ -196,7 +196,7 @@ func TestWorkflowSubmitSaturated(t *testing.T) {
 		return ctx.Err()
 	}
 	srv := newTestServer(t, Config{Metrics: reg, Workflows: exec.Config{
-		Runner: blocker, OverdueTick: 5 * time.Millisecond, MaxActive: 1}})
+		Runner: blocker, MaxActive: 1}})
 	v, rec := submitWorkflow(t, srv, "steps:\n  - name: stuck\n    command: sleep 600\n")
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("first submission = %d, body %s", rec.Code, rec.Body)

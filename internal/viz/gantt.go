@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"hdlts/internal/dag"
-	"hdlts/internal/dynamic"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
@@ -48,25 +47,25 @@ func WriteGanttSVG(w io.Writer, s *sched.Schedule, cfg GanttConfig) error {
 }
 
 // WriteExecutionGanttSVG renders an online execution trace (package
-// dynamic) as an SVG Gantt chart: actual start/finish times per task on the
-// processors that really ran them.
-func WriteExecutionGanttSVG(w io.Writer, pr *sched.Problem, r *dynamic.Reality, res *dynamic.Result, cfg GanttConfig) error {
-	c := LaneChart{Title: cfg.Title, Width: cfg.Width, RowHeight: cfg.RowHeight, Makespan: res.Makespan}
+// dynamic's Result) as an SVG Gantt chart: task t ran on proc[t], finished
+// at finish[t] and took exec(t, proc[t]), its realised duration there.
+func WriteExecutionGanttSVG(w io.Writer, pr *sched.Problem, exec func(dag.TaskID, platform.Proc) float64, proc []platform.Proc, finish []float64, makespan float64, cfg GanttConfig) error {
+	c := LaneChart{Title: cfg.Title, Width: cfg.Width, RowHeight: cfg.RowHeight, Makespan: makespan}
 	lanes := make([]Lane, pr.NumProcs())
 	for p := range lanes {
 		lanes[p].Name = pr.P.Name(platform.Proc(p))
 	}
-	for task, proc := range res.Proc {
-		if int(proc) < 0 || int(proc) >= len(lanes) {
-			return fmt.Errorf("viz: task %d ran on unknown processor %d", task, proc)
+	for task, p := range proc {
+		if int(p) < 0 || int(p) >= len(lanes) {
+			return fmt.Errorf("viz: task %d ran on unknown processor %d", task, p)
 		}
-		finish := res.Finish[task]
-		start := finish - r.Exec(dag.TaskID(task), proc)
-		if finish == start {
+		end := finish[task]
+		start := end - exec(dag.TaskID(task), p)
+		if end == start {
 			continue
 		}
-		lanes[proc].Spans = append(lanes[proc].Spans, Span{
-			Start: start, End: finish,
+		lanes[p].Spans = append(lanes[p].Spans, Span{
+			Start: start, End: end,
 			Label: taskLabel(pr, dag.TaskID(task), false),
 			Color: task,
 		})

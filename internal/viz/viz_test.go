@@ -204,7 +204,7 @@ func TestExecutionGanttSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteExecutionGanttSVG(&buf, pr, r, res, GanttConfig{Title: "online"}); err != nil {
+	if err := WriteExecutionGanttSVG(&buf, pr, r.Exec, res.Proc, res.Finish, res.Makespan, GanttConfig{Title: "online"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
