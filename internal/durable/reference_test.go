@@ -44,11 +44,12 @@ type recovery[R durable.Record] struct {
 // referenceOpen is the store's recovery as it was when replay decoded
 // every line with json.Unmarshal: the oracle FuzzReplayMatchesStdlib holds
 // Open's wire walk to. The snapshot is read when present; WAL lines apply
-// in order until the first that does not decode or is not
-// newline-terminated. A patch line json.Unmarshals each of its non-null
-// payloads under the store's key onto the record with the line's ID. A
-// patch of an ID not in the table is skipped, and so is one that changes
-// the ID of a record that held only that ID.
+// in order until the first that is not newline-terminated, or the first
+// that does not decode, which refuses the store when any byte follows it.
+// A patch line json.Unmarshals each of its non-null payloads under the
+// store's key onto the record with the line's ID. A patch of an ID not in
+// the table is skipped, and so is one that changes the ID of a record that
+// held only that ID.
 func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bool, wal []byte) (*recovery[R], error) {
 	var zero R
 	rv := &recovery[R]{recs: make(map[string]R)}
@@ -64,15 +65,11 @@ func referenceOpen[R durable.Record](key string, snapshot []byte, hasSnapshot bo
 			rv.recs[r.RecordID()] = r
 		}
 	}
-replay:
-	for rest := wal; ; {
-		i := bytes.IndexByte(rest, '\n')
-		if i < 0 {
-			break
-		}
+	// apply applies one line, reporting whether it decoded.
+	apply := func(line []byte) bool {
 		var env refEnvelope[R]
-		if err := json.Unmarshal(rest[:i], &env); err != nil {
-			break
+		if err := json.Unmarshal(line, &env); err != nil {
+			return false
 		}
 		switch env.Op {
 		case "put":
@@ -89,7 +86,7 @@ replay:
 				break
 			}
 			var raw refEnvelope[rawPayloads]
-			json.Unmarshal(rest[:i], &raw) // cannot fail: the line decoded above
+			json.Unmarshal(line, &raw) // cannot fail: the line decoded above
 			payloads := raw.Job
 			if key == durable.RecKey {
 				payloads = raw.Rec
@@ -97,7 +94,7 @@ replay:
 			var probe R
 			seed, _ := json.Marshal(map[string]string{"id": env.ID})
 			if err := json.Unmarshal(seed, &probe); err != nil {
-				break replay
+				return false
 			}
 			for _, p := range payloads {
 				if string(p) != "null" {
@@ -112,11 +109,24 @@ replay:
 					continue
 				}
 				if err := json.Unmarshal(p, r); err != nil {
-					break replay
+					return false
 				}
 			}
 		case "del":
 			delete(rv.recs, env.ID)
+		}
+		return true
+	}
+	for rest := wal; ; {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		if !apply(rest[:i]) {
+			if len(rest) > i+1 {
+				return nil, fmt.Errorf("WAL line at byte %d does not decode and is not the last", rv.walLen)
+			}
+			break
 		}
 		rv.walLen += int64(i) + 1
 		rest = rest[i+1:]

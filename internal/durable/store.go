@@ -30,7 +30,9 @@ import (
 // fsync + rename) and truncates the WAL. Load order is snapshot first, then WAL
 // replay; a torn final line — the expected debris of SIGKILL mid-append —
 // ends replay cleanly, losing at most the transition being written, and is
-// cut off so the next append starts on a fresh line.
+// cut off so the next append starts on a fresh line. A line that does not
+// decode with more bytes after it is damage, not a torn tail: Open refuses
+// the store and leaves the file as it is.
 const (
 	snapshotFile = "snapshot.json"
 	walFile      = "wal.jsonl"
@@ -164,7 +166,8 @@ func Open[R interface {
 // load reads the snapshot and replays the WAL in log.dir into the table,
 // then opens the WAL for appending with any torn tail cut off — otherwise
 // the next append would extend it into one undecodable line and hide
-// every later record from replay.
+// every later record from replay. Damage before the tail is an error
+// returned before the WAL is opened, so nothing is cut.
 func (s *Store[R]) load(log *wal) error {
 	if err := os.MkdirAll(log.dir, 0o755); err != nil {
 		return fmt.Errorf("durable: create store dir: %w", err)
@@ -232,12 +235,14 @@ func (s *Store[R]) loadSnapshot(b []byte) error {
 	return nil
 }
 
-// replayWAL applies every newline-terminated WAL line in file order,
-// stopping at the first that does not decode — after a crash mid-append
-// only the tail can be torn, since each append was fsynced. It returns the
-// byte length of the lines applied. Lines are streamed, with no cap on
-// their length: a line longer than the read buffer is gathered into a
-// reused one.
+// replayWAL applies every newline-terminated WAL line in file order and
+// returns the byte length of the lines applied. After a crash mid-append
+// only the tail can be torn, since each append was fsynced, so a line that
+// does not decode ends replay only when it is the last bytes of the file;
+// with anything after it, it is an error naming the line's byte offset,
+// since cutting there would drop acknowledged records. Lines are streamed,
+// with no cap on their length: a line longer than the read buffer is
+// gathered into a reused one.
 func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -267,7 +272,14 @@ func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 			return 0, fmt.Errorf("durable: replay wal: %w", err)
 		}
 		if !s.replay(line[:len(line)-1]) {
-			break
+			switch _, err := rd.Peek(1); err {
+			case io.EOF:
+				return good, nil
+			case nil:
+				return 0, fmt.Errorf("durable: replay wal: the line at byte offset %d does not decode and more bytes follow it", good)
+			default:
+				return 0, fmt.Errorf("durable: replay wal: %w", err)
+			}
 		}
 		log.bytes += len(line)
 		good += int64(len(line))
@@ -279,7 +291,7 @@ func (s *Store[R]) replayWAL(path string, log *wal) (int64, error) {
 // It walks the envelope with internal/wire and hands each payload to the
 // record's own decoder, accepting exactly the lines json.Unmarshal into an
 // envelope accepts: a syntax or type error anywhere, under either payload
-// key or in a repeated key, ends replay. A put without a record or ID, a
+// key or in a repeated key, refuses the line. A put without a record or ID, a
 // patch of an ID not in the table or one that would change its record's
 // ID, and an unknown op are skipped.
 //

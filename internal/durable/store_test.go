@@ -3,9 +3,11 @@ package durable_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +157,45 @@ func runMatrix[R recordPtr[T], T any](t *testing.T, k kind[R]) {
 		_, recovered = openStore[R](t, dir, k.key)
 		if got := ids(recovered); !slices.Equal(got, []string{"good", "after"}) {
 			t.Errorf("after a torn tail and one more append, recovered %v, want [good after]", got)
+		}
+	})
+
+	t.Run("mid_file_damage", func(t *testing.T) {
+		dir := t.TempDir()
+		walPath := filepath.Join(dir, "wal.jsonl")
+		st, _ := openStore[R](t, dir, k.key)
+		st.put(k.make("a", st.nextSeq(), durable.Done, ""))
+		// A fragment with no newline, then two acknowledged records: the
+		// first of them extends the fragment into one undecodable line.
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(`{"op":"put","` + k.key + `":{"id":"torn`)
+		f.Close()
+		st.put(k.make("b", st.nextSeq(), durable.Done, ""))
+		st.put(k.make("c", st.nextSeq(), durable.Done, ""))
+		st.close(t)
+		before, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var mu sync.Mutex
+		s, recovered, err := durable.Open[R](durable.Config{Dir: dir, Key: k.key}, &mu)
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open recovered %v from a WAL damaged before two acknowledged records, want an error", ids(recovered))
+		}
+		if want := fmt.Sprintf("byte offset %d ", fi.Size()); !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not name %q", err, want)
+		}
+		if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+			t.Errorf("refused Open changed the WAL from %d to %d bytes", len(before), len(after))
 		}
 	})
 

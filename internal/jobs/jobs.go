@@ -61,8 +61,10 @@ type Job struct {
 	// log, and the span/decision-event trace. Persisted with the job, so
 	// the correlation survives crash recovery.
 	TraceID string `json:"trace_id,omitempty"`
-	// Problem is the canonically serialised problem, kept so a recovered
-	// job can re-run without the original request.
+	// Problem is the canonically serialised problem in compact form, kept
+	// so a recovered job can re-run without the original request: the
+	// bytes the WAL line holds and replay yields. Hash is taken over the
+	// indented canonical form.
 	Problem json.RawMessage `json:"problem,omitempty"`
 	// State is the current lifecycle phase.
 	State State `json:"state"`

@@ -84,11 +84,21 @@ func (pr *Problem) WriteJSON(w io.Writer) error {
 // AppendCanonical writes the canonical form, trailing newline included,
 // into an empty indented Writer.
 func (pr *Problem) AppendCanonical(w *wire.Writer) error {
+	if err := pr.AppendJSON(w); err != nil {
+		return err
+	}
+	w.Newline()
+	return nil
+}
+
+// AppendJSON writes the problem as one value into w, with the canonical
+// form's members and order; into a compact Writer it writes the bytes
+// json.Compact makes of the canonical form.
+func (pr *Problem) AppendJSON(w *wire.Writer) error {
 	pr.appendJSON(w)
 	if err := w.Err(); err != nil {
 		return fmt.Errorf("sched: encode problem: %w", err)
 	}
-	w.Newline()
 	return nil
 }
 

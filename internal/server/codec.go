@@ -127,8 +127,8 @@ func decodeScheduleRequest(r io.Reader) (*ScheduleRequest, *sched.Problem, error
 	return req, pr, nil
 }
 
-// decodeProblem parses and fully validates one problem subobject — the
-// shared decoder behind POST /v1/jobs and the job runner, and the target
+// decodeProblem parses and fully validates one problem value on its own —
+// the job runner's decoder of a stored problem, and the target
 // FuzzDecodeProblem hardens.
 func decodeProblem(raw json.RawMessage) (*sched.Problem, error) {
 	if len(raw) == 0 {

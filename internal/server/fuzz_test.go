@@ -152,3 +152,126 @@ func FuzzScheduleRequestMatchesStdlib(f *testing.F) {
 		}
 	})
 }
+
+// trailingData rejects anything but whitespace after the value dec has
+// decoded: a request body holds exactly one JSON object.
+func trailingData(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("unexpected %v after the request object", tok)
+	}
+}
+
+// oracleJobSubmit is the POST /v1/jobs decoding the server used before
+// the single-pass codec: encoding/json decodes the envelope with unknown
+// fields disallowed, only whitespace may follow it, it must hold exactly
+// one of the two forms, and each item's raw problem then goes through the
+// problem decoder.
+func oracleJobSubmit(data []byte) (items []JobSubmitItem, prs []*sched.Problem, single bool, err error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var req JobSubmitRequest
+	err = dec.Decode(&req)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	if err != nil {
+		return nil, nil, false, err
+	}
+	single = len(req.Problem) > 0
+	if single == (len(req.Jobs) > 0) {
+		return nil, nil, false, fmt.Errorf("request needs exactly one form")
+	}
+	items = req.Jobs
+	if single {
+		items = []JobSubmitItem{{Algorithm: req.Algorithm, Problem: req.Problem}}
+	}
+	prs = make([]*sched.Problem, len(items))
+	for i, it := range items {
+		if prs[i], err = decodeProblem(it.Problem); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	return items, prs, single, nil
+}
+
+// FuzzJobSubmitMatchesStdlib holds the single-pass POST /v1/jobs decoder
+// to oracleJobSubmit: both reject, or both accept with the same algorithm
+// per item and byte-identical canonical problems.
+func FuzzJobSubmitMatchesStdlib(f *testing.F) {
+	problem := string(fuzzSeedProblem(f))
+	small := `{"graph":{"tasks":[{"name":"a"}],"edges":[]},"procs":1,"costs":[[1]]}`
+	for _, seed := range []string{
+		`{"algorithm":"hdlts","problem":` + problem + `}`,
+		`{"jobs":[{"algorithm":"heft","problem":` + problem + `},{"problem":` + small + `}]}`,
+		`{"problem":` + small + `,"jobs":[{"problem":` + small + `}]}`,
+		`{"algorithm":"heft"}`,
+		`{}`,
+		`{"problem":null}`,
+		`{"jobs":[]}`,
+		`{"jobs":null}`,
+		`{"jobs":[{"problem":` + small + `,"bogus":1}]}`,
+		`{"ALGORITHM":"cpop","Problem":` + small + `}  ` + "\n",
+		`{"JOBS":[{"Algorithm":"heft","PROBLEM":` + small + `}]}`,
+		`{"problem":{"procs":0},"algorithm":"pets","algorithm":null,"problem":` + small + `}`,
+		`{"jobs":[{"algorithm":"heft","problem":{"procs":0}},{"problem":` + small + `}],"jobs":[{"problem":` + small + `}],` +
+			`"jobs":[null,{}]}`,
+		`{"jobs":[{"problem":` + small + `}],"jobs":[],"jobs":[{}]}`,
+		`{"jobs":[{"algorithm":"heft","problem":` + small + `},{"algorithm":"cpop","problem":` + small + `}],` +
+			`"jobs":[{}],"jobs":[{},{"Jobs":1}],"jobs":[{},{}]}`,
+		`{"jobs":[{"algorithm":"heft","problem":` + small + `},{"algorithm":"cpop","problem":` + small + `}],` +
+			`"jobs":[{}],"jobs":[{},{}]}`,
+		`{"problem":` + small + `} {}`,
+		`{"problem":` + small + `}x`,
+		`{"jobs":[null]}`,
+		`{"jobs":[5]}`,
+		`{"algorithm":7,"problem":` + small + `}`,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		items, single, err := decodeJobSubmit(bytes.NewReader(data))
+		for i := range items {
+			switch it := &items[i]; {
+			case err != nil:
+			case !it.set:
+				err = fmt.Errorf("job %d has no problem", i)
+			case it.err != nil:
+				err = it.err
+			}
+		}
+		oitems, oprs, osingle, oerr := oracleJobSubmit(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("input %q:\ndecoder error: %v\noracle error:  %v", data, err, oerr)
+		}
+		if err != nil {
+			return
+		}
+		if len(items) != len(oitems) || single != osingle {
+			t.Fatalf("decoded %d items (single %v), oracle %d (single %v)", len(items), single, len(oitems), osingle)
+		}
+		for i, it := range items {
+			if it.algorithm != oitems[i].Algorithm {
+				t.Fatalf("item %d: algorithm %q, oracle %q", i, it.algorithm, oitems[i].Algorithm)
+			}
+			a, err := CanonicalProblemJSON(it.problem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := CanonicalProblemJSON(oprs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("item %d: canonical problems differ:\n%s\noracle:\n%s", i, a, b)
+			}
+		}
+	})
+}

@@ -14,11 +14,14 @@ import (
 
 	"hdlts/internal/jobs"
 	"hdlts/internal/obs"
+	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // JobSubmitRequest is the POST /v1/jobs wire request. Exactly one form:
 // a single job inline (algorithm + problem, like /v1/schedule), or a
-// batch under "jobs".
+// batch under "jobs". The server reads it with decodeJobSubmit, which
+// accepts what encoding/json accepts into this type.
 type JobSubmitRequest struct {
 	// Algorithm is a case-insensitive registry name; empty selects "hdlts".
 	Algorithm string `json:"algorithm,omitempty"`
@@ -35,9 +38,9 @@ type JobSubmitItem struct {
 	Problem   json.RawMessage `json:"problem"`
 }
 
-// JobView is the wire form of one job. The stored problem is omitted —
-// clients already have it, and sweep-sized problems would bloat every
-// status poll.
+// JobView is the wire form of one job, which appendJob writes straight
+// from the stored job. The stored problem is omitted — clients already
+// have it, and sweep-sized problems would bloat every status poll.
 type JobView struct {
 	ID        string `json:"id"`
 	Algorithm string `json:"algorithm"`
@@ -81,31 +84,128 @@ type JobListResponse struct {
 	Limit  int        `json:"limit"`
 }
 
-// jobView converts a stored job to its wire form.
-func jobView(j *jobs.Job) *JobView {
-	v := &JobView{
-		ID:              j.ID,
-		Algorithm:       j.Algorithm,
-		Hash:            j.Hash,
-		TraceID:         j.TraceID,
-		State:           string(j.State),
-		Attempts:        j.Attempts,
-		MaxAttempts:     j.MaxAttempts,
-		CacheHit:        j.CacheHit,
-		CancelRequested: j.CancelRequested,
-		Error:           j.Error,
-		Result:          j.Result,
-		SubmittedAt:     j.SubmittedAt,
+// jobItem is one submission of a POST /v1/jobs body as decoded: the
+// algorithm as sent, and the problem decoded in place or why it was not.
+type jobItem struct {
+	algorithm string
+	problem   *sched.Problem
+	err       error // the problem's decode or validation error
+	set       bool  // a "problem" member was read
+}
+
+// decodeJobSubmit parses one POST /v1/jobs body in a single pass, as
+// decodeScheduleRequest does: the body is read into a pooled buffer, the
+// envelope is scanned, and each problem, single or batch, is decoded in
+// place. It accepts exactly what json.Decoder with DisallowUnknownFields
+// accepts into a JobSubmitRequest followed by only whitespace: keys at
+// either level are case-insensitive and unknown ones refused, the last of
+// a repeated key wins, and a repeated "jobs" array decodes over the
+// earlier one element by element. An envelope that breaks these rules, or
+// holds both forms or neither, is the returned error. A problem that does
+// not decode or validate is its item's err, which the caller reports after
+// the item's algorithm. The single form comes back as one item, with
+// single set.
+func decodeJobSubmit(r io.Reader) (items []jobItem, single bool, err error) {
+	body, release, err := wire.ReadAll(r)
+	if err != nil {
+		return nil, false, fmt.Errorf("decode request: %w", err)
 	}
-	if !j.StartedAt.IsZero() {
-		t := j.StartedAt
-		v.StartedAt = &t
+	defer release()
+	s := wire.NewScanner(body)
+	var req jobItem
+	var batch jobSlots
+	bad := req.scan(s, &batch)
+	s.AtEOF()
+	if err := s.Err(); err != nil {
+		return nil, false, fmt.Errorf("decode request: %w", err)
 	}
-	if !j.FinishedAt.IsZero() {
-		t := j.FinishedAt
-		v.FinishedAt = &t
+	if bad != nil {
+		return nil, false, fmt.Errorf("decode request: %w", bad)
 	}
-	return v
+	if req.set == (batch.n > 0) {
+		return nil, false, errors.New(`request needs exactly one of "problem" or "jobs"`)
+	}
+	if req.set {
+		return []jobItem{req}, true, nil
+	}
+	return batch.slots[:batch.n], false, nil
+}
+
+// scan decodes one object onto it and returns its first envelope error:
+// the request itself when batch is non-nil, which then takes the "jobs"
+// member, or one element of "jobs". null leaves it as it is.
+func (it *jobItem) scan(s *wire.Scanner, batch *jobSlots) error {
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+		return nil
+	case wire.Object:
+	default:
+		s.Skip()
+		if batch != nil {
+			return fmt.Errorf("cannot decode %s into a request", k)
+		}
+		return fmt.Errorf("cannot decode %s into a job", k)
+	}
+	var bad error
+	obj := s.Object()
+	for obj.Next() {
+		var err error
+		switch {
+		case obj.Is("problem"):
+			it.set = true
+			it.problem, it.err = sched.ScanProblem(s)
+		case obj.Is("algorithm"):
+			err = s.StringInto(&it.algorithm)
+		case batch != nil && obj.Is("jobs"):
+			err = batch.scan(s)
+		default:
+			err = fmt.Errorf("unknown field %q", obj.Key())
+			s.Skip()
+		}
+		if bad == nil {
+			bad = err
+		}
+	}
+	return bad
+}
+
+// jobSlots is the "jobs" array as reflection decodes it into a
+// []JobSubmitItem. A repeated key decodes element i over the earlier
+// element i; the elements a shorter array cut off come back when a longer
+// one reaches them again, until null or [] empties the slice.
+type jobSlots struct {
+	slots []jobItem // every element held since the slice was last emptied
+	n     int       // elements in the current value
+}
+
+func (b *jobSlots) scan(s *wire.Scanner) error {
+	switch k := s.Peek(); k {
+	case wire.Null:
+		s.Null()
+		b.slots, b.n = b.slots[:0], 0
+		return nil
+	case wire.Array:
+	default:
+		s.Skip()
+		return fmt.Errorf("cannot decode %s into a job list", k)
+	}
+	var bad error
+	arr := s.Array()
+	i := 0
+	for ; arr.Next(); i++ {
+		if i == len(b.slots) {
+			b.slots = append(b.slots, jobItem{})
+		}
+		if err := b.slots[i].scan(s, nil); bad == nil {
+			bad = err
+		}
+	}
+	if i == 0 {
+		b.slots = b.slots[:0]
+	}
+	b.n = i
+	return bad
 }
 
 // jobSubmission is one validated, hash-addressed submission ready for the
@@ -113,16 +213,15 @@ func jobView(j *jobs.Job) *JobView {
 type jobSubmission struct {
 	algorithm string // canonical registry name
 	hash      string
-	canonical json.RawMessage
+	canonical json.RawMessage // compact
 }
 
-// prepareSubmission validates one (algorithm, problem) pair all the way
-// down — registry lookup, full problem validation, canonical serialisation
-// — and returns its content address. Every failure is a client error. The
-// decode and the canonicalise+hash steps record the "schedule.decode" and
-// "schedule.hash" spans under ctx.
-func (s *Server) prepareSubmission(ctx context.Context, algorithm string, problem json.RawMessage) (*jobSubmission, error) {
-	name := algorithm
+// prepareSubmission validates one decoded item — registry lookup, then its
+// problem — and returns its content address with the compact canonical
+// problem the job stores. Every failure is a client error. The
+// canonicalise+hash step records the "schedule.hash" span under ctx.
+func (s *Server) prepareSubmission(ctx context.Context, it *jobItem) (*jobSubmission, error) {
+	name := it.algorithm
 	if name == "" {
 		name = "hdlts"
 	}
@@ -130,23 +229,19 @@ func (s *Server) prepareSubmission(ctx context.Context, algorithm string, proble
 	if err != nil {
 		return nil, err
 	}
-	_, dec := obs.StartSpan(ctx, "schedule.decode")
-	pr, err := decodeProblem(problem)
-	dec.Finish()
-	if err != nil {
-		return nil, err
+	if !it.set {
+		return nil, errors.New("request has no problem")
+	}
+	if it.err != nil {
+		return nil, it.err
 	}
 	_, hash := obs.StartSpan(ctx, "schedule.hash")
 	defer hash.Finish()
-	canon, err := CanonicalProblemJSON(pr)
+	canon, h, err := canonicalize(alg.Name(), it.problem)
 	if err != nil {
 		return nil, err
 	}
-	return &jobSubmission{
-		algorithm: alg.Name(),
-		hash:      hashOf(alg.Name(), canon),
-		canonical: canon,
-	}, nil
+	return &jobSubmission{algorithm: alg.Name(), hash: h, canonical: canon}, nil
 }
 
 // runJobFunc is the jobs.RunFunc the manager runs on the solve pool: the same
@@ -179,6 +274,14 @@ func (s *Server) runJobFunc(ctx context.Context, algorithm string, problem json.
 	return bytes.Clone(out.body.Bytes()), nil
 }
 
+// submitOutcome is one admission's answer: the admitted job, or why the
+// pool refused it.
+type submitOutcome struct {
+	job    *jobs.Job
+	err    string
+	status int
+}
+
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.jobError(w, http.StatusServiceUnavailable, "drain",
@@ -186,38 +289,23 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req JobSubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	if err == nil {
-		err = trailingData(dec)
-	}
+	_, dec := obs.StartSpan(r.Context(), "schedule.decode")
+	items, single, err := decodeJobSubmit(r.Body)
+	dec.Finish()
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.jobError(w, http.StatusRequestEntityTooLarge, "body_too_large", err)
 			return
 		}
-		s.jobError(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("decode request: %w", err))
+		s.jobError(w, http.StatusBadRequest, "bad_request", err)
 		return
-	}
-	single := len(req.Problem) > 0
-	if single == (len(req.Jobs) > 0) {
-		s.jobError(w, http.StatusBadRequest, "bad_request",
-			errors.New(`request needs exactly one of "problem" or "jobs"`))
-		return
-	}
-	items := req.Jobs
-	if single {
-		items = []JobSubmitItem{{Algorithm: req.Algorithm, Problem: req.Problem}}
 	}
 	// Validate the whole batch before admitting anything: one malformed
 	// item rejects the request with nothing enqueued.
 	subs := make([]*jobSubmission, len(items))
-	for i, it := range items {
-		sub, err := s.prepareSubmission(r.Context(), it.Algorithm, it.Problem)
+	for i := range items {
+		sub, err := s.prepareSubmission(r.Context(), &items[i])
 		if err != nil {
 			s.jobError(w, http.StatusBadRequest, "bad_request",
 				fmt.Errorf("job %d: %w", i, err))
@@ -226,7 +314,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		subs[i] = sub
 	}
 
-	batch := JobBatchResponse{Jobs: make([]JobBatchItem, len(subs))}
+	outs := make([]submitOutcome, len(subs))
 	saturated := false
 	traceID := obs.TraceIDFrom(r.Context())
 	for i, sub := range subs {
@@ -235,46 +323,32 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, jobs.ErrSaturated):
 			saturated = true
 			s.cfg.Metrics.Counter(metricJobsErrors, "reason", "saturated").Inc()
-			batch.Jobs[i] = JobBatchItem{
-				Error:  s.saturated(w, sub.algorithm).Error(),
-				Status: http.StatusTooManyRequests,
-			}
+			outs[i] = submitOutcome{err: s.saturated(w, sub.algorithm).Error(), status: http.StatusTooManyRequests}
 		case err != nil:
 			s.jobError(w, http.StatusServiceUnavailable, "submit", err)
 			return
 		default:
-			batch.Jobs[i] = JobBatchItem{Job: jobView(j)}
+			outs[i] = submitOutcome{job: j}
 		}
 	}
+	body := wire.GetWriter(true)
+	status := http.StatusAccepted
 	switch {
 	case single && saturated:
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-			Error: batch.Jobs[0].Error, Status: http.StatusTooManyRequests})
+		status = http.StatusTooManyRequests
+		appendError(body, outs[0].err, status)
 	case single:
-		status := http.StatusAccepted
-		if batch.Jobs[0].Job.State == string(jobs.Done) {
+		if outs[0].job.State == jobs.Done {
 			status = http.StatusOK // answered from the result cache
 		}
-		writeJSON(w, status, batch.Jobs[0].Job)
-	case saturated:
-		writeJSON(w, http.StatusTooManyRequests, batch)
+		err = appendJob(body, outs[0].job)
 	default:
-		writeJSON(w, http.StatusAccepted, batch)
+		if saturated {
+			status = http.StatusTooManyRequests
+		}
+		err = appendJobBatch(body, outs)
 	}
-}
-
-// trailingData rejects anything but whitespace after the value dec has
-// decoded: a request body holds exactly one JSON object.
-func trailingData(dec *json.Decoder) error {
-	tok, err := dec.Token()
-	switch {
-	case err == io.EOF:
-		return nil
-	case err != nil:
-		return err
-	default:
-		return fmt.Errorf("unexpected %v after the request object", tok)
-	}
+	s.writeJobBody(w, status, body, err)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -283,7 +357,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, http.StatusNotFound, "not_found", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobView(j))
+	body := wire.GetWriter(true)
+	s.writeJobBody(w, http.StatusOK, body, appendJob(body, j))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -307,13 +382,8 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	page, total := s.jobs.List(state, offset, limit)
-	views := make([]*JobView, len(page))
-	for i, j := range page {
-		views[i] = jobView(j)
-	}
-	writeJSON(w, http.StatusOK, JobListResponse{
-		Jobs: views, Total: total, Offset: offset, Limit: limit,
-	})
+	body := wire.GetWriter(true)
+	s.writeJobBody(w, http.StatusOK, body, appendJobList(body, page, total, offset, limit))
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -326,7 +396,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.jobError(w, http.StatusInternalServerError, "cancel", err)
 	default:
-		writeJSON(w, http.StatusOK, jobView(j))
+		body := wire.GetWriter(true)
+		s.writeJobBody(w, http.StatusOK, body, appendJob(body, j))
 	}
 }
 
@@ -334,7 +405,142 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // error counter.
 func (s *Server) jobError(w http.ResponseWriter, status int, reason string, err error) {
 	s.cfg.Metrics.Counter(metricJobsErrors, "reason", reason).Inc()
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Status: status})
+	writeError(w, status, err.Error())
+}
+
+// writeJobBody sends a jobs-API reply body, or a 500 when the body could
+// not be encoded — err, the append's, or the Writer's own: a stored result
+// that is not valid JSON, or a time outside RFC 3339's years.
+func (s *Server) writeJobBody(w http.ResponseWriter, status int, body *wire.Writer, err error) {
+	if err = errors.Join(err, body.Err()); err != nil {
+		body.Free()
+		s.jobError(w, http.StatusInternalServerError, "encode", fmt.Errorf("encode reply: %w", err))
+		return
+	}
+	writeBody(w, status, body)
+}
+
+// The jobs-API replies are appended by an indented wire.Writer with the
+// bytes an Encoder with SetIndent("", "  ") writes for their wire types
+// (JobView, JobBatchResponse, JobListResponse, ErrorResponse). An append
+// returns the error of a stored result it could not embed; the Writer
+// keeps the rest in its Err.
+
+// appendJob writes j as its JobView: every field but the stored problem,
+// the empty optional ones left out.
+func appendJob(w *wire.Writer, j *jobs.Job) error {
+	w.BeginObject()
+	w.Key("id")
+	w.String(j.ID)
+	w.Key("algorithm")
+	w.String(j.Algorithm)
+	w.Key("hash")
+	w.String(j.Hash)
+	if j.TraceID != "" {
+		w.Key("trace_id")
+		w.String(j.TraceID)
+	}
+	w.Key("state")
+	w.String(string(j.State))
+	w.Key("attempts")
+	w.Int(j.Attempts)
+	w.Key("max_attempts")
+	w.Int(j.MaxAttempts)
+	if j.CacheHit {
+		w.Key("cache_hit")
+		w.Bool(true)
+	}
+	if j.CancelRequested {
+		w.Key("cancel_requested")
+		w.Bool(true)
+	}
+	if j.Error != "" {
+		w.Key("error")
+		w.String(j.Error)
+	}
+	var err error
+	if len(j.Result) > 0 {
+		w.Key("result")
+		err = w.Embed(j.Result)
+	}
+	w.Key("submitted_at")
+	w.Time(j.SubmittedAt)
+	if !j.StartedAt.IsZero() {
+		w.Key("started_at")
+		w.Time(j.StartedAt)
+	}
+	if !j.FinishedAt.IsZero() {
+		w.Key("finished_at")
+		w.Time(j.FinishedAt)
+	}
+	w.EndObject()
+	return err
+}
+
+// appendJobBatch writes a batch submission's outcomes as a
+// JobBatchResponse.
+func appendJobBatch(w *wire.Writer, outs []submitOutcome) error {
+	var err error
+	w.BeginObject()
+	w.Key("jobs")
+	w.BeginArray()
+	for _, o := range outs {
+		w.BeginObject()
+		if o.job != nil {
+			w.Key("job")
+			err = errors.Join(err, appendJob(w, o.job))
+		}
+		if o.err != "" {
+			w.Key("error")
+			w.String(o.err)
+		}
+		if o.status != 0 {
+			w.Key("status")
+			w.Int(o.status)
+		}
+		w.EndObject()
+	}
+	w.EndArray()
+	w.EndObject()
+	return err
+}
+
+// appendJobList writes one page of jobs as a JobListResponse.
+func appendJobList(w *wire.Writer, page []*jobs.Job, total, offset, limit int) error {
+	var err error
+	w.BeginObject()
+	w.Key("jobs")
+	w.BeginArray()
+	for _, j := range page {
+		err = errors.Join(err, appendJob(w, j))
+	}
+	w.EndArray()
+	w.Key("total")
+	w.Int(total)
+	w.Key("offset")
+	w.Int(offset)
+	w.Key("limit")
+	w.Int(limit)
+	w.EndObject()
+	return err
+}
+
+// appendError writes an ErrorResponse.
+func appendError(w *wire.Writer, msg string, status int) {
+	w.BeginObject()
+	w.Key("error")
+	w.String(msg)
+	w.Key("status")
+	w.Int(status)
+	w.EndObject()
+}
+
+// writeError answers with an ErrorResponse body, the one every non-2xx
+// answer carries.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	body := wire.GetWriter(true)
+	appendError(body, msg, status)
+	writeBody(w, status, body)
 }
 
 // queryInt parses an optional integer query parameter.

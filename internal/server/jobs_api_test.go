@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"hdlts/internal/obs"
 	"hdlts/internal/registry"
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // doJSON drives one request with an optional JSON body through the handler.
@@ -587,4 +589,113 @@ type panickingAlg struct{}
 func (panickingAlg) Name() string { return "boom" }
 func (panickingAlg) Schedule(*sched.Problem) (*sched.Schedule, error) {
 	panic("solver bug")
+}
+
+// jobView converts a stored job to its wire form, as the handlers did
+// before they wrote replies with wire.Writer: the oracle side of
+// TestJobRepliesMatchEncoder.
+func jobView(j *jobs.Job) *JobView {
+	v := &JobView{
+		ID:              j.ID,
+		Algorithm:       j.Algorithm,
+		Hash:            j.Hash,
+		TraceID:         j.TraceID,
+		State:           string(j.State),
+		Attempts:        j.Attempts,
+		MaxAttempts:     j.MaxAttempts,
+		CacheHit:        j.CacheHit,
+		CancelRequested: j.CancelRequested,
+		Error:           j.Error,
+		Result:          j.Result,
+		SubmittedAt:     j.SubmittedAt,
+	}
+	if !j.StartedAt.IsZero() {
+		t := j.StartedAt
+		v.StartedAt = &t
+	}
+	if !j.FinishedAt.IsZero() {
+		t := j.FinishedAt
+		v.FinishedAt = &t
+	}
+	return v
+}
+
+// TestJobRepliesMatchEncoder pins every /v1/jobs reply shape to the bytes
+// the encoding/json encoder it replaced writes for the same wire type.
+func TestJobRepliesMatchEncoder(t *testing.T) {
+	submitted := time.Date(2026, 10, 19, 21, 28, 1, 123456789, time.UTC)
+	started := time.Date(2026, 10, 19, 23, 28, 1, 500000000, time.FixedZone("", 2*3600))
+	finished := time.Now() // a monotonic reading and the local zone
+	result := json.RawMessage(`{"algorithm":"HDLTS","tasks":10,"procs":3,"makespan":73,"schedule":{"algorithm":"HDLTS",` +
+		`"placements":[{"task":0,"proc":2,"start":0,"finish":9.5}]},"elapsed_seconds":1.25e-7}`)
+	base := jobs.Job{ID: "j-0123456789abcdef", Algorithm: "HDLTS", Hash: strings.Repeat("ab", 32),
+		TraceID: "req-1", MaxAttempts: 3, Seq: 4, Problem: json.RawMessage(`{"procs":3}`), SubmittedAt: submitted}
+	job := func(edit func(j *jobs.Job)) *jobs.Job {
+		j := base
+		edit(&j)
+		return &j
+	}
+	queued := job(func(j *jobs.Job) { j.State = jobs.Queued; j.TraceID = "" })
+	running := job(func(j *jobs.Job) { j.State = jobs.Running; j.Attempts = 1; j.StartedAt = started })
+	done := job(func(j *jobs.Job) {
+		j.State, j.Attempts, j.StartedAt, j.FinishedAt, j.Result = jobs.Done, 1, started, finished, result
+	})
+	failed := job(func(j *jobs.Job) {
+		j.State, j.Attempts, j.StartedAt, j.FinishedAt = jobs.Failed, 1, started, finished
+		j.Error = `solve: <task "a"> & 'b' > limit` + " \n"
+	})
+	cancelled := job(func(j *jobs.Job) {
+		j.State, j.CancelRequested, j.StartedAt, j.FinishedAt = jobs.Cancelled, true, started, finished
+	})
+	cacheHit := job(func(j *jobs.Job) {
+		j.State, j.CacheHit, j.FinishedAt, j.Problem = jobs.Done, true, submitted, nil
+		j.Result = json.RawMessage(" {\"makespan\": 73,\n \"note\": \"<a>&\\u00e9\", \"v\": [1, 2.50, {}]} ")
+	})
+	const full = "queue full (64 queued, 2 workers)"
+
+	for _, c := range []struct {
+		name   string
+		write  func(w *wire.Writer) error
+		oracle any
+	}{
+		{"queued", func(w *wire.Writer) error { return appendJob(w, queued) }, jobView(queued)},
+		{"running", func(w *wire.Writer) error { return appendJob(w, running) }, jobView(running)},
+		{"done", func(w *wire.Writer) error { return appendJob(w, done) }, jobView(done)},
+		{"failed", func(w *wire.Writer) error { return appendJob(w, failed) }, jobView(failed)},
+		{"cancelled", func(w *wire.Writer) error { return appendJob(w, cancelled) }, jobView(cancelled)},
+		{"cache hit", func(w *wire.Writer) error { return appendJob(w, cacheHit) }, jobView(cacheHit)},
+		{"batch with a 429", func(w *wire.Writer) error {
+			return appendJobBatch(w, []submitOutcome{{job: queued}, {err: full, status: http.StatusTooManyRequests}, {job: cacheHit}})
+		}, JobBatchResponse{Jobs: []JobBatchItem{
+			{Job: jobView(queued)}, {Error: full, Status: http.StatusTooManyRequests}, {Job: jobView(cacheHit)},
+		}}},
+		{"list page", func(w *wire.Writer) error {
+			return appendJobList(w, []*jobs.Job{done, running, queued}, 7, 2, 3)
+		}, JobListResponse{Jobs: []*JobView{jobView(done), jobView(running), jobView(queued)}, Total: 7, Offset: 2, Limit: 3}},
+		{"empty list", func(w *wire.Writer) error {
+			return appendJobList(w, nil, 0, 5, 50)
+		}, JobListResponse{Jobs: []*JobView{}, Offset: 5, Limit: 50}},
+		{"error", func(w *wire.Writer) error {
+			appendError(w, `job 1: unknown algorithm "<nope>" & more`, http.StatusBadRequest)
+			return nil
+		}, ErrorResponse{Error: `job 1: unknown algorithm "<nope>" & more`, Status: http.StatusBadRequest}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(c.oracle); err != nil {
+				t.Fatal(err)
+			}
+			w := wire.GetWriter(true)
+			defer w.Free()
+			if err := errors.Join(c.write(w), w.Err()); err != nil {
+				t.Fatal(err)
+			}
+			w.Newline()
+			if !bytes.Equal(w.Bytes(), want.Bytes()) {
+				t.Errorf("wire.Writer wrote\n%s\nthe encoder writes\n%s", w.Bytes(), want.Bytes())
+			}
+		})
+	}
 }

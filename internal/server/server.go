@@ -424,7 +424,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			s.scheduleError(w, out.status, "schedule", out.err)
 			return
 		}
-		writeBody(w, out.body)
+		writeBody(w, http.StatusOK, out.body)
 	case <-ctx.Done():
 		s.scheduleError(w, http.StatusGatewayTimeout, "timeout",
 			fmt.Errorf("request exceeded %s: %w", s.cfg.RequestTimeout, ctx.Err()))
@@ -577,7 +577,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // error counter.
 func (s *Server) scheduleError(w http.ResponseWriter, status int, reason string, err error) {
 	s.cfg.Metrics.Counter(metricScheduleErrors, "reason", reason).Inc()
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Status: status})
+	writeError(w, status, err.Error())
 }
 
 // writeJSON renders v as the complete response body with the given status.
@@ -589,13 +589,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeBody sends an indented document as the complete 200 body, with
-// writeJSON's framing, and frees it.
-func writeBody(w http.ResponseWriter, body *wire.Writer) {
+// writeBody sends an indented document as the complete body with the
+// given status, with writeJSON's framing, and frees it.
+func writeBody(w http.ResponseWriter, status int, body *wire.Writer) {
 	defer body.Free()
 	body.Newline()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	_, _ = w.Write(body.Bytes())
 }
 

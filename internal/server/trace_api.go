@@ -51,7 +51,7 @@ func (s *Server) writeTrace(rw http.ResponseWriter, tr *obs.Trace, jobID string)
 		s.traceError(rw, http.StatusInternalServerError, "encode", fmt.Errorf("encode trace: %w", err))
 		return
 	}
-	writeBody(rw, w)
+	writeBody(rw, http.StatusOK, w)
 }
 
 // handleTraceGet serves GET /v1/traces/{id}: the trace recorded for one
@@ -113,5 +113,5 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // matching error counter.
 func (s *Server) traceError(w http.ResponseWriter, status int, reason string, err error) {
 	s.cfg.Metrics.Counter(metricTraceErrors, "reason", reason).Inc()
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Status: status})
+	writeError(w, status, err.Error())
 }

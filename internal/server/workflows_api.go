@@ -144,5 +144,5 @@ func (s *Server) handleWorkflowCancel(w http.ResponseWriter, r *http.Request) {
 // error counter.
 func (s *Server) workflowError(w http.ResponseWriter, status int, reason string, err error) {
 	s.cfg.Metrics.Counter(metricWorkflowErrors, "reason", reason).Inc()
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf("workflow: %v", err), Status: status})
+	writeError(w, status, fmt.Sprintf("workflow: %v", err))
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestAppendFloatMatchesStdlib(t *testing.T) {
@@ -332,5 +333,36 @@ func TestUint64MatchesStdlib(t *testing.T) {
 		if (werr == nil) != (gerr == nil) || got != want {
 			t.Errorf("Uint64Into(%s) = %d (%v), encoding/json %d (%v)", lit, got, gerr, want, werr)
 		}
+	}
+}
+
+// TestTimeMatchesMarshalJSON holds Writer.Time to time.Time.MarshalJSON:
+// the same bytes, and an error where MarshalJSON refuses the time.
+func TestTimeMatchesMarshalJSON(t *testing.T) {
+	for _, tm := range []time.Time{
+		{},
+		time.Date(2026, 10, 19, 21, 28, 1, 123456789, time.UTC),
+		time.Date(2026, 1, 2, 3, 4, 5, 500000000, time.FixedZone("", 2*3600)),
+		time.Date(1999, 12, 31, 23, 59, 59, 0, time.FixedZone("", -(9*3600+30*60))),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600)),
+		time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("", -(23*3600+59*60+59))),
+		time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("", 100*3600)),
+		time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("", -30)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.FixedZone("", -3600)),
+		time.Unix(0, 0).In(time.FixedZone("", 5*3600+45*60)),
+	} {
+		want, werr := tm.MarshalJSON()
+		w := GetWriter(false)
+		w.Time(tm)
+		if werr != nil {
+			if w.Err() == nil {
+				t.Errorf("Time(%v) wrote %s; MarshalJSON refuses it: %v", tm, w.Bytes(), werr)
+			}
+		} else if w.Err() != nil || !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("Time(%v) = %s, %v; MarshalJSON writes %s", tm, w.Bytes(), w.Err(), want)
+		}
+		w.Free()
 	}
 }

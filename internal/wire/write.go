@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"time"
 	"unicode/utf8"
 )
 
@@ -182,6 +183,37 @@ func (w *Writer) Float(v float64) {
 func (w *Writer) Bool(v bool) {
 	w.value()
 	w.buf = strconv.AppendBool(w.buf, v)
+}
+
+// Time writes t as time.Time.MarshalJSON does: RFC 3339 with
+// nanoseconds, quoted. A time MarshalJSON refuses (a year outside
+// [0,9999], a zone offset of 24 hours or more) is kept in Err, as Float
+// keeps a non-finite value.
+func (w *Writer) Time(t time.Time) {
+	w.value()
+	start := len(w.buf) + 1
+	b := t.AppendFormat(append(w.buf, '"'), time.RFC3339Nano)
+	if !strictRFC3339(b[start:]) {
+		if w.err == nil {
+			w.err = errors.New("wire: unsupported value: time " + string(b[start:]))
+		}
+		return
+	}
+	w.buf = append(b, '"')
+}
+
+// strictRFC3339 reports whether s, a time in RFC3339Nano form, is one
+// MarshalJSON writes: a four-digit year, and a zone offset, when there is
+// one, under 24 hours.
+func strictRFC3339(s []byte) bool {
+	if s[4] != '-' {
+		return false
+	}
+	if s[len(s)-1] == 'Z' {
+		return true
+	}
+	zone := s[len(s)-len("+07:00"):]
+	return (zone[0] == '+' || zone[0] == '-') && (zone[1]-'0')*10+(zone[2]-'0') < 24
 }
 
 // Null writes null.
