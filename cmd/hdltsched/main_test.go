@@ -66,6 +66,23 @@ func TestRunExplainDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunExplainGolden holds -explain's stdout on Fig. 1 byte for byte to
+// testdata/explain_fig1.golden, for all six algorithms: HDLTS with per-task
+// rationale, the rest placements only.
+func TestRunExplainGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, strings.NewReader(exampleJSON(t)), options{Alg: "all", In: "-", Explain: true, Validate: true, Width: 60}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "explain_fig1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-explain output differs from the fixture\ngot:\n%s\nwant:\n%s", out.Bytes(), want)
+	}
+}
+
 func TestRunAllAlgorithmsWithGantt(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, strings.NewReader(exampleJSON(t)), options{Alg: "all", In: "-", Gantt: true, Validate: true, Width: 60}); err != nil {
