@@ -156,32 +156,24 @@ func run(out io.Writer, stdin io.Reader, o options) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tmakespan\tSLR\tspeedup\tefficiency\tduplicates")
 	for _, a := range algos {
+		// -explain reads each run's rationale from its kept decision record.
+		keep, tr := new(obs.RecordKeeper), tracer
+		if o.Explain {
+			tr = obs.Multi(tracer, keep)
+		}
 		prA := pr
-		if tracer.Enabled() {
-			prA = pr.WithTracer(obs.Named(tracer, a.Name()))
+		if tr.Enabled() {
+			prA = pr.WithTracer(obs.Named(tr, a.Name()))
 		}
 		var s *sched.Schedule
-		var decisions []core.Decision
-		switch {
-		case o.Trace && a.Name() == "HDLTS":
+		if o.Trace && a.Name() == "HDLTS" {
 			var steps []core.Step
 			s, steps, err = core.New().ScheduleTrace(prA)
 			if err != nil {
 				return err
 			}
 			printTrace(out, steps)
-		case o.Explain:
-			// Capture per-task rationale when the algorithm supports it; a
-			// plain solve still yields the structural report surfaces.
-			if ex, ok := a.(explain.Explainer); ok {
-				s, decisions, err = ex.ScheduleExplained(prA)
-			} else {
-				s, err = a.Schedule(prA)
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", a.Name(), err)
-			}
-		default:
+		} else {
 			s, err = a.Schedule(prA)
 			if err != nil {
 				return fmt.Errorf("%s: %w", a.Name(), err)
@@ -220,7 +212,7 @@ func run(out io.Writer, stdin io.Reader, o options) error {
 		}
 		if o.Explain {
 			tw.Flush()
-			rep, err := explain.Schedule(s, a.Name(), decisions)
+			rep, err := explain.Schedule(s, a.Name(), keep.Record())
 			if err != nil {
 				return err
 			}

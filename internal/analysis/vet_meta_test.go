@@ -2,8 +2,32 @@ package analysis
 
 import (
 	"go/token"
+	"sync"
 	"testing"
 )
+
+// The module is type-checked once per test binary and shared: loading it
+// takes seconds.
+var (
+	moduleOnce sync.Once
+	moduleFset *token.FileSet
+	modulePkgs []*LoadedPackage
+	moduleErr  error
+)
+
+// loadModule returns the module's packages, loaded with LoadPackages from
+// the module root.
+func loadModule(t *testing.T) (*token.FileSet, []*LoadedPackage) {
+	t.Helper()
+	moduleOnce.Do(func() {
+		moduleFset = token.NewFileSet()
+		modulePkgs, moduleErr = LoadPackages(moduleFset, "../..", "./...")
+	})
+	if moduleErr != nil {
+		t.Fatalf("load module: %v", moduleErr)
+	}
+	return moduleFset, modulePkgs
+}
 
 // TestModuleClean runs the full analyzer suite over the real module — the
 // same invocation as CI's blocking `go run ./cmd/hdltsvet ./...` step — and
@@ -13,11 +37,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short runs")
 	}
-	fset := token.NewFileSet()
-	pkgs, err := LoadPackages(fset, "../..", "./...")
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	fset, pkgs := loadModule(t)
 	diags, err := Run(fset, pkgs, Suite())
 	if err != nil {
 		t.Fatalf("run suite: %v", err)

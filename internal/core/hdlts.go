@@ -25,9 +25,9 @@
 // and serves every solve, traced, Table-I and explain solves included.
 // Untraced plain solves are allocation-free in the steady state;
 // docs/SOLVER.md maps Algorithm 1 onto the core line by line. Decision
-// state leaves it as one per-solve decision record (record.go); tracer
-// events, the Table-I Step trace and the explain Decision log are views of
-// that record.
+// state leaves it only as one per-solve decision record (record.go),
+// handed to the problem's tracer; tracer events, the Table-I Step trace
+// and the explain rationale (internal/explain) are views of that record.
 // The direct transcription of the paper's loop survives only as a
 // test-time differential oracle (reference_test.go).
 package core
@@ -179,7 +179,7 @@ func PickHDLTS(ready []dag.TaskID, procs []platform.Proc, eft func(dag.TaskID, p
 // zero-cost pseudo tasks first; the returned schedule references the
 // normalised problem (its Makespan equals the original workflow's).
 func (h *HDLTS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	return h.run(pr, nil, nil)
+	return h.run(pr, nil)
 }
 
 // ScheduleInto is Schedule reusing the backing storage of a schedule
@@ -190,42 +190,35 @@ func (h *HDLTS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 // reset and rebound to pr's normalised form. Passing nil is equivalent to
 // Schedule.
 func (h *HDLTS) ScheduleInto(pr *sched.Problem, prev *sched.Schedule) (*sched.Schedule, error) {
-	return h.run(pr, prev, nil)
+	return h.run(pr, prev)
 }
 
 // ScheduleTrace is Schedule plus the per-iteration trace of ready sets,
 // penalty values, selections, and EFT vectors — the exact content of the
-// paper's Table I.
+// paper's Table I — read from the decision record an obs.RecordKeeper keeps.
 func (h *HDLTS) ScheduleTrace(pr *sched.Problem) (*sched.Schedule, []Step, error) {
-	var steps []Step
-	s, err := h.run(pr, nil, func(dr *obs.DecisionRecord) { steps = stepsOf(dr) })
+	keep := new(obs.RecordKeeper)
+	s, err := h.run(pr.WithTracer(obs.Multi(pr.Tracer(), keep)), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, steps, nil
+	return s, stepsOf(keep.Record()), nil
 }
 
 // run normalises the problem and solves it on the indexed core. The solve
-// is recorded when view is non-nil or the problem carries an enabled
-// tracer — settled here, once per solve. A traced solve hands its tracer
-// its decision record whether or not the solve succeeded; view reads the
-// record of a successful solve.
-func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule, view func(*obs.DecisionRecord)) (*sched.Schedule, error) {
+// is recorded when the problem carries an enabled tracer — settled here,
+// once per solve — and the tracer is handed the decision record whether
+// or not the solve succeeded.
+func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule) (*sched.Schedule, error) {
 	pr = pr.Normalize()
 	tr := pr.Tracer()
-	traced := tr.Enabled()
-	if view == nil && !traced {
+	if !tr.Enabled() {
 		return h.runIndexed(pr, prev, nil)
 	}
 	rec := newRecorder(pr.NumProcs())
 	defer rec.release()
 	s, err := h.runIndexed(pr, prev, rec)
-	if traced {
-		obs.EmitRecord(tr, rec.dr)
-	}
-	if err == nil && view != nil {
-		view(rec.dr)
-	}
+	obs.EmitRecord(tr, rec.dr)
 	return s, err
 }
 

@@ -208,16 +208,18 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 				t.Fatalf("pair %d opts %+v: indexed and reference schedules differ\nindexed:\n%s\nreference:\n%s",
 					i, o, bi, br)
 			}
-			// Rationale capture must be a pure observer: the explain solve's
-			// schedule stays byte-identical to the uncaptured one.
-			se, decs, err := indexed.ScheduleExplained(pr)
+			// Record capture, as explain attaches it, must be a pure
+			// observer: the recorded solve's schedule stays byte-identical
+			// to the unrecorded one.
+			keep := new(obs.RecordKeeper)
+			se, err := indexed.Schedule(pr.WithTracer(keep))
 			if err != nil {
-				t.Fatalf("pair %d opts %+v: explained: %v", i, o, err)
+				t.Fatalf("pair %d opts %+v: recorded: %v", i, o, err)
 			}
 			if be := canonicalBytes(t, se); !bytes.Equal(bi, be) {
 				t.Fatalf("pair %d opts %+v: capture changed the schedule", i, o)
 			}
-			if len(decs) == 0 {
+			if keep.Record().Len() == 0 {
 				t.Fatalf("pair %d opts %+v: no decisions captured", i, o)
 			}
 			ei, ering, dropped, er := eventStreams(t, pr, o)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
@@ -15,13 +14,13 @@ import (
 // hands it a view of every ITQ iteration just before the commit — the
 // selected row, its winning estimate, the iteration ordinal, and the live
 // rows sorted ascending by task ID — and it appends that iteration to one
-// obs.DecisionRecord. Everything else is a view of the record, each built
-// by one function:
+// obs.DecisionRecord, which the solve hands its problem's tracer.
+// Everything else is a view of the record, read through that tracer:
 //
 //   - the pv/iteration/commit event stream (obs.DecisionRecord.Render),
-//     which the record's tracer renders or keeps whole;
-//   - the Table-I Step trace (stepsOf);
-//   - the explain Decision log (decisionsOf).
+//     which the tracer renders or keeps whole;
+//   - the Table-I Step trace (stepsOf, from an obs.RecordKeeper);
+//   - the explain rationale (internal/explain, from an obs.RecordKeeper).
 //
 // Whether to record is decided once per solve: untraced plain solves run
 // with a nil recorder and pay one pointer test per iteration, which keeps
@@ -112,11 +111,6 @@ func (r *recorder) record(a *arena, t dag.TaskID, row int32, best sched.Estimate
 	}
 }
 
-// eftRow is iteration i's EFT row, copied.
-func eftRow(dr *obs.DecisionRecord, i int) []float64 {
-	return slices.Clone(dr.EFT[i*dr.Procs : (i+1)*dr.Procs])
-}
-
 // stepsOf is the Table-I view of a record.
 func stepsOf(dr *obs.DecisionRecord) []Step {
 	steps := make([]Step, 0, dr.Len())
@@ -125,7 +119,7 @@ func stepsOf(dr *obs.DecisionRecord) []Step {
 			Ready:      make([]dag.TaskID, len(queue)),
 			PV:         slices.Clone(pv),
 			Selected:   dag.TaskID(dr.Task[i]),
-			EFT:        eftRow(dr, i),
+			EFT:        slices.Clone(dr.EFT[i*dr.Procs : (i+1)*dr.Procs]),
 			Proc:       platform.Proc(dr.Proc[i]),
 			Duplicated: dr.Dup[i],
 		}
@@ -135,41 +129,4 @@ func stepsOf(dr *obs.DecisionRecord) []Step {
 		steps = append(steps, st)
 	})
 	return steps
-}
-
-// decisionsOf is the explain view of a record. Queues wider than
-// itqCaptureCap keep their top entries in the solver's own selection order
-// (PV descending, task ascending), listed in task order.
-func decisionsOf(dr *obs.DecisionRecord) []Decision {
-	decisions := make([]Decision, 0, dr.Len())
-	dups := 0
-	dr.Replay(func(i int, queue []int32, pv []float64) {
-		sel, _ := slices.BinarySearch(queue, dr.Task[i])
-		d := Decision{
-			Iter:     i + 1,
-			Task:     dag.TaskID(dr.Task[i]),
-			PV:       pv[sel],
-			ITQWidth: len(queue),
-			ITQ:      make([]ITQItem, len(queue)),
-			EFT:      eftRow(dr, i),
-			EST:      dr.EST[i],
-			Proc:     platform.Proc(dr.Proc[i]),
-			Slotted:  dr.Slotted[i],
-		}
-		if dr.Dup[i] {
-			d.Duplicated = true
-			d.DupTask = dag.TaskID(dr.DupTask[dups])
-			dups++
-		}
-		for j, q := range queue {
-			d.ITQ[j] = ITQItem{Task: dag.TaskID(q), PV: pv[j]}
-		}
-		if len(d.ITQ) > itqCaptureCap {
-			slices.SortStableFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(y.PV, x.PV) })
-			d.ITQ = d.ITQ[:itqCaptureCap]
-			slices.SortFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(x.Task, y.Task) })
-		}
-		decisions = append(decisions, d)
-	})
-	return decisions
 }

@@ -7,20 +7,27 @@
 // -explain`, `POST /v1/schedule?explain=1`, and `GET
 // /v1/workflows/{id}/explain` — it never influences scheduling.
 //
+// The rationale is read from the solve's decision record: callers add an
+// obs.RecordKeeper to the problem's tracer, beside any other, and hand its
+// record to Schedule. Solvers that emit no record leave it nil, and their
+// reports carry placements only.
+//
 // Schedule reports are byte-deterministic for a fixed problem: every field
-// derives from the schedule and the capture, both bit-reproducible, every
+// derives from the schedule and the record, both bit-reproducible, every
 // list is emitted in a fixed order, and no wall-clock value appears.
 // Workflow reports are built from observed execution records and inherit
 // their measured (non-reproducible) durations by design.
 package explain
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
-	"hdlts/internal/core"
 	"hdlts/internal/dag"
 	"hdlts/internal/exec"
+	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
@@ -29,14 +36,10 @@ import (
 // slots abut within this tolerance reports no gap.
 const gapFloor = 1e-9
 
-// Explainer is implemented by algorithms that can solve with rationale
-// capture attached (core.HDLTS and its ablation variants). Callers type-
-// assert an sched.Algorithm against it; algorithms without capture still
-// get a report via Schedule with nil decisions — placements, critical path,
-// and utilization, just no per-decision rationale.
-type Explainer interface {
-	ScheduleExplained(pr *sched.Problem) (*sched.Schedule, []core.Decision, error)
-}
+// itqCap bounds a rationale's ITQ snapshot. Wider queues keep their top
+// entries by (PV descending, task ascending), the solver's own selection
+// order, and ITQWidth still reports the true size.
+const itqCap = 32
 
 // Report explains one solved schedule.
 type Report struct {
@@ -88,10 +91,93 @@ type Placement struct {
 	// elsewhere on the platform.
 	Duplicated bool `json:"duplicated,omitempty"`
 	Copies     int  `json:"copies,omitempty"`
-	// Rationale is the solver's captured decision for this task — EFT
-	// candidates per processor, ITQ membership and PV at commit — when the
-	// schedule was solved with capture (nil otherwise).
-	Rationale *core.Decision `json:"rationale,omitempty"`
+	// Rationale is the solver's decision for this task — EFT candidates
+	// per processor, ITQ membership and PV at commit — when the schedule
+	// comes with a decision record (nil otherwise).
+	Rationale *Decision `json:"rationale,omitempty"`
+}
+
+// Decision is the rationale of one ITQ iteration: why this task, why this
+// processor. Task IDs refer to the normalised problem (pseudo entry/exit
+// tasks included on multi-entry/exit workflows).
+type Decision struct {
+	// Iter is the 1-based ITQ iteration ordinal.
+	Iter int `json:"iter"`
+	// Task is the committed task.
+	Task dag.TaskID `json:"task"`
+	// PV is the committed task's penalty value — the maximum over the ITQ,
+	// ties broken to the smaller task ID.
+	PV float64 `json:"pv"`
+	// ITQWidth is the queue size at the decision (before removal).
+	ITQWidth int `json:"itq_width"`
+	// ITQ snapshots the queue membership, ascending by task ID, truncated
+	// to itqCap by selection priority when wider.
+	ITQ []ITQItem `json:"itq,omitempty"`
+	// EFT is the candidate earliest-finish-time vector by processor — what
+	// the solver compared to pick Proc.
+	EFT []float64 `json:"eft"`
+	// EST and the winning EFT (EFT[Proc]) delimit the committed slot.
+	EST float64 `json:"est"`
+	// Proc is the chosen processor (minimum EFT, or best lookahead score).
+	Proc platform.Proc `json:"proc"`
+	// Slotted reports insertion-based placement into an idle gap: the slot
+	// starts before the processor's append point did at commit time. Always
+	// false under the paper's avail-based placement.
+	Slotted bool `json:"slotted"`
+	// Duplicated reports that the commit materialised an entry duplicate on
+	// Proc; DupTask is the duplicated entry task when it did.
+	Duplicated bool       `json:"duplicated"`
+	DupTask    dag.TaskID `json:"dup_task,omitempty"`
+}
+
+// ITQItem is one queued task in a decision's ITQ snapshot.
+type ITQItem struct {
+	// Task is the queued task (normalised problem IDs).
+	Task dag.TaskID `json:"task"`
+	// PV is the task's penalty value at the moment of the decision.
+	PV float64 `json:"pv"`
+}
+
+// rationale is the explain view of a decision record on n tasks: each
+// iteration's Decision, indexed by the task it committed (nil for every
+// task when rec is). Queues wider than itqCap keep their top entries in
+// the solver's own selection order (PV descending, task ascending), listed
+// in task order.
+func rationale(rec *obs.DecisionRecord, n int) []*Decision {
+	byTask := make([]*Decision, n)
+	if rec == nil {
+		return byTask
+	}
+	dups := 0
+	rec.Replay(func(i int, queue []int32, pv []float64) {
+		sel, _ := slices.BinarySearch(queue, rec.Task[i])
+		d := &Decision{
+			Iter:       i + 1,
+			Task:       dag.TaskID(rec.Task[i]),
+			PV:         pv[sel],
+			ITQWidth:   len(queue),
+			ITQ:        make([]ITQItem, len(queue)),
+			EFT:        slices.Clone(rec.EFT[i*rec.Procs : (i+1)*rec.Procs]),
+			EST:        rec.EST[i],
+			Proc:       platform.Proc(rec.Proc[i]),
+			Slotted:    rec.Slotted[i],
+			Duplicated: rec.Dup[i],
+		}
+		if d.Duplicated {
+			d.DupTask = dag.TaskID(rec.DupTask[dups])
+			dups++
+		}
+		for j, q := range queue {
+			d.ITQ[j] = ITQItem{Task: dag.TaskID(q), PV: pv[j]}
+		}
+		if len(d.ITQ) > itqCap {
+			slices.SortStableFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(y.PV, x.PV) })
+			d.ITQ = d.ITQ[:itqCap]
+			slices.SortFunc(d.ITQ, func(x, y ITQItem) int { return cmp.Compare(x.Task, y.Task) })
+		}
+		byTask[d.Task] = d
+	})
+	return byTask
 }
 
 // ProcReport accounts for one processor lane.
@@ -118,10 +204,11 @@ type Gap struct {
 }
 
 // Schedule builds the explainability report for a complete schedule.
-// decisions, when non-nil, is the capture from core.ScheduleExplained —
-// task-matched into each placement's rationale. The schedule must be
-// complete (every task placed).
-func Schedule(s *sched.Schedule, algorithm string, decisions []core.Decision) (*Report, error) {
+// rec, when non-nil, is the decision record of the solve that produced s
+// (an obs.RecordKeeper's); each iteration becomes the rationale of the
+// placement of the task it committed. The schedule must be complete
+// (every task placed).
+func Schedule(s *sched.Schedule, algorithm string, rec *obs.DecisionRecord) (*Report, error) {
 	pr := s.Problem()
 	slack, err := s.ComputeSlack()
 	if err != nil {
@@ -130,10 +217,7 @@ func Schedule(s *sched.Schedule, algorithm string, decisions []core.Decision) (*
 	n, np := pr.NumTasks(), pr.NumProcs()
 	makespan := s.Makespan()
 
-	byTask := make(map[dag.TaskID]*core.Decision, len(decisions))
-	for i := range decisions {
-		byTask[decisions[i].Task] = &decisions[i]
-	}
+	byTask := rationale(rec, n)
 	critical := make(map[dag.TaskID]bool, len(slack.Critical))
 	for _, t := range slack.Critical {
 		critical[t] = true
@@ -165,7 +249,7 @@ func Schedule(s *sched.Schedule, algorithm string, decisions []core.Decision) (*
 			Critical: critical[id],
 			Copies:   len(s.Copies(id)) - 1,
 		}
-		if d := byTask[id]; d != nil {
+		if d := byTask[t]; d != nil {
 			p.Rationale = d
 			p.Duplicated = d.Duplicated
 		}

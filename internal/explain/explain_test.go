@@ -11,10 +11,11 @@ import (
 	"hdlts/internal/core"
 	"hdlts/internal/exec"
 	"hdlts/internal/gen"
+	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 )
 
-func solveExplained(t *testing.T, seed int64) (*sched.Schedule, []core.Decision, *sched.Problem) {
+func solveExplained(t *testing.T, seed int64) (*sched.Schedule, *obs.DecisionRecord, *sched.Problem) {
 	t.Helper()
 	pr, err := gen.Random(gen.Params{
 		V: 200, Alpha: 1.5, Density: 3, CCR: 2, Procs: 5, WDAG: 80, Beta: 1.2,
@@ -22,12 +23,8 @@ func solveExplained(t *testing.T, seed int64) (*sched.Schedule, []core.Decision,
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := core.New()
-	s, decs, err := h.ScheduleExplained(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, decs, pr
+	s, rec := solve(t, core.New(), pr)
+	return s, rec, pr
 }
 
 func TestScheduleReportStructure(t *testing.T) {

@@ -13,26 +13,30 @@ import (
 	"hdlts/internal/dag"
 	"hdlts/internal/gen"
 	"hdlts/internal/heuristics"
+	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 	"hdlts/internal/workflows"
 )
 
-// explainBytes solves pr with alg, rationale attached when alg records
-// one, and marshals the report as the ?explain=1 body's explain field.
-func explainBytes(t *testing.T, alg sched.Algorithm, pr *sched.Problem) []byte {
+// solve schedules pr with alg, an obs.RecordKeeper attached as the
+// callers of Schedule attach it, and returns the schedule and the kept
+// decision record (nil when alg emits none).
+func solve(t *testing.T, alg sched.Algorithm, pr *sched.Problem) (*sched.Schedule, *obs.DecisionRecord) {
 	t.Helper()
-	var s *sched.Schedule
-	var decs []core.Decision
-	var err error
-	if ex, ok := alg.(Explainer); ok {
-		s, decs, err = ex.ScheduleExplained(pr)
-	} else {
-		s, err = alg.Schedule(pr)
-	}
+	keep := new(obs.RecordKeeper)
+	s, err := alg.Schedule(pr.WithTracer(keep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Schedule(s, alg.Name(), decs)
+	return s, keep.Record()
+}
+
+// explainBytes solves pr with alg and marshals the report as the
+// ?explain=1 body's explain field.
+func explainBytes(t *testing.T, alg sched.Algorithm, pr *sched.Problem) []byte {
+	t.Helper()
+	s, rec := solve(t, alg, pr)
+	rep, err := Schedule(s, alg.Name(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

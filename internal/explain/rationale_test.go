@@ -1,4 +1,4 @@
-package core
+package explain
 
 import (
 	"bytes"
@@ -6,30 +6,76 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
+	"hdlts/internal/core"
 	"hdlts/internal/gen"
+	"hdlts/internal/sched"
 )
 
-// TestScheduleExplainedInvariants checks the captured rationale against the
-// solver's own contracts on random problems: one decision per normalised
-// task, candidate vectors of platform width, the winning EFT the vector
-// minimum (paper configuration), the committed PV the queue maximum, and
-// the ITQ snapshot sorted with the winner present.
-func TestScheduleExplainedInvariants(t *testing.T) {
+// rationaleOptions is every HDLTS option set the rationale is checked
+// under.
+var rationaleOptions = []core.Options{
+	{},
+	{DisableDuplication: true},
+	{Insertion: true},
+	{PopulationSigma: true},
+	{Lookahead: true},
+}
+
+// randomProblem draws one problem from the solver tests' distribution:
+// 1–100 tasks, 2–10 processors, half of them with several entry and exit
+// tasks.
+func randomProblem(t *testing.T, rng *rand.Rand) *sched.Problem {
+	t.Helper()
+	pr, err := gen.Random(gen.Params{
+		V:          1 + rng.Intn(100),
+		Alpha:      []float64{0.5, 1.0, 1.5, 2.0, 2.5}[rng.Intn(5)],
+		Density:    1 + rng.Intn(5),
+		CCR:        float64(1 + rng.Intn(5)),
+		Procs:      2 + 2*rng.Intn(5),
+		WDAG:       50 + float64(10*rng.Intn(6)),
+		Beta:       []float64{0.4, 0.8, 1.2, 1.6, 2.0}[rng.Intn(5)],
+		MultiEntry: rng.Intn(2) == 0,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// explained solves pr with h and builds its report, returning the report
+// and its rationales in iteration order.
+func explained(t *testing.T, h *core.HDLTS, pr *sched.Problem) (*Report, []*Decision) {
+	t.Helper()
+	s, rec := solve(t, h, pr)
+	rep, err := Schedule(s, h.Name(), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decs []*Decision
+	for i := range rep.Placements {
+		if d := rep.Placements[i].Rationale; d != nil {
+			decs = append(decs, d)
+		}
+	}
+	sort.Slice(decs, func(i, k int) bool { return decs[i].Iter < decs[k].Iter })
+	return rep, decs
+}
+
+// TestScheduleRationaleInvariants checks the report's rationale against
+// the solver's own contracts on random problems: one decision per
+// normalised task, attached to that task's placement, candidate vectors of
+// platform width, the winning EFT the vector minimum (paper
+// configuration), the committed PV the queue maximum, and the ITQ snapshot
+// sorted with the winner present.
+func TestScheduleRationaleInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20; i++ {
-		pr, err := randomProblem(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := New()
-		s, decs, err := h.ScheduleExplained(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		npr := pr.Normalize()
-		n, np := npr.NumTasks(), npr.NumProcs()
+		pr := randomProblem(t, rng)
+		rep, decs := explained(t, core.New(), pr)
+		n, np := rep.Tasks, rep.Procs
 		if len(decs) != n {
 			t.Fatalf("problem %d: %d decisions for %d tasks", i, len(decs), n)
 		}
@@ -73,36 +119,31 @@ func TestScheduleExplainedInvariants(t *testing.T) {
 					}
 				}
 			}
-			if found == false && d.ITQWidth <= itqCaptureCap {
+			if !found && d.ITQWidth <= itqCap {
 				t.Fatalf("problem %d iter %d: committed task %d missing from full ITQ snapshot",
 					i, d.Iter, d.Task)
 			}
-			pl, ok := s.PlacementOf(d.Task)
-			if !ok || pl.Proc != d.Proc {
+			pl := rep.Placements[d.Task]
+			if pl.Rationale != d || pl.Proc != int(d.Proc) {
 				t.Fatalf("problem %d iter %d: schedule places task %d elsewhere", i, d.Iter, d.Task)
 			}
 		}
 	}
 }
 
-// TestScheduleExplainedMatchesTrace cross-checks the capture against the
-// reference oracle's Table-I trace under every option set: same selection
-// sequence, same processors, same duplication decisions, same queue, and
-// the same penalty values and EFT vectors bit for bit.
-func TestScheduleExplainedMatchesTrace(t *testing.T) {
+// TestScheduleRationaleMatchesTrace cross-checks the rationale against the
+// Table-I trace under every option set: same selection sequence, same
+// processors, same duplication decisions, same queue, and the same penalty
+// values and EFT vectors bit for bit. internal/core holds that trace to
+// the paper's literal loop (TestQuickIncrementalMatchesFullRecompute).
+func TestScheduleRationaleMatchesTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 20; i++ {
-		pr, err := randomProblem(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range optionSets {
-			h := NewWithOptions(o)
-			_, decs, err := h.ScheduleExplained(pr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, steps, err := h.runReference(pr, false)
+		pr := randomProblem(t, rng)
+		for _, o := range rationaleOptions {
+			h := core.NewWithOptions(o)
+			_, decs := explained(t, h, pr)
+			_, steps, err := h.ScheduleTrace(pr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +169,7 @@ func TestScheduleExplainedMatchesTrace(t *testing.T) {
 						t.Fatalf("problem %d opts %+v iter %d: EFT[%d] %v vs trace %v", i, o, k+1, p, d.EFT[p], st.EFT[p])
 					}
 				}
-				if d.ITQWidth <= itqCaptureCap {
+				if d.ITQWidth <= itqCap {
 					for j, it := range d.ITQ {
 						if it.Task != st.Ready[j] || math.Float64bits(it.PV) != math.Float64bits(st.PV[j]) {
 							t.Fatalf("problem %d opts %+v iter %d: ITQ[%d] %+v vs trace (T%d, %v)",
@@ -141,25 +182,18 @@ func TestScheduleExplainedMatchesTrace(t *testing.T) {
 	}
 }
 
-// TestScheduleExplainedDeterministic pins the byte-determinism the CI smoke
-// step asserts end-to-end: two explain solves of the same problem must
-// marshal to identical JSON.
-func TestScheduleExplainedDeterministic(t *testing.T) {
+// TestScheduleRationaleDeterministic pins the byte-determinism the CI
+// smoke step asserts end to end: the rationale of two solves of the same
+// problem marshals to identical JSON.
+func TestScheduleRationaleDeterministic(t *testing.T) {
 	pr, err := gen.Random(gen.Params{
 		V: 400, Alpha: 1.5, Density: 3, CCR: 2, Procs: 6, WDAG: 80, Beta: 1.2,
 	}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New()
-	_, d1, err := h.ScheduleExplained(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, d2, err := h.ScheduleExplained(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, d1 := explained(t, core.New(), pr)
+	_, d2 := explained(t, core.New(), pr)
 	b1, err := json.Marshal(d1)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +203,6 @@ func TestScheduleExplainedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("explain decisions differ across identical solves")
+		t.Fatal("rationale differs across identical solves")
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"unsafe"
@@ -11,7 +12,7 @@ import (
 // ITQ iteration it holds the selected task, the chosen processor and slot,
 // the EFT row the processor was chosen from, and the penalty value of every
 // queued task in task-ID order. It is the only thing the HDLTS recorder
-// produces; the Table-I steps, the explain decisions and the
+// produces; the Table-I steps, the explain rationale and the
 // pv/iteration/commit event stream (Render) are views built from it.
 //
 // Queued task IDs are not stored. Replay rebuilds each iteration's queue
@@ -156,7 +157,7 @@ func (r *DecisionRecord) prefix(budget int) (*DecisionRecord, int) {
 }
 
 // recordSink is implemented by the tracers that take a DecisionRecord
-// whole instead of its rendered events: the trace store's tracer, and the
+// whole instead of its rendered events: DecisionLog, RecordKeeper, and the
 // Named and Multi wrappers, which forward.
 type recordSink interface {
 	Tracer
@@ -248,4 +249,34 @@ func (l *DecisionLog) Render(emit func(Event)) (dropped int) {
 		emit(events[i])
 	}
 	return dropped
+}
+
+// RecordKeeper keeps an exact, uncapped copy of the last decision record
+// it is handed and ignores single events: explain and the Table-I trace
+// read a solve's decisions through one. The zero value is empty; it is a
+// Tracer, safe for concurrent use.
+type RecordKeeper struct {
+	mu  sync.Mutex
+	rec *DecisionRecord
+}
+
+// Enabled implements Tracer.
+func (k *RecordKeeper) Enabled() bool { return true }
+
+// Emit implements Tracer: single events are not kept.
+func (k *RecordKeeper) Emit(Event) {}
+
+// takeRecord keeps an exact copy of r in place of any earlier record.
+func (k *RecordKeeper) takeRecord(r *DecisionRecord) {
+	kept, _ := r.prefix(math.MaxInt)
+	k.mu.Lock()
+	k.rec = kept
+	k.mu.Unlock()
+}
+
+// Record returns the kept record, or nil when none was handed over.
+func (k *RecordKeeper) Record() *DecisionRecord {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.rec
 }

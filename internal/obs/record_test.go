@@ -161,3 +161,34 @@ func TestTraceStoreRecordOnHub(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordKeeper: a RecordKeeper behind Named and Multi keeps an exact
+// copy of the last record it is handed, stamped, sharing nothing with the
+// original, and ignores single events.
+func TestRecordKeeper(t *testing.T) {
+	keep := new(RecordKeeper)
+	if keep.Record() != nil {
+		t.Fatal("empty keeper holds a record")
+	}
+	tr := Named(Multi(new(Collector), keep), "HDLTS")
+	tr.Emit(Event{Type: EvCommit, Task: 1})
+	if keep.Record() != nil {
+		t.Fatal("keeper kept a single event")
+	}
+	r := sampleRecord()
+	EmitRecord(tr, r)
+	want := sampleRecord()
+	want.Alg = "HDLTS"
+	got := keep.Record()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %+v, want %+v", got, want)
+	}
+	r.PV[0], r.Task[0] = 99, 99
+	if got.PV[0] != 1.5 || got.Task[0] != 0 {
+		t.Fatal("kept record shares memory with the emitted one")
+	}
+	EmitRecord(keep, &DecisionRecord{Procs: 2})
+	if keep.Record().Len() != 0 {
+		t.Fatal("keeper did not replace its record")
+	}
+}

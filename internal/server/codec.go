@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"hdlts/internal/obs"
 	"hdlts/internal/sched"
@@ -59,6 +60,22 @@ type ErrorResponse struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
 }
+
+// requestBody caps r's body at limit bytes and reports its Content-Length,
+// clamped to [0, limit], as the Len wire.ReadAll sizes its buffer from in
+// one step: behind http.MaxBytesReader alone the buffer doubles from 512 B.
+func requestBody(w http.ResponseWriter, r *http.Request, limit int64) io.Reader {
+	return sizedBody{http.MaxBytesReader(w, r.Body, limit), int(max(0, min(r.ContentLength, limit)))}
+}
+
+// sizedBody is a request body with its expected length.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+// Len is the expected length, the size hint wire.ReadAll reads.
+func (b sizedBody) Len() int { return b.n }
 
 // decodeScheduleRequest parses and validates one request body in a
 // single pass: the body is read into a pooled buffer, the envelope is

@@ -3,7 +3,11 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,6 +15,7 @@ import (
 	"hdlts/internal/dag"
 	"hdlts/internal/gen"
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 	"hdlts/internal/workflows"
 )
 
@@ -185,5 +190,58 @@ func TestDecodeCyclicWrapsErrCycle(t *testing.T) {
 	_, _, err := decodeScheduleRequest(strings.NewReader(body))
 	if !errors.Is(err, dag.ErrCycle) {
 		t.Errorf("err = %v, want errors.Is(_, dag.ErrCycle)", err)
+	}
+}
+
+// readSpy records the room each Read call is offered: len(p) and cap(p).
+type readSpy struct {
+	r          io.Reader
+	lens, caps []int
+}
+
+func (s *readSpy) Read(p []byte) (int, error) {
+	s.lens = append(s.lens, len(p))
+	s.caps = append(s.caps, cap(p))
+	return s.r.Read(p)
+}
+
+// TestRequestBodySizesReadBuffer: a body behind the handlers' byte cap
+// whose Content-Length matches is read into wire.ReadAll's buffer in one
+// Read, with no regrowth, and a Content-Length far above the cap reserves
+// at most the cap plus bytes.MinRead.
+func TestRequestBodySizesReadBuffer(t *testing.T) {
+	const limit = 64 << 10
+	read := func(body []byte, contentLength int64) (*readSpy, []byte) {
+		t.Helper()
+		spy := &readSpy{r: bytes.NewReader(body)}
+		r := httptest.NewRequest(http.MethodPost, "/v1/schedule", nil)
+		r.Body, r.ContentLength = io.NopCloser(spy), contentLength
+		// An empty read pool, so the buffer is sized by this read alone.
+		runtime.GC()
+		runtime.GC()
+		data, _, err := wire.ReadAll(requestBody(httptest.NewRecorder(), r, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spy, data
+	}
+
+	body := bytes.Repeat([]byte{' '}, 40_000)
+	spy, data := read(body, int64(len(body)))
+	if !bytes.Equal(data, body) {
+		t.Fatal("body read back differs")
+	}
+	if spy.lens[0] < len(body) {
+		t.Errorf("first Read offered %d bytes for a %d-byte body (reads offered %v): the buffer regrew",
+			spy.lens[0], len(body), spy.lens)
+	}
+
+	// Large allocations round up to whole 8 KiB pages.
+	spy, data = read(body[:100], 64*limit)
+	if len(data) != 100 {
+		t.Fatalf("read %d bytes, want 100", len(data))
+	}
+	if reserved, most := spy.caps[0], limit+bytes.MinRead+8<<10; reserved > most {
+		t.Errorf("a %d-byte Content-Length reserved %d bytes, want at most %d", 64*limit, reserved, most)
 	}
 }

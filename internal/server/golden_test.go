@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"regexp"
+	"slices"
 	"testing"
 
 	"hdlts/internal/dag"
@@ -96,7 +97,7 @@ func serverGoldenProblems(t *testing.T) []*sched.Problem {
 }
 
 // TestServerWireCompatGolden checks /v1/schedule bodies (plain, with
-// "trace": true, and with ?explain=1) and stored /v1/jobs results byte for
+// "trace": true, with ?explain=1, and with both) and stored /v1/jobs results byte for
 // byte against the oracle rendering, elapsed_seconds masked.
 func TestServerWireCompatGolden(t *testing.T) {
 	srv := newTestServer(t, Config{})
@@ -121,10 +122,11 @@ func TestServerWireCompatGolden(t *testing.T) {
 			}
 			schedule := json.RawMessage(bytes.TrimSpace(sbuf.Bytes()))
 
+			var traced, explained ScheduleResponse
 			for _, v := range []struct {
 				path  string
 				trace bool
-			}{{"/v1/schedule", false}, {"/v1/schedule", true}, {"/v1/schedule?explain=1", false}} {
+			}{{"/v1/schedule", false}, {"/v1/schedule", true}, {"/v1/schedule?explain=1", false}, {"/v1/schedule?explain=1", true}} {
 				rec := doWithRequestID(srv, http.MethodPost, v.path, "",
 					ScheduleRequest{Algorithm: name, Problem: canon, Trace: v.trace})
 				if rec.Code != http.StatusOK {
@@ -140,6 +142,18 @@ func TestServerWireCompatGolden(t *testing.T) {
 				resp.Schedule = schedule
 				if got, want := maskElapsed(rec.Body.Bytes()), maskElapsed(oracleBody(t, &resp, true)); !bytes.Equal(got, want) {
 					t.Fatalf("problem %d %s %s trace=%v: body differs from the oracle:\n%s\noracle:\n%s", i, name, v.path, v.trace, got, want)
+				}
+				// Explain and trace in one request each match their
+				// single-feature bodies.
+				switch {
+				case v.trace && len(resp.Explain) == 0:
+					traced = resp
+				case !v.trace:
+					explained = resp
+				default:
+					if !slices.EqualFunc(resp.Events, traced.Events, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) || !bytes.Equal(resp.Explain, explained.Explain) {
+						t.Fatalf("problem %d %s: explain+trace body differs from the trace-only events or the explain-only report", i, name)
+					}
 				}
 			}
 

@@ -288,9 +288,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			errors.New("server is shutting down"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	_, dec := obs.StartSpan(r.Context(), "schedule.decode")
-	items, single, err := decodeJobSubmit(r.Body)
+	items, single, err := decodeJobSubmit(requestBody(w, r, s.cfg.MaxBodyBytes))
 	dec.Finish()
 	if err != nil {
 		var tooBig *http.MaxBytesError

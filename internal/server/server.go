@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"time"
 
-	"hdlts/internal/core"
 	"hdlts/internal/exec"
 	"hdlts/internal/explain"
 	"hdlts/internal/jobs"
@@ -373,9 +372,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			errors.New("server is shutting down"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	_, dec := obs.StartSpan(r.Context(), "schedule.decode")
-	req, pr, err := decodeScheduleRequest(r.Body)
+	req, pr, err := decodeScheduleRequest(requestBody(w, r, s.cfg.MaxBodyBytes))
 	dec.Finish()
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -453,12 +451,18 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	}()
 	start := time.Now()
 	prA := pr
-	// A traced request keeps its own decision log, capped as a ring trace is.
+	// A traced request keeps its own decision log, capped as a ring trace
+	// is; an explain request keeps the solve's whole decision record.
 	var events *obs.DecisionLog
+	var keep *obs.RecordKeeper
 	var tracers []obs.Tracer
 	if trace {
 		events = new(obs.DecisionLog)
 		tracers = append(tracers, events)
+	}
+	if explainReq {
+		keep = new(obs.RecordKeeper)
+		tracers = append(tracers, keep)
 	}
 	if st := obs.TraceStoreFrom(ctx); st != nil {
 		tracers = append(tracers, st.Tracer(obs.TraceIDFrom(ctx)))
@@ -468,20 +472,12 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	}
 	_, solve := obs.StartSpan(ctx, "schedule.solve")
 	var sc *sched.Schedule
-	var decisions []core.Decision
 	var err error
 	// pprof goroutine labels make CPU profiles from the -debug-addr
 	// listener attribute solve samples to {algorithm, phase}; solver-
 	// internal Profile.Do calls refine phase further while they run.
 	obs.WithPprofLabels(ctx, alg.Name(), "solve", func(context.Context) {
-		if ex, ok := alg.(explain.Explainer); explainReq && ok {
-			// Explain solves run the same engine: same schedule bytes and,
-			// when the trace is retained, the same decision events in the
-			// ring; the rationale also lands in the report.
-			sc, decisions, err = ex.ScheduleExplained(prA)
-		} else {
-			sc, err = alg.Schedule(prA)
-		}
+		sc, err = alg.Schedule(prA)
 	})
 	solve.Finish()
 	if err != nil {
@@ -520,7 +516,7 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	}
 	if explainReq {
 		_, ex := obs.StartSpan(ctx, "schedule.explain")
-		rep, rerr := explain.Schedule(sc, alg.Name(), decisions)
+		rep, rerr := explain.Schedule(sc, alg.Name(), keep.Record())
 		ex.Finish()
 		if rerr != nil {
 			return scheduleOutcome{status: http.StatusInternalServerError,
