@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,12 +28,14 @@ type LoadedPackage struct {
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Imports    []string
-	Error      *struct{ Err string }
+	ImportPath   string
+	Dir          string
+	Name         string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	Error        *struct{ Err string }
 }
 
 // LoadPackages resolves patterns with `go list`, parses each matched
@@ -41,27 +44,36 @@ type listedPackage struct {
 // everything else (the standard library) is type-checked from GOROOT source
 // via go/importer, so loading works offline and without build artifacts.
 func LoadPackages(fset *token.FileSet, dir string, patterns ...string) ([]*LoadedPackage, error) {
+	pkgs, _, err := load(fset, dir, false, patterns)
+	return pkgs, err
+}
+
+// load is LoadPackages that, withTests, also returns the matched packages'
+// test builds, as go test compiles them: each package's sources together
+// with its in-package test files, and its external test package checked
+// against that build.
+func load(fset *token.FileSet, dir string, withTests bool, patterns []string) ([]*LoadedPackage, []*LoadedPackage, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Error"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles,Imports,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errBuf bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errBuf
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, errBuf.String())
+		return nil, nil, fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, errBuf.String())
 	}
 	var listed []*listedPackage
 	dec := json.NewDecoder(&out)
 	for dec.More() {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("decode go list output: %w", err)
+			return nil, nil, fmt.Errorf("decode go list output: %w", err)
 		}
 		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		listed = append(listed, &p)
 	}
@@ -71,7 +83,7 @@ func LoadPackages(fset *token.FileSet, dir string, patterns ...string) ([]*Loade
 	}
 	order, err := topoOrder(listed, byPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	checked := make(map[string]*types.Package)
@@ -83,12 +95,36 @@ func LoadPackages(fset *token.FileSet, dir string, patterns ...string) ([]*Loade
 	for _, p := range order {
 		lp, err := checkPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		checked[p.ImportPath] = lp.Pkg
 		loaded = append(loaded, lp)
 	}
-	return loaded, nil
+	if !withTests {
+		return loaded, nil, nil
+	}
+	// Every package is checked by now, so a test may import any of them.
+	var tests []*LoadedPackage
+	for _, p := range order {
+		pkg := checked[p.ImportPath]
+		if len(p.TestGoFiles) > 0 {
+			lp, err := checkPackage(fset, imp, p.ImportPath, p.Dir, append(slices.Clip(p.GoFiles), p.TestGoFiles...))
+			if err != nil {
+				return nil, nil, err
+			}
+			tests, pkg = append(tests, lp), lp.Pkg
+		}
+		if len(p.XTestGoFiles) > 0 {
+			ti := &testImporter{chainImporter: imp, fset: fset, byPath: byPath,
+				over: map[string]*types.Package{p.ImportPath: pkg}}
+			lp, err := checkPackage(fset, ti, p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
+			if err != nil {
+				return nil, nil, err
+			}
+			tests = append(tests, lp)
+		}
+	}
+	return loaded, tests, nil
 }
 
 // LoadFixtureTree loads every package under root (a GOPATH-like src tree,
@@ -228,6 +264,46 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return c.fallback.Import(path)
+}
+
+// testImporter resolves the imports of an external test package as go
+// test builds it: over starts with the package under test as its test
+// build, and a module package that imports it, directly or not, is
+// checked again against that build on first import.
+type testImporter struct {
+	*chainImporter
+	fset   *token.FileSet
+	byPath map[string]*listedPackage
+	over   map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.over[path]; ok {
+		return pkg, nil
+	}
+	p, ok := ti.byPath[path]
+	if !ok {
+		return ti.chainImporter.Import(path)
+	}
+	pkg, stale := ti.local[path], false
+	for _, dep := range p.Imports {
+		if _, ok := ti.byPath[dep]; ok {
+			d, err := ti.Import(dep)
+			if err != nil {
+				return nil, err
+			}
+			stale = stale || d != ti.local[dep]
+		}
+	}
+	if stale {
+		lp, err := checkPackage(ti.fset, ti, path, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		pkg = lp.Pkg
+	}
+	ti.over[path] = pkg
+	return pkg, nil
 }
 
 // checkPackage parses files and runs the type checker.

@@ -14,8 +14,9 @@ import (
 	"testing"
 )
 
-// TestModuleStdVersion fails on any use, in the module's non-test sources,
-// of a standard-library symbol newer than the Go version go.mod declares.
+// TestModuleStdVersion fails on any use, in the module's sources and its
+// in-package and external test files, of a standard-library symbol newer
+// than the Go version go.mod declares.
 // Neither go build nor go vet flags one when the toolchain is newer than
 // go.mod, yet CI builds with go.mod's version and breaks on it. New
 // symbols are read from the toolchain's $GOROOT/api/go1.N.txt files for
@@ -52,14 +53,18 @@ func TestModuleStdVersion(t *testing.T) {
 	}
 
 	fset, pkgs := loadModule(t)
+	pkgs = append(pkgs[:len(pkgs):len(pkgs)], moduleTest...)
 	local := make(map[string]bool, len(pkgs))
 	for _, p := range pkgs {
 		local[p.Path] = true
 	}
+	seen := map[string]bool{} // a test build re-checks its package's sources
 	for _, p := range pkgs {
 		stdUses(p.Info, p.Files, local, func(n ast.Node, key string) {
-			if ver, ok := added[key]; ok {
-				t.Errorf("%s: %s is new in %s; go.mod declares go1.%d", fset.Position(n.Pos()), key, ver, modMinor)
+			at := fset.Position(n.Pos()).String()
+			if ver, ok := added[key]; ok && !seen[at] {
+				seen[at] = true
+				t.Errorf("%s: %s is new in %s; go.mod declares go1.%d", at, key, ver, modMinor)
 			}
 		})
 	}

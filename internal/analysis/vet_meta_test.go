@@ -12,16 +12,17 @@ var (
 	moduleOnce sync.Once
 	moduleFset *token.FileSet
 	modulePkgs []*LoadedPackage
+	moduleTest []*LoadedPackage // the packages' test builds
 	moduleErr  error
 )
 
-// loadModule returns the module's packages, loaded with LoadPackages from
-// the module root.
+// loadModule returns the module's packages, loaded as LoadPackages loads
+// them from the module root; their test builds are kept in moduleTest.
 func loadModule(t *testing.T) (*token.FileSet, []*LoadedPackage) {
 	t.Helper()
 	moduleOnce.Do(func() {
 		moduleFset = token.NewFileSet()
-		modulePkgs, moduleErr = LoadPackages(moduleFset, "../..", "./...")
+		modulePkgs, moduleTest, moduleErr = load(moduleFset, "../..", true, []string{"./..."})
 	})
 	if moduleErr != nil {
 		t.Fatalf("load module: %v", moduleErr)

@@ -143,10 +143,8 @@ type Step struct {
 // deterministic. ok is false when either set is empty.
 //
 // It is the run-time form of the rule Schedule applies offline, without
-// entry duplication: the online policy of internal/dynamic picks with it,
-// and the live workflow executor (internal/exec) calls it repeatedly over
-// the not-yet-dispatched frontier when observed step durations drift from
-// the estimates.
+// entry duplication, for the online policy of internal/dynamic only: a
+// frontier of placed work re-maps with Extend instead.
 func PickHDLTS(ready []dag.TaskID, procs []platform.Proc, eft func(dag.TaskID, platform.Proc) float64) (dag.TaskID, platform.Proc, bool) {
 	if len(procs) == 0 || len(ready) == 0 {
 		return 0, 0, false
@@ -205,21 +203,38 @@ func (h *HDLTS) ScheduleTrace(pr *sched.Problem) (*sched.Schedule, []Step, error
 	return s, stepsOf(keep.Record()), nil
 }
 
+// Extend maps every task s leaves unplaced, on the indexed core, from the
+// frontier the caller seeded into s (sched.Schedule.Fix and Hold): placed
+// tasks are parents that have finished, and each timeline holds its
+// processor until it is free. Unlike Schedule it neither normalises nor
+// records: a pseudo entry would hold pending entry tasks behind the
+// frontier. A caller that cannot run a duplicate disables duplication.
+func (h *HDLTS) Extend(s *sched.Schedule) error {
+	return h.runIndexed(s, nil)
+}
+
 // run normalises the problem and solves it on the indexed core. The solve
 // is recorded when the problem carries an enabled tracer — settled here,
 // once per solve — and the tracer is handed the decision record whether
 // or not the solve succeeded.
 func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule) (*sched.Schedule, error) {
 	pr = pr.Normalize()
-	tr := pr.Tracer()
-	if !tr.Enabled() {
-		return h.runIndexed(pr, prev, nil)
+	s := prev
+	if s != nil {
+		s.Reset(pr)
+	} else {
+		s = sched.NewSchedule(pr)
 	}
-	rec := newRecorder(pr.NumProcs())
-	defer rec.release()
-	s, err := h.runIndexed(pr, prev, rec)
-	obs.EmitRecord(tr, rec.dr)
-	return s, err
+	var rec *recorder
+	if tr := pr.Tracer(); tr.Enabled() {
+		rec = newRecorder(pr.NumProcs())
+		defer rec.release()
+		defer func() { obs.EmitRecord(tr, rec.dr) }()
+	}
+	if err := h.runIndexed(s, rec); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // lookaheadScore estimates the downstream cost of committing estimate e:

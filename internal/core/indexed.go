@@ -55,7 +55,8 @@ type arena struct {
 	// stats.SampleStdDev2).
 	dirty []int32
 
-	// remaining[t] counts unscheduled parents; tasks enter the queue at 0.
+	// remaining[t] counts unplaced parents; tasks enter the queue at 0, and
+	// tasks the schedule places before the solve sit at -1.
 	remaining []int32
 
 	// Row-indexed; rows recycle through freeRows, so these grow to the peak
@@ -383,21 +384,17 @@ func (h *HDLTS) bestEstimate(a *arena, t dag.TaskID, row int32) sched.Estimate {
 // the reference oracle recomputes — per queued task, the EFT vector under
 // the current partial schedule and its PV — but keyed by index, updated in
 // O(1) per (row, committed column), with the selection fused into the
-// update pass. rec, when non-nil, receives every iteration's decision view
-// (record.go); untraced plain solves pass nil and pay one pointer test per
-// iteration.
+// update pass. It maps every task s leaves unplaced; the tasks s already
+// places count as parents that have finished. rec, when non-nil, receives
+// every iteration's decision view (record.go); untraced plain solves pass
+// nil and pay one pointer test per iteration.
 //
 //hdlts:hotpath
-func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorder) (*sched.Schedule, error) {
+func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 	prof := obs.SolverProfileFor(h.Name())
 	defer prof.Start(obs.PhaseSchedule).Stop()
+	pr := s.Problem()
 	g := pr.G
-	s := prev
-	if s != nil {
-		s.Reset(pr)
-	} else {
-		s = sched.NewSchedule(pr)
-	}
 	pol := h.policy()
 	n, np := pr.NumTasks(), pr.NumProcs()
 
@@ -424,10 +421,19 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 	// reference oracle accumulates one atomic increment at a time.
 	estimates := int64(0)
 	for t := 0; t < n; t++ {
-		a.remaining[t] = int32(g.InDegree(dag.TaskID(t)))
-		if a.remaining[t] == 0 {
+		left := int32(-1) // placed: never queued
+		if !s.Placed(dag.TaskID(t)) {
+			left = 0
+			for _, arc := range g.Preds(dag.TaskID(t)) {
+				if !s.Placed(arc.Task) {
+					left++
+				}
+			}
+		}
+		a.remaining[t] = left
+		if left == 0 {
 			if err := a.enqueue(dag.TaskID(t), 0); err != nil {
-				return nil, fmt.Errorf("core: estimating task %d: %w", t, err)
+				return fmt.Errorf("core: estimating task %d: %w", t, err)
 			}
 			estimates += int64(np)
 		}
@@ -458,7 +464,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 			estimates += refreshed
 			if err != nil {
 				sched.CountEstimates(estimates)
-				return nil, fmt.Errorf("core: refreshing estimates: %w", err)
+				return fmt.Errorf("core: refreshing estimates: %w", err)
 			}
 			selRow = row
 			refreshAll = false
@@ -489,7 +495,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 		}
 		if err != nil {
 			sched.CountEstimates(estimates)
-			return nil, fmt.Errorf("core: committing task %d on P%d: %w", t, best.Proc+1, err)
+			return fmt.Errorf("core: committing task %d on P%d: %w", t, best.Proc+1, err)
 		}
 		lastProc = best.Proc
 		refreshAll = best.UseDuplicate
@@ -503,7 +509,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 			if a.remaining[arc.Task] == 0 {
 				if err := a.enqueue(arc.Task, iter); err != nil {
 					sched.CountEstimates(estimates)
-					return nil, fmt.Errorf("core: estimating task %d: %w", arc.Task, err)
+					return fmt.Errorf("core: estimating task %d: %w", arc.Task, err)
 				}
 				estimates += int64(np)
 			}
@@ -515,7 +521,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, rec *recorde
 	sched.CountEstimates(estimates)
 
 	if !s.Complete() {
-		return nil, fmt.Errorf("core: scheduler stalled with %d/%d tasks placed", s.NumPlaced(), n)
+		return fmt.Errorf("core: scheduler stalled with %d/%d tasks placed", s.NumPlaced(), n)
 	}
-	return s, nil
+	return nil
 }

@@ -208,6 +208,14 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 				t.Fatalf("pair %d opts %+v: indexed and reference schedules differ\nindexed:\n%s\nreference:\n%s",
 					i, o, bi, br)
 			}
+			// Extend on a schedule seeded with nothing is the same solve.
+			sx := sched.NewSchedule(pr.Normalize())
+			if err := indexed.Extend(sx); err != nil {
+				t.Fatalf("pair %d opts %+v: extend: %v", i, o, err)
+			}
+			if bx := canonicalBytes(t, sx); !bytes.Equal(bi, bx) {
+				t.Fatalf("pair %d opts %+v: an unseeded Extend differs from Schedule", i, o)
+			}
 			// Record capture, as explain attaches it, must be a pure
 			// observer: the recorded solve's schedule stays byte-identical
 			// to the unrecorded one.

@@ -1,13 +1,11 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	osexec "os/exec"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -412,8 +410,6 @@ func (e *Engine) plan(ctx context.Context, wf *Workflow, pr *sched.Problem) (*Re
 		return nil, nil, err
 	}
 	rec := &Record{Name: wf.Name, Spec: wf, State: Queued, Steps: make([]StepStatus, len(wf.Steps))}
-	order := make([][]int, pr.NumProcs())
-	start := make([]float64, len(wf.Steps))
 	for i, st := range wf.Steps {
 		pl, ok := sc.PlacementOf(dag.TaskID(i))
 		if !ok {
@@ -422,14 +418,8 @@ func (e *Engine) plan(ctx context.Context, wf *Workflow, pr *sched.Problem) (*Re
 		p := int(pl.Proc)
 		rec.Steps[i] = StepStatus{Name: st.Name, State: StepPending, PlannedProc: p, Proc: p,
 			EstSeconds: pr.Exec(dag.TaskID(i), pl.Proc)}
-		start[i] = pl.Start
-		order[p] = append(order[p], i)
 	}
-	for _, q := range order {
-		// Appended by step index, so the stable sort breaks start ties by it.
-		slices.SortStableFunc(q, func(a, b int) int { return cmp.Compare(start[a], start[b]) })
-	}
-	return rec, order, nil
+	return rec, queues(sc, len(wf.Steps), make([][]int, pr.NumProcs())), nil
 }
 
 // newRun registers the run state of rec (caller holds mu). Deliberately

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"slices"
 	"time"
 
 	"hdlts/internal/core"
@@ -30,7 +29,7 @@ type runCore struct {
 	pr    *sched.Problem
 	start time.Time // the wall time of now = 0: record timestamps are start + now
 	drift float64
-	procs []platform.Proc
+	sc    *sched.Schedule // the re-plans' schedule, reused across them
 
 	order    [][]int   // per processor: the dispatch queue, in planned order
 	depsLeft []int     // per step: dependencies not yet done
@@ -55,12 +54,9 @@ type runCore struct {
 func newRunCore(e *Engine, rec *Record, pr *sched.Problem, order [][]int, start time.Time) *runCore {
 	n, procs := len(rec.Steps), rec.Spec.Procs
 	c := &runCore{e: e, rec: rec, pr: pr, start: start, drift: rec.Spec.DriftThreshold(),
-		procs: make([]platform.Proc, procs), order: order, depsLeft: make([]int, n),
+		sc: sched.NewSchedule(pr), order: order, depsLeft: make([]int, n),
 		proj: make([]float64, n), readyAt: make([]float64, n), busy: make([]bool, procs),
 		delta: newPassDelta(rec)}
-	for p := range c.procs {
-		c.procs[p] = platform.Proc(p)
-	}
 	e.mu.Lock()
 	rec.State, rec.StartedAt = Running, start
 	e.mu.Unlock()
@@ -243,79 +239,45 @@ func (c *runCore) overdue(now float64) {
 	}
 }
 
-// replan re-maps the pending steps with the paper's ITQ rule: repeatedly
-// pick from the steps whose predecessors all have (actual or projected)
-// finish times, committing each pick into the projection before the next.
-// Done steps finish when they did, running steps at their projection, and
-// each processor is free at its latest projected finish. Running steps
-// never move.
+// replanner re-maps a run's frontier: the indexed core without entry
+// duplication, which the executor cannot run.
+var replanner = core.NewWithOptions(core.Options{DisableDuplication: true})
+
+// replan re-maps the pending steps with one HDLTS solve seeded with the
+// frontier: done steps finish when they did, running steps at their
+// projection, and each processor is held until now or its running step's
+// projected finish. Running steps never move.
 func (c *runCore) replan(now float64, reason string) {
 	steps := c.rec.Steps
-	var pending []dag.TaskID
-	for i := range steps {
-		if steps[i].State == StepPending {
-			pending = append(pending, dag.TaskID(i))
+	pending := 0
+	c.sc.Reset(c.pr)
+	for p := range c.busy {
+		c.sc.Hold(platform.Proc(p), now)
+	}
+	for i, st := range steps {
+		t, p := dag.TaskID(i), platform.Proc(st.Proc)
+		switch st.State {
+		case StepPending:
+			pending++
+		case StepDone: // an earlier life's at 0
+			c.sc.Fix(t, p, maxf(c.rel(st.FinishedAt), 0))
+		case StepRunning:
+			f := c.rel(st.StartedAt) + c.proj[i]
+			c.sc.Fix(t, p, f)
+			c.sc.Hold(p, f)
+		case StepFailed:
+			c.sc.Fix(t, p, 0)
 		}
 	}
-	if len(pending) == 0 {
+	if pending == 0 {
 		return
 	}
-	avail := make([]float64, len(c.procs))
-	for p := range avail {
-		avail[p] = now
+	if err := replanner.Extend(c.sc); err != nil {
+		return // cannot happen on a valid DAG; keep the old mapping
 	}
-	finish := make([]float64, len(steps))
-	for i, st := range steps {
-		switch st.State {
-		case StepDone: // an earlier life's at 0
-			finish[i] = maxf(c.rel(st.FinishedAt), 0)
-		case StepRunning:
-			finish[i] = c.rel(st.StartedAt) + c.proj[i]
-			avail[st.Proc] = maxf(avail[st.Proc], finish[i])
-		}
-	}
-	predsLeft := make([]int, len(steps))
-	var ready []dag.TaskID
-	for _, t := range pending {
-		for _, a := range c.pr.G.Preds(t) {
-			if steps[a.Task].State == StepPending {
-				predsLeft[t]++
-			}
-		}
-		if predsLeft[t] == 0 {
-			ready = append(ready, t)
-		}
-	}
-	eft := func(t dag.TaskID, p platform.Proc) float64 {
-		arr := avail[p]
-		for _, a := range c.pr.G.Preds(t) {
-			arr = maxf(arr, finish[a.Task])
-		}
-		return arr + c.est(int(t), int(p))
-	}
-	order := make([][]int, len(c.procs))
-	for range pending {
-		slices.Sort(ready)
-		t, p, ok := core.PickHDLTS(ready, c.procs, eft)
-		if !ok {
-			return // cannot happen on a valid DAG; keep the old mapping
-		}
-		finish[t] = eft(t, p)
-		avail[p] = finish[t]
-		order[p] = append(order[p], int(t))
-		k := slices.Index(ready, t)
-		ready = slices.Delete(ready, k, k+1)
-		for _, a := range c.pr.G.Succs(t) {
-			if steps[a.Task].State == StepPending {
-				if predsLeft[a.Task]--; predsLeft[a.Task] == 0 {
-					ready = append(ready, a.Task)
-				}
-			}
-		}
-	}
-	c.order = order
+	c.order = queues(c.sc, len(steps), c.order)
 	c.e.mu.Lock()
-	for p, q := range order {
+	for p, q := range c.order {
 		for _, t := range q {
 			if st, w := &steps[t], c.est(t, p); st.Proc != p || st.EstSeconds != w {
 				st.Proc, st.EstSeconds = p, w
@@ -328,9 +290,25 @@ func (c *runCore) replan(now float64, reason string) {
 	c.delta.dirty = true
 	c.e.replans.Inc()
 	c.traced = append(c.traced, obs.Event{Type: obs.EvReplan, Alg: "exec", Task: -1, Proc: -1,
-		Time: now, Value: float64(len(pending))})
+		Time: now, Value: float64(pending)})
 	c.events = append(c.events, obs.StreamEvent{Kind: obs.KindWorkflowReplan, Workflow: c.rec.ID,
-		TraceID: c.rec.TraceID, Phase: reason, Proc: -1, Time: now, Value: float64(len(pending))})
+		TraceID: c.rec.TraceID, Phase: reason, Proc: -1, Time: now, Value: float64(pending)})
+}
+
+// queues reads each processor's dispatch queue into order: the primary
+// copies of the first n tasks of sc, in slot order — by start, ties in
+// placement order, which is topological even among zero-cost steps.
+func queues(sc *sched.Schedule, n int, order [][]int) [][]int {
+	for p := range order {
+		q := order[p][:0]
+		for _, sl := range sc.ProcSlots(platform.Proc(p)) {
+			if !sl.Duplicate && sl.Task >= 0 && int(sl.Task) < n {
+				q = append(q, int(sl.Task))
+			}
+		}
+		order[p] = q
+	}
+	return order
 }
 
 // finalize makes the record terminal, with the makespan now.

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"hdlts/internal/core"
 	"hdlts/internal/dag"
 	"hdlts/internal/obs"
+	"hdlts/internal/platform"
 	"hdlts/internal/sched"
 )
 
@@ -67,6 +70,81 @@ func simRecord(t testing.TB, e *Engine, wf *Workflow) (*Record, *sched.Problem, 
 	return rec, pr, order
 }
 
+// oracleOrder is the re-plan as a hand-written loop over core.PickHDLTS,
+// the differential oracle of the seeded solve: it returns the dispatch
+// queues c's re-plan at now must build. It repeatedly picks from the
+// steps whose predecessors all have (actual or projected) finish times,
+// committing each pick into the projection before the next. Done steps
+// finish when they did, running steps at their projection, and each
+// processor is free at its latest projected finish.
+func oracleOrder(c *runCore, now float64) [][]int {
+	steps := c.rec.Steps
+	procs := make([]platform.Proc, len(c.busy))
+	for p := range procs {
+		procs[p] = platform.Proc(p)
+	}
+	var pending []dag.TaskID
+	for i := range steps {
+		if steps[i].State == StepPending {
+			pending = append(pending, dag.TaskID(i))
+		}
+	}
+	avail := make([]float64, len(procs))
+	for p := range avail {
+		avail[p] = now
+	}
+	finish := make([]float64, len(steps))
+	for i, st := range steps {
+		switch st.State {
+		case StepDone: // an earlier life's at 0
+			finish[i] = maxf(c.rel(st.FinishedAt), 0)
+		case StepRunning:
+			finish[i] = c.rel(st.StartedAt) + c.proj[i]
+			avail[st.Proc] = maxf(avail[st.Proc], finish[i])
+		}
+	}
+	predsLeft := make([]int, len(steps))
+	var ready []dag.TaskID
+	for _, t := range pending {
+		for _, a := range c.pr.G.Preds(t) {
+			if steps[a.Task].State == StepPending {
+				predsLeft[t]++
+			}
+		}
+		if predsLeft[t] == 0 {
+			ready = append(ready, t)
+		}
+	}
+	eft := func(t dag.TaskID, p platform.Proc) float64 {
+		arr := avail[p]
+		for _, a := range c.pr.G.Preds(t) {
+			arr = maxf(arr, finish[a.Task])
+		}
+		return arr + c.est(int(t), int(p))
+	}
+	order := make([][]int, len(procs))
+	for range pending {
+		slices.Sort(ready)
+		t, p, ok := core.PickHDLTS(ready, procs, eft)
+		if !ok {
+			return nil
+		}
+		finish[t] = eft(t, p)
+		avail[p] = finish[t]
+		order[p] = append(order[p], int(t))
+		k := slices.Index(ready, t)
+		ready = slices.Delete(ready, k, k+1)
+		for _, a := range c.pr.G.Succs(t) {
+			if steps[a.Task].State == StepPending {
+				if predsLeft[a.Task]--; predsLeft[a.Task] == 0 {
+					ready = append(ready, a.Task)
+				}
+			}
+		}
+	}
+	return order
+}
+
 // simStats counts what a simulated run went through.
 type simStats struct {
 	replans map[string]int // by phase
@@ -86,7 +164,8 @@ var errSim = errors.New("simulated failure")
 // the record as that pass committed it goes through its WAL codec, its
 // running steps return to pending as adopt returns them, and a new core
 // resumes it with a fresh clock. simulate checks the core's invariants at
-// every transition and returns the final record.
+// every transition, and holds every re-plan of a completion, an overdue
+// check or a resume to oracleOrder's queues. It returns the final record.
 func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simStats) {
 	t.Helper()
 	rec, pr, order := simRecord(t, e, wf)
@@ -144,6 +223,14 @@ func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simSt
 			switch ev.Kind {
 			case obs.KindWorkflowReplan:
 				s.replans[ev.Phase]++
+				// A pass may have dispatched from the queues since the
+				// re-plan; the other transitions leave them as it built them.
+				if what == "pass" || what == "finalize" {
+					continue
+				}
+				if want := oracleOrder(c, now); !slices.EqualFunc(c.order, want, slices.Equal[[]int]) {
+					t.Fatalf("%s at %g: re-plan queues %v, the PickHDLTS loop's %v", what, now, c.order, want)
+				}
 			case obs.KindWorkflowDone:
 				terminal++
 			case obs.KindStepFail:
@@ -468,5 +555,38 @@ func TestRunCoreResumeReplans(t *testing.T) {
 	}
 	if _, _, over := r.pass(0); over || r.running == 0 {
 		t.Fatalf("first pass after resume started nothing: %+v", rec.Steps)
+	}
+}
+
+// TestRunCoreZeroCostParentFirst: b, declared first, depends on a
+// zero-cost a, so the plan starts both at 0 on the one processor. The
+// queue keeps placement order on that tie, so a heads it and the first
+// pass starts a without a stall re-plan.
+func TestRunCoreZeroCostParentFirst(t *testing.T) {
+	wf, err := DecodeWorkflow([]byte(`name: zero
+procs: 1
+steps:
+  - name: b
+    command: "true"
+    depends: [a]
+    cost: 1
+  - name: a
+    command: "true"
+    cost: 0
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := simEngine(t)
+	rec, pr, order := simRecord(t, e, wf)
+	c := newRunCore(e, rec, pr, order, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	if _, _, over := c.pass(0); over {
+		t.Fatalf("the run ended at its first pass: %+v", rec.Steps)
+	}
+	if got := replanPhases(c); len(got) != 0 {
+		t.Errorf("re-plans at the first pass = %v, want none (queue %v)", got, order)
+	}
+	if rec.Steps[1].State != StepRunning {
+		t.Errorf("a is %s after the first pass, want running", rec.Steps[1].State)
 	}
 }

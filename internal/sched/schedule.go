@@ -154,6 +154,26 @@ func (s *Schedule) Place(t dag.TaskID, p platform.Proc, start float64) error {
 	return nil
 }
 
+// Fix seeds an empty schedule with t as already placed on p, finishing at
+// finish: a parent whose output is there, on no timeline. A solve resumed
+// from a frontier fixes the tasks that ran or run, holds each processor
+// until it is free (Hold), and maps the rest (core.HDLTS.Extend).
+func (s *Schedule) Fix(t dag.TaskID, p platform.Proc, finish float64) {
+	s.primary[t] = Placement{Task: t, Proc: p, Start: finish, Finish: finish}
+	s.placed++
+}
+
+// Hold makes p's timeline one reservation [0, until), or up to its hold so
+// far if that is later, so that nothing placed after it starts before
+// until. Seeding calls it before anything is placed; its slot has Task
+// dag.None.
+func (s *Schedule) Hold(p platform.Proc, until float64) {
+	tl := &s.timelines[p]
+	until = max(until, tl.avail())
+	tl.slots = append(tl.slots[:0], Slot{End: until, Task: dag.None})
+	tl.maxEnd = append(tl.maxEnd[:0], until)
+}
+
 // PlaceDuplicate schedules a redundant copy of t on processor p starting at
 // start. Duplicates of an already-duplicated-or-placed processor are
 // rejected, as are overlaps.

@@ -219,3 +219,27 @@ func TestSummary(t *testing.T) {
 		t.Errorf("Summary = %q", sum)
 	}
 }
+
+// TestSeedFixAndHold: a fixed task counts as placed, finishing when given,
+// on no timeline; a hold reserves [0, until) and never falls.
+func TestSeedFixAndHold(t *testing.T) {
+	s := NewSchedule(chainProblem(t))
+	s.Fix(0, 1, 3)
+	s.Hold(0, 2)
+	s.Hold(0, 1)
+	if !s.Placed(0) || s.NumPlaced() != 1 || s.AFT(0) != 3 {
+		t.Fatalf("fixed A: placed %v, %d placed, AFT %g", s.Placed(0), s.NumPlaced(), s.AFT(0))
+	}
+	if a0, a1 := s.Avail(0), s.Avail(1); a0 != 2 || a1 != 0 {
+		t.Fatalf("Avail = %g, %g; want the hold 2, and 0 beside the fixed A", a0, a1)
+	}
+	if err := s.Place(1, 0, 1); err == nil {
+		t.Fatal("B placed inside the hold")
+	}
+	if err := s.Place(1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if slots := s.ProcSlots(0); len(slots) != 2 || slots[0].Task != dag.None || slots[1].Task != 1 {
+		t.Fatalf("P0 slots = %+v, want the hold then B", slots)
+	}
+}
