@@ -12,7 +12,7 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TaskID identifies a task inside one Graph. IDs are dense indices in
@@ -223,11 +223,12 @@ func (g *Graph) Clone() *Graph {
 
 // SortArcs orders every adjacency list by neighbour ID. Construction order is
 // preserved by default; deterministic algorithms that iterate arcs may call
-// this once to make results independent of build order.
+// this once to make results independent of build order. The wire form
+// lists edges in this order, so a graph decoded from it is sorted already.
 func (g *Graph) SortArcs() {
 	for i := range g.succs {
-		sort.Slice(g.succs[i], func(a, b int) bool { return g.succs[i][a].Task < g.succs[i][b].Task })
-		sort.Slice(g.preds[i], func(a, b int) bool { return g.preds[i][a].Task < g.preds[i][b].Task })
+		slices.SortFunc(g.succs[i], cmpArcTask)
+		slices.SortFunc(g.preds[i], cmpArcTask)
 	}
 }
 

@@ -63,8 +63,8 @@ func NewID(prefix string) string {
 }
 
 // Record is what a Store holds: a pointer to a JSON-serialisable struct
-// that reports its handle, submission sequence and lifecycle phase, and
-// decodes itself on replay.
+// that reports its handle, submission sequence and lifecycle phase, writes
+// itself into WAL lines and snapshots, and decodes itself on replay.
 type Record interface {
 	comparable
 	RecordID() string
@@ -77,4 +77,16 @@ type Record interface {
 	// record, so keys a patch leaves out must keep their values. Any error
 	// ends replay; nothing decoded may alias the scanned bytes.
 	DecodeRecord(*wire.Scanner) error
+	Payload
+}
+
+// Payload is what a put or patch line carries under the store's payload
+// key: a record, or a patch of one.
+type Payload interface {
+	// AppendRecord writes the payload into a compact Writer as one JSON
+	// value, with the bytes json.Marshal writes for it. A value it cannot
+	// write (a non-finite float, a time outside RFC 3339's years) is left
+	// in the Writer's Err, and the line or snapshot is refused as
+	// json.Marshal's error refused it.
+	AppendRecord(*wire.Writer)
 }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,7 +64,7 @@ var FsyncBuckets = obs.ExpBuckets(1e-5, 1, 3)
 // Config names a Store's directory, WAL payload key and telemetry.
 type Config struct {
 	// Dir is the store directory; empty means memory-only (nothing
-	// survives a restart, and nothing is encoded).
+	// survives a restart, and no line or snapshot is written).
 	Dir string
 	// Key is the payload key of put and patch lines: JobKey or RecKey.
 	Key string
@@ -77,31 +76,33 @@ type Config struct {
 	Errors *obs.Counter
 }
 
-// envelope is one WAL line: a full-record upsert under the store's payload
-// key, a patch of the record with the ID under that key, or a deletion by
-// ID. A put or patch sets exactly one of the two keys. Lines are encoded
-// from it with encoding/json and read back by replay's walk, which accepts
-// what json.Unmarshal into it accepts.
-type envelope[R any] struct {
-	Op  string `json:"op"` // "put" | "patch" | "del"
-	Job R      `json:"job,omitempty"`
-	Rec R      `json:"rec,omitempty"`
-	ID  string `json:"id,omitempty"`
-}
+// A WAL line is one JSON object, {"op": ..., <key>: payload, "id": ...}:
+// a full-record upsert ("put") with the record under the store's payload
+// key, a patch of the record with the ID ("patch"), or a deletion by ID
+// ("del"), with the members an op has no use for left out. stage writes
+// each line with the bytes json.Encoder writes for the struct
+//
+//	struct {
+//		Op  string `json:"op"`
+//		Job any    `json:"job,omitempty"`
+//		Rec any    `json:"rec,omitempty"`
+//		ID  string `json:"id,omitempty"`
+//	}
+//
+// and replay's walk accepts what json.Unmarshal into it accepts.
 
 // Store is a durable id→record table. Its table methods (Get, NextSeq,
 // List, Put, Patch, Delete) run under the owner's table lock — the mutex
 // given to Open, which also guards the owner's own indexes. Put, Patch and
-// Delete stage an encoded WAL line; Flush, called after the owner releases
-// its lock, writes every staged line with a single fsync and compacts when
-// due.
+// Delete stage a WAL line, written by the payload itself; Flush, called
+// after the owner releases its lock, writes every staged line with a
+// single fsync and compacts when due.
 type Store[R Record] struct {
 	mu      *sync.Mutex // the owner's table lock
 	key     string
 	recs    map[string]R
 	nextSeq uint64
-	pending *lineBuffer   // encoded WAL lines staged for the next Flush
-	enc     *json.Encoder // encodes lines onto pending
+	pending wire.Writer // WAL lines staged for the next Flush, compact
 	errs    *obs.Counter
 	newRec  func() R // allocates a record for replay to decode into
 
@@ -137,9 +138,8 @@ func Open[R interface {
 	if cfg.Key != JobKey && cfg.Key != RecKey {
 		return nil, nil, fmt.Errorf("durable: unknown payload key %q", cfg.Key)
 	}
-	pending := new(lineBuffer)
 	s := &Store[R]{mu: mu, key: cfg.Key, recs: make(map[string]R), errs: cfg.Errors,
-		newRec: func() R { return new(T) }, pending: pending, enc: json.NewEncoder(pending)}
+		newRec: func() R { return new(T) }}
 	if s.errs == nil {
 		s.errs = new(obs.Counter)
 	}
@@ -363,12 +363,8 @@ func (s *Store[R]) replay(line []byte) bool {
 // leaves its record's ID at id: decoded onto a record that holds only that
 // ID, its payloads leave the ID there.
 func (s *Store[R]) keepsID(line []byte, id string) bool {
-	q, err := json.Marshal(id)
-	if err != nil {
-		return false
-	}
 	r := s.newRec()
-	seed := append(append([]byte(`{"id":`), q...), '}')
+	seed := append(wire.AppendString([]byte(`{"id":`), id), '}')
 	if err := r.DecodeRecord(wire.NewScanner(seed)); err != nil {
 		return false
 	}
@@ -435,16 +431,12 @@ func (s *Store[R]) List(keep func(R) bool) []R {
 }
 
 // Put inserts or replaces r and stages a full WAL line capturing its
-// current state (caller holds mu). The line is encoded now, so it
+// current state (caller holds mu). The line is written now, so it
 // snapshots the record as of this transition, but reaches disk only at
 // the next Flush.
 func (s *Store[R]) Put(r R) {
 	s.recs[r.RecordID()] = r
-	env := envelope[R]{Op: "put", Job: r}
-	if s.key == RecKey {
-		env = envelope[R]{Op: "put", Rec: r}
-	}
-	s.stage(env)
+	s.stage("put", "", r)
 }
 
 // Patch stages a patch line for r, a record already in the table whose
@@ -458,48 +450,61 @@ func (s *Store[R]) Put(r R) {
 // replay then applies the patch on top of that snapshot. An owner keeps
 // this sound by not changing a record between staging its patch and the
 // Flush that writes it, or by staging every change as it makes it.
-func (s *Store[R]) Patch(r R, delta any) {
-	env := envelope[any]{Op: "patch", ID: r.RecordID(), Job: delta}
-	if s.key == RecKey {
-		env = envelope[any]{Op: "patch", ID: r.RecordID(), Rec: delta}
-	}
-	s.stage(env)
+func (s *Store[R]) Patch(r R, delta Payload) {
+	s.stage("patch", r.RecordID(), delta)
 }
 
 // Delete drops id and stages its deletion (caller holds mu).
 func (s *Store[R]) Delete(id string) {
 	delete(s.recs, id)
-	s.stage(envelope[R]{Op: "del", ID: id})
+	s.stage("del", id, nil)
 }
 
-// stage encodes one WAL line onto the pending batch (caller holds mu).
-func (s *Store[R]) stage(env any) {
+// stage writes one WAL line onto the pending batch (caller holds mu): the
+// payload p, when there is one, under the store's key, and the id when it
+// is not empty. A payload the Writer cannot write refuses the line, which
+// is counted as a WAL failure and leaves the batch as it was.
+func (s *Store[R]) stage(op, id string, p Payload) {
 	if s.log == nil {
 		return
 	}
-	if err := s.enc.Encode(env); err != nil {
-		s.errs.Inc()
+	w := &s.pending
+	start := len(w.Bytes())
+	w.BeginObject()
+	w.Key("op")
+	w.String(op)
+	if p != nil {
+		w.Key(s.key)
+		p.AppendRecord(w)
 	}
+	if id != "" {
+		w.Key("id")
+		w.String(id)
+	}
+	w.EndObject()
+	if w.Err() != nil {
+		w.Truncate(start)
+		s.errs.Inc()
+		return
+	}
+	w.Newline()
 }
 
-// lineBuffer is the pending batch as the line encoder's io.Writer.
-type lineBuffer []byte
-
-func (b *lineBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// snapshot renders the live set, ordered by submission sequence, as the
-// snapshot payload (caller holds mu, so no record mutates mid-marshal).
-func (s *Store[R]) snapshot() ([]byte, error) {
+// snapshot writes the live set, ordered by submission sequence, as the
+// snapshot payload into w, a compact Writer (caller holds mu, so no
+// record mutates mid-write): the bytes json.Marshal writes for the list.
+func (s *Store[R]) snapshot(w *wire.Writer) error {
 	list := s.List(nil)
 	slices.Reverse(list)
-	b, err := json.Marshal(list)
-	if err != nil {
-		return nil, fmt.Errorf("durable: encode snapshot: %w", err)
+	w.BeginArray()
+	for _, r := range list {
+		r.AppendRecord(w)
 	}
-	return b, nil
+	w.EndArray()
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("durable: encode snapshot: %w", err)
+	}
+	return nil
 }
 
 // Flush writes every staged line with one write and one fsync, then
@@ -516,8 +521,7 @@ func (s *Store[R]) Flush() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
-	batch := *s.pending
-	*s.pending = s.spare[:0]
+	batch := s.pending.Swap(s.spare)
 	s.mu.Unlock()
 	//lint:hdltsvet-ignore lockedio wmu is the WAL-writer lock; its whole purpose is covering this batch write
 	err := s.log.append(batch)
@@ -529,23 +533,27 @@ func (s *Store[R]) Flush() {
 		s.errs.Inc()
 		return
 	}
-	s.mu.Lock()
-	var snap []byte
-	if s.log.bytes >= max(compactRatio*s.log.snap, minCompactBytes) {
-		if snap, err = s.snapshot(); err != nil {
-			s.errs.Inc()
-		}
+	if s.log.bytes < max(compactRatio*s.log.snap, minCompactBytes) {
+		return
 	}
+	// The snapshot goes into a pooled Writer's buffer: reused from one
+	// compaction to the next, and given back to the collector with the
+	// pool's other buffers.
+	snap := wire.GetWriter(false)
+	defer snap.Free()
+	s.mu.Lock()
+	err = s.snapshot(snap)
 	s.mu.Unlock()
-	if snap != nil {
+	if err == nil {
 		//lint:hdltsvet-ignore lockedio compaction runs under the WAL-writer lock by design; the table lock is not held
-		if err := s.log.compact(snap); err != nil {
-			s.errs.Inc()
-		}
+		err = s.log.compact(snap.Bytes())
+	}
+	if err != nil {
+		s.errs.Inc()
 	}
 }
 
-// append durably writes a batch of encoded lines: one write, one fsync
+// append durably writes a batch of lines: one write, one fsync
 // (timed into the fsync histogram) for the whole group.
 func (w *wal) append(batch []byte) error {
 	if len(batch) == 0 {
@@ -565,7 +573,7 @@ func (w *wal) append(batch []byte) error {
 	return nil
 }
 
-// compact writes the encoded snapshot atomically (tmp + fsync + rename)
+// compact writes the snapshot atomically (tmp + fsync + rename)
 // and truncates the WAL.
 func (w *wal) compact(b []byte) error {
 	path := filepath.Join(w.dir, snapshotFile)

@@ -117,3 +117,42 @@ func BenchmarkCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStagePatch times staging one patch line of a running 40-step
+// record, without the Flush that writes it: the line encode a run-loop
+// commit does under the engine lock. Each line carries 8 changed steps
+// and 8 observed W entries; the staged lines are flushed every 256
+// (untimed).
+func BenchmarkStagePatch(b *testing.B) {
+	e, err := Open(Config{Dir: b.TempDir(), Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	rec := benchRecord(rand.New(rand.NewSource(1)))
+	now := time.Now()
+	changed := make([]bool, len(rec.Steps))
+	for j := 0; j < 8; j++ {
+		st := &rec.Steps[5*j]
+		st.State, st.Attempts, st.StartedAt = StepRunning, 1, now
+		changed[5*j] = true
+		rec.ObservedW = append(rec.ObservedW, WEntry{Step: st.Name, Task: 5 * j, Proc: st.Proc, Seconds: 0.002})
+	}
+	e.mu.Lock()
+	rec.Seq = e.store.NextSeq()
+	e.store.Put(rec)
+	e.mu.Unlock()
+	e.store.Flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.mu.Lock()
+		e.store.Patch(rec, rec.patch(changed, 0))
+		e.mu.Unlock()
+		if i%256 == 255 {
+			b.StopTimer()
+			e.store.Flush()
+			b.StartTimer()
+		}
+	}
+}

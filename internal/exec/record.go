@@ -134,6 +134,185 @@ func (r *Record) RecordID() string           { return r.ID }
 func (r *Record) RecordSeq() uint64          { return r.Seq }
 func (r *Record) RecordState() durable.State { return r.State }
 
+// AppendRecord writes r, a WAL payload or snapshot element, with the bytes
+// json.Marshal writes for a Record.
+func (r *Record) AppendRecord(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("id")
+	w.String(r.ID)
+	w.Key("name")
+	w.String(r.Name)
+	if r.TraceID != "" {
+		w.Key("trace_id")
+		w.String(r.TraceID)
+	}
+	w.Key("spec")
+	r.Spec.appendJSON(w)
+	w.Key("state")
+	w.String(string(r.State))
+	if r.Error != "" {
+		w.Key("error")
+		w.String(r.Error)
+	}
+	w.Key("steps")
+	if r.Steps == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range r.Steps {
+			w.BeginObject()
+			r.Steps[i].appendFields(w)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if len(r.ObservedW) > 0 {
+		w.Key("observed_w")
+		appendWEntries(w, r.ObservedW)
+	}
+	w.Key("replans")
+	w.Int(r.Replans)
+	if r.MakespanSeconds != 0 {
+		w.Key("makespan_seconds")
+		w.Float(r.MakespanSeconds)
+	}
+	w.Key("seq")
+	w.Uint64(r.Seq)
+	w.Key("submitted_at")
+	w.Time(r.SubmittedAt)
+	w.Key("started_at")
+	w.Time(r.StartedAt)
+	w.Key("finished_at")
+	w.Time(r.FinishedAt)
+	w.EndObject()
+}
+
+// appendJSON writes the definition as json.Marshal writes a *Workflow,
+// null included.
+func (wf *Workflow) appendJSON(w *wire.Writer) {
+	if wf == nil {
+		w.Null()
+		return
+	}
+	w.BeginObject()
+	w.Key("name")
+	w.String(wf.Name)
+	w.Key("procs")
+	w.Int(wf.Procs)
+	if wf.Drift != 0 {
+		w.Key("drift")
+		w.Float(wf.Drift)
+	}
+	w.Key("steps")
+	if wf.Steps == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range wf.Steps {
+			wf.Steps[i].appendJSON(w)
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+}
+
+// appendJSON writes the step as json.Marshal writes a Step.
+func (st *Step) appendJSON(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("name")
+	w.String(st.Name)
+	w.Key("command")
+	w.String(st.Command)
+	if len(st.Depends) > 0 {
+		w.Key("depends")
+		appendStrings(w, st.Depends)
+	}
+	if len(st.Costs) > 0 {
+		w.Key("costs")
+		w.BeginArray()
+		for _, c := range st.Costs {
+			w.Float(c)
+		}
+		w.EndArray()
+	}
+	if st.Timeout != 0 {
+		w.Key("timeout")
+		w.Int64(int64(st.Timeout))
+	}
+	if st.Retries != 0 {
+		w.Key("retries")
+		w.Int(st.Retries)
+	}
+	if len(st.Env) > 0 {
+		w.Key("env")
+		appendStrings(w, st.Env)
+	}
+	w.EndObject()
+}
+
+func appendStrings(w *wire.Writer, ss []string) {
+	w.BeginArray()
+	for _, s := range ss {
+		w.String(s)
+	}
+	w.EndArray()
+}
+
+// appendFields writes the members json.Marshal writes for a StepStatus,
+// into an object the caller opens: a patch's changed step precedes them
+// with its index.
+func (st *StepStatus) appendFields(w *wire.Writer) {
+	w.Key("name")
+	w.String(st.Name)
+	w.Key("state")
+	w.String(string(st.State))
+	w.Key("planned_proc")
+	w.Int(st.PlannedProc)
+	w.Key("proc")
+	w.Int(st.Proc)
+	w.Key("est_seconds")
+	w.Float(st.EstSeconds)
+	if st.ObservedSeconds != 0 {
+		w.Key("observed_seconds")
+		w.Float(st.ObservedSeconds)
+	}
+	if st.QueueWaitSeconds != 0 {
+		w.Key("queue_wait_seconds")
+		w.Float(st.QueueWaitSeconds)
+	}
+	if st.Attempts != 0 {
+		w.Key("attempts")
+		w.Int(st.Attempts)
+	}
+	if st.Error != "" {
+		w.Key("error")
+		w.String(st.Error)
+	}
+	w.Key("started_at")
+	w.Time(st.StartedAt)
+	w.Key("finished_at")
+	w.Time(st.FinishedAt)
+}
+
+// appendWEntries writes observed W entries as json.Marshal writes a
+// []WEntry.
+func appendWEntries(w *wire.Writer, es []WEntry) {
+	w.BeginArray()
+	for _, e := range es {
+		w.BeginObject()
+		w.Key("step")
+		w.String(e.Step)
+		w.Key("task")
+		w.Int(e.Task)
+		w.Key("proc")
+		w.Int(e.Proc)
+		w.Key("seconds")
+		w.Float(e.Seconds)
+		w.EndObject()
+	}
+	w.EndArray()
+}
+
 // DecodeRecord decodes one workflow record or patch, a WAL payload or
 // snapshot element: the durable core walks the line with internal/wire,
 // and the record's own bytes go through UnmarshalJSON.
@@ -191,6 +370,47 @@ func (r *Record) patch(changed []bool, wFrom int) *recordPatch {
 		p.ObservedWFrom, p.ObservedWAdded = wFrom, r.ObservedW[wFrom:]
 	}
 	return p
+}
+
+// AppendRecord writes the patch as a WAL payload, with the bytes
+// json.Marshal writes for a recordPatch.
+func (p *recordPatch) AppendRecord(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("state")
+	w.String(string(p.State))
+	w.Key("error")
+	w.String(p.Error)
+	w.Key("replans")
+	w.Int(p.Replans)
+	w.Key("makespan_seconds")
+	w.Float(p.MakespanSeconds)
+	w.Key("started_at")
+	w.Time(p.StartedAt)
+	w.Key("finished_at")
+	w.Time(p.FinishedAt)
+	if len(p.ChangedSteps) > 0 {
+		w.Key("changed_steps")
+		w.BeginArray()
+		for _, st := range p.ChangedSteps {
+			w.BeginObject()
+			w.Key("index")
+			w.Int(st.Index)
+			if st.StepStatus != nil {
+				st.appendFields(w)
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if p.ObservedWFrom != 0 {
+		w.Key("observed_w_from")
+		w.Int(p.ObservedWFrom)
+	}
+	if len(p.ObservedWAdded) > 0 {
+		w.Key("observed_w_added")
+		appendWEntries(w, p.ObservedWAdded)
+	}
+	w.EndObject()
 }
 
 // UnmarshalJSON decodes a full record, or merges a patch payload into r:

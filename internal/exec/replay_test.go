@@ -187,7 +187,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			}
 			continue
 		}
-		if wal.check(e.List()) {
+		if wal.check(e.List) {
 			counts["compact"]++
 		}
 	}
@@ -211,21 +211,33 @@ type walChecker struct {
 	puts map[string]bool // IDs that have had their put line
 }
 
-// check replays a copy of the store and compares it with live, the
-// engine's records, then checks the WAL's new lines: only a workflow's
-// first line is a put, and no patch carries a spec. It reports whether
-// the store compacted since the last check.
-func (c *walChecker) check(live []*Record) (compacted bool) {
+// check replays a copy of the store and compares it with the engine's
+// records, as list reads them, then checks the WAL's new lines: only a
+// workflow's first line is a put, and no patch carries a spec. It reports
+// whether the store compacted since the last check.
+//
+// The engine is never still: an overdue re-plan may change a record, or
+// flush its change, between the read of the table and the copy of the
+// store. So a table read and the copy taken after it are compared until a
+// pair agrees byte for byte, and the check fails when none does within
+// five seconds.
+func (c *walChecker) check(list func() []*Record) (compacted bool) {
 	c.t.Helper()
-	recs, err := openCopy(c.dir)
-	if err != nil {
-		c.t.Fatalf("replay: %v", err)
-	}
-	sort.Slice(live, func(i, k int) bool { return live[i].Seq < live[k].Seq })
-	want, _ := json.Marshal(live)
-	got, _ := json.Marshal(recs)
-	if !bytes.Equal(got, want) {
-		c.t.Fatalf("replayed records differ from the live table:\n got %s\nwant %s", got, want)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		live := list()
+		recs, err := openCopy(c.dir)
+		sort.Slice(live, func(i, k int) bool { return live[i].Seq < live[k].Seq })
+		want, _ := json.Marshal(live)
+		got, _ := json.Marshal(recs)
+		if err == nil && bytes.Equal(got, want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			if err != nil {
+				c.t.Fatalf("replay: %v", err)
+			}
+			c.t.Fatalf("replayed records differ from the live table:\n got %s\nwant %s", got, want)
+		}
 	}
 	snap, err := os.ReadFile(filepath.Join(c.dir, "snapshot.json"))
 	if err != nil && !os.IsNotExist(err) {

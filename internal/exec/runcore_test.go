@@ -16,6 +16,7 @@ import (
 	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
+	"hdlts/internal/wire"
 )
 
 // source draws a simulation's choices: a seeded generator, or fuzz bytes.
@@ -191,7 +192,9 @@ func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simSt
 	prev := make([]StepStatus, n)
 	terminal := 0
 
-	// check holds a transition of the core to the invariants.
+	// check holds a transition of the core to the invariants and consumes
+	// the events it added, as the run loop publishes them, so that each is
+	// counted once.
 	check := func(what string) {
 		t.Helper()
 		busy := make([]int, wf.Procs)
@@ -239,6 +242,7 @@ func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simSt
 				}
 			}
 		}
+		c.events = c.events[:0]
 		copy(prev, rec.Steps)
 	}
 
@@ -265,14 +269,16 @@ func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simSt
 		c.reset()
 		if cut--; cut == 0 {
 			// The process dies: what the pass committed is all that is left.
-			b, err := json.Marshal(rec)
-			if err != nil {
+			w := wire.GetWriter(false)
+			rec.AppendRecord(w)
+			if err := w.Err(); err != nil {
 				t.Fatal(err)
 			}
 			rec = new(Record)
-			if err := rec.UnmarshalJSON(b); err != nil {
+			if err := rec.UnmarshalJSON(w.Bytes()); err != nil {
 				t.Fatal(err)
 			}
+			w.Free()
 			for i := range rec.Steps {
 				if rec.Steps[i].State == StepRunning {
 					rec.Steps[i].State = StepPending
@@ -324,6 +330,13 @@ func simulate(t testing.TB, e *Engine, src source, wf *Workflow) (*Record, simSt
 	if rec.State == Failed && !s.failed {
 		t.Fatalf("failed workflow (%s) has no failed step", rec.Error)
 	}
+	logged := 0
+	for _, k := range s.replans {
+		logged += k
+	}
+	if logged != rec.Replans {
+		t.Fatalf("%d re-plan events %v, the record counts %d re-plans", logged, s.replans, rec.Replans)
+	}
 	return rec, s
 }
 
@@ -345,7 +358,7 @@ func simEngine(t testing.TB) *Engine {
 func TestRunCoreVirtualTime(t *testing.T) {
 	e := simEngine(t)
 	replans := map[string]int{}
-	var retries, failed, resumed int
+	var recorded, retries, failed, resumed int
 	for seed := int64(0); seed < 1000; seed++ {
 		src := rand.New(rand.NewSource(seed))
 		rec, s := simulate(t, e, src, simWorkflow(src))
@@ -359,6 +372,7 @@ func TestRunCoreVirtualTime(t *testing.T) {
 		for ph, k := range s.replans {
 			replans[ph] += k
 		}
+		recorded += rec.Replans
 		retries += s.retries
 		if s.failed {
 			failed++
@@ -368,6 +382,13 @@ func TestRunCoreVirtualTime(t *testing.T) {
 		}
 	}
 	t.Logf("re-plans %v, %d retries, %d failed workflows, %d resumed", replans, retries, failed, resumed)
+	logged := 0
+	for _, k := range replans {
+		logged += k
+	}
+	if logged != recorded {
+		t.Errorf("%d re-plans logged, %d counted by the final records", logged, recorded)
+	}
 	for _, ph := range []string{"drift", "overdue", "resume"} {
 		if replans[ph] == 0 {
 			t.Errorf("no %s re-plan in 1,000 workflows", ph)

@@ -8,6 +8,60 @@ import (
 	"hdlts/internal/wire"
 )
 
+// AppendRecord writes j, a WAL payload or snapshot element, with the bytes
+// json.Marshal writes for a Job: the empty optional members left out, the
+// zero times written, as omitempty leaves a struct. Problem and Result go
+// in as they are (wire.Writer.Raw), with no check: this process wrote them
+// compact, with the wire codec, or replay read them from such a line.
+func (j *Job) AppendRecord(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("id")
+	w.String(j.ID)
+	w.Key("algorithm")
+	w.String(j.Algorithm)
+	w.Key("hash")
+	w.String(j.Hash)
+	if j.TraceID != "" {
+		w.Key("trace_id")
+		w.String(j.TraceID)
+	}
+	if len(j.Problem) > 0 {
+		w.Key("problem")
+		w.Raw(j.Problem)
+	}
+	w.Key("state")
+	w.String(string(j.State))
+	w.Key("attempts")
+	w.Int(j.Attempts)
+	w.Key("max_attempts")
+	w.Int(j.MaxAttempts)
+	if j.Error != "" {
+		w.Key("error")
+		w.String(j.Error)
+	}
+	if len(j.Result) > 0 {
+		w.Key("result")
+		w.Raw(j.Result)
+	}
+	if j.CacheHit {
+		w.Key("cache_hit")
+		w.Bool(true)
+	}
+	if j.CancelRequested {
+		w.Key("cancel_requested")
+		w.Bool(true)
+	}
+	w.Key("seq")
+	w.Uint64(j.Seq)
+	w.Key("submitted_at")
+	w.Time(j.SubmittedAt)
+	w.Key("started_at")
+	w.Time(j.StartedAt)
+	w.Key("finished_at")
+	w.Time(j.FinishedAt)
+	w.EndObject()
+}
+
 // DecodeRecord decodes one job object, a WAL payload or snapshot element,
 // into j without reflection, by encoding/json's rules for Job: keys match
 // case-insensitively, the last of a repeated key wins, unknown keys are

@@ -20,7 +20,9 @@
 // The package is deliberately ignorant of scheduling: execution is a
 // RunFunc provided by the embedding layer (internal/server wires it to
 // the schedule → validate → evaluate pipeline), and both the problem and
-// the result are opaque JSON.
+// the result are opaque JSON. A submitter may hand over the problem's
+// decoded form as well, which the package carries, unread and
+// unpersisted, to the fresh job's run (Decoded).
 package jobs
 
 import (

@@ -28,8 +28,20 @@ const (
 // on a Pool worker and must be safe for concurrent use. ctx carries
 // the job's trace ID (obs.TraceIDFrom) so the executing layer can record
 // spans and decision events against the submitting request — including
-// re-runs of jobs recovered after a crash.
+// re-runs of jobs recovered after a crash. For a job this process
+// admitted, ctx also carries what its submitter handed over with the
+// problem (Decoded), so the run need not parse the bytes again; a
+// recovered job has only the bytes.
 type RunFunc func(ctx context.Context, algorithm string, problem json.RawMessage) (json.RawMessage, error)
+
+// decodedKey keys the handed-over value in a run's context.
+type decodedKey struct{}
+
+// Decoded returns the value the submitter handed over with the job ctx
+// runs (SubmitTraced's decoded argument), or nil: a job recovered from
+// the store, or submitted without one. The jobs package never reads it
+// and never persists it; it lives only until the attempt's claim.
+func Decoded(ctx context.Context) any { return ctx.Value(decodedKey{}) }
 
 // Config tunes a Manager. The zero value (plus a Run function) works:
 // memory-only store, a private pool of GOMAXPROCS workers, three attempts
@@ -210,15 +222,16 @@ func (m *Manager) adopt(recovered []*Job) []string {
 func (m *Manager) feed(ids []string) {
 	defer m.wg.Done()
 	for _, id := range ids {
-		if !m.pool.Submit(m.stop, m.attempt(id)) {
+		if !m.pool.Submit(m.stop, m.attempt(id, nil)) {
 			return
 		}
 	}
 }
 
-// Submit admits one job with no trace correlation; see SubmitTraced.
+// Submit admits one job with no trace correlation and nothing handed
+// over; see SubmitTraced.
 func (m *Manager) Submit(algorithm, hash string, problem json.RawMessage) (*Job, error) {
-	return m.SubmitTraced(algorithm, hash, "", problem)
+	return m.SubmitTraced(algorithm, hash, "", problem, nil)
 }
 
 // SubmitTraced admits one job stamped with the submitting request's trace
@@ -227,8 +240,14 @@ func (m *Manager) Submit(algorithm, hash string, problem json.RawMessage) (*Job,
 // hash (the returned job carries that job's ID — and the first submitter's
 // trace ID), or admits a fresh job to the pool. ErrSaturated means the
 // pool's queue is full; ErrClosed means the manager has shut down.
-func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.RawMessage) (*Job, error) {
-	j, err := m.submitLocked(algorithm, hash, traceID, problem)
+//
+// decoded, when non-nil, is an in-memory form of problem that the run of
+// a fresh job finds in its context (Decoded). It is never persisted: a
+// cache hit or a coalesced submission drops it, and a job recovered after
+// a restart runs from problem alone, so the RunFunc must get the same
+// answer from either.
+func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.RawMessage, decoded any) (*Job, error) {
+	j, err := m.submitLocked(algorithm, hash, traceID, problem, decoded)
 	// Group commit: the flush after releasing the job-table lock makes the
 	// admission durable before Submit returns, batching with any records
 	// staged by concurrent submitters.
@@ -236,7 +255,7 @@ func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.Raw
 	return j, err
 }
 
-func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.RawMessage) (*Job, error) {
+func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.RawMessage, decoded any) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -268,7 +287,7 @@ func (m *Manager) submitLocked(algorithm, hash, traceID string, problem json.Raw
 		State:   Queued, MaxAttempts: m.cfg.MaxAttempts, Seq: m.store.NextSeq(),
 		SubmittedAt: now,
 	}
-	if !m.pool.TrySubmit(m.attempt(j.ID)) {
+	if !m.pool.TrySubmit(m.attempt(j.ID, decoded)) {
 		return nil, ErrSaturated
 	}
 	m.byHash[hash] = j.ID
@@ -385,12 +404,17 @@ func (m *Manager) setState(j *Job, s State) {
 }
 
 // attempt returns the pool func that runs job id once: claim it, run the
-// RunFunc unlocked, then commit the outcome.
-func (m *Manager) attempt(id string) func() {
+// RunFunc unlocked, then commit the outcome. decoded rides along to the
+// claim, which hands it to the run's context or, when the job is no longer
+// queued, drops it.
+func (m *Manager) attempt(id string, decoded any) func() {
 	return func() {
 		algorithm, problem, ctx, ok := m.claimJob(id)
 		if !ok {
 			return
+		}
+		if decoded != nil {
+			ctx = context.WithValue(ctx, decodedKey{}, decoded)
 		}
 		defer m.wg.Done()
 		// The claim is durable before the run: recovery counts it against

@@ -358,3 +358,41 @@ func TestStateGaugesTrackLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedReachesFreshRunsOnly: what SubmitTraced hands over is in the
+// context of its job's run; a job submitted without it, and one
+// recovered after a restart, which the store has only as bytes, run with
+// none.
+func TestDecodedReachesFreshRunsOnly(t *testing.T) {
+	seen := make(chan any, 4)
+	run := func(ctx context.Context, algorithm string, problem json.RawMessage) (json.RawMessage, error) {
+		seen <- Decoded(ctx)
+		return json.RawMessage(`{}`), nil
+	}
+	m := newTestManager(t, Config{Run: run})
+	if _, err := m.SubmitTraced("HDLTS", "h1", "", json.RawMessage(`{"p":1}`), "handed over"); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != "handed over" {
+		t.Errorf("fresh run's Decoded = %v, want the value handed over", got)
+	}
+	if _, err := m.Submit("HDLTS", "h2", json.RawMessage(`{"p":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != nil {
+		t.Errorf("run of a job submitted without a value: Decoded = %v, want nil", got)
+	}
+
+	dir := t.TempDir()
+	crashed, err := Open(Config{Dir: dir, Pool: newTestPool(t, 0, 1), Metrics: obs.NewRegistry(), Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crashed.SubmitTraced("HDLTS", "h3", "", json.RawMessage(`{"p":3}`), "handed over"); err != nil {
+		t.Fatal(err)
+	}
+	newTestManager(t, Config{Dir: dir, Run: run})
+	if got := <-seen; got != nil {
+		t.Errorf("recovered run's Decoded = %v, want nil", got)
+	}
+}

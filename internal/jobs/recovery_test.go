@@ -159,7 +159,7 @@ func TestRecoveryKeepsTraceID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := crashed.SubmitTraced("HDLTS", "h1", "trace-cafe01", json.RawMessage(`{}`))
+	j, err := crashed.SubmitTraced("HDLTS", "h1", "trace-cafe01", json.RawMessage(`{}`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,6 +70,18 @@ func (pr *Problem) uniformBandwidth() bool {
 	return true
 }
 
+// Canonicalize brings a freshly decoded problem, not yet solved or shared,
+// to what decoding its own canonical form gives: every adjacency list in
+// wire order, and a bandwidth matrix of unit links replaced by the uniform
+// platform the wire form leaves it as. Solvers that break ties by arc
+// order then schedule it as they schedule its canonical bytes.
+func (pr *Problem) Canonicalize() {
+	pr.G.SortArcs()
+	if !pr.P.Uniform() && pr.uniformBandwidth() {
+		pr.P = platform.MustUniform(pr.NumProcs())
+	}
+}
+
 // WriteJSON serialises the problem in its canonical indented form.
 func (pr *Problem) WriteJSON(w io.Writer) error {
 	jw := wire.GetWriter(true)

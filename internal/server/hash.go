@@ -39,20 +39,23 @@ func CanonicalHash(algorithm string, pr *sched.Problem) (string, error) {
 	return hashOf(algorithm, w.Bytes()), nil
 }
 
-// canonicalize renders pr for job admission: its compact canonical
-// serialisation, the caller's own, which the job stores, and the content
-// address of (algorithm, pr), hashed over the indented form as
-// CanonicalHash hashes it.
+// canonicalize renders pr for job admission in one pass that formats each
+// number once: its compact canonical serialisation, the caller's own,
+// which the job stores, and the content address of (algorithm, pr), which
+// hashes the indented form CanonicalHash hashes, laid out from the compact
+// bytes with no second render.
 func canonicalize(algorithm string, pr *sched.Problem) (compact []byte, hash string, err error) {
 	w := wire.GetWriter(false)
 	defer w.Free()
 	if err := pr.AppendJSON(w); err != nil {
 		return nil, "", err
 	}
-	if hash, err = CanonicalHash(algorithm, pr); err != nil {
-		return nil, "", err
-	}
-	return bytes.Clone(w.Bytes()), hash, nil
+	compact = bytes.Clone(w.Bytes())
+	ind := wire.GetWriter(true)
+	defer ind.Free()
+	ind.Raw(compact)
+	ind.Newline()
+	return compact, hashOf(algorithm, ind.Bytes()), nil
 }
 
 // hashOf is the hash core for callers that already hold the canonical

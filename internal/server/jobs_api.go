@@ -214,12 +214,16 @@ type jobSubmission struct {
 	algorithm string // canonical registry name
 	hash      string
 	canonical json.RawMessage // compact
+	// problem is the decoded problem, canonicalised in memory so that it
+	// equals what decoding canonical gives; a fresh job's run solves it.
+	problem *sched.Problem
 }
 
 // prepareSubmission validates one decoded item — registry lookup, then its
 // problem — and returns its content address with the compact canonical
-// problem the job stores. Every failure is a client error. The
-// canonicalise+hash step records the "schedule.hash" span under ctx.
+// problem the job stores and the decoded problem the run hands over.
+// Every failure is a client error. The canonicalise+hash step records the
+// "schedule.hash" span under ctx.
 func (s *Server) prepareSubmission(ctx context.Context, it *jobItem) (*jobSubmission, error) {
 	name := it.algorithm
 	if name == "" {
@@ -241,7 +245,8 @@ func (s *Server) prepareSubmission(ctx context.Context, it *jobItem) (*jobSubmis
 	if err != nil {
 		return nil, err
 	}
-	return &jobSubmission{algorithm: alg.Name(), hash: h, canonical: canon}, nil
+	it.problem.Canonicalize()
+	return &jobSubmission{algorithm: alg.Name(), hash: h, canonical: canon, problem: it.problem}, nil
 }
 
 // runJobFunc is the jobs.RunFunc the manager runs on the solve pool: the same
@@ -249,8 +254,10 @@ func (s *Server) prepareSubmission(ctx context.Context, it *jobItem) (*jobSubmis
 // ctx carries the job's persisted trace ID; the run re-adopts it into the
 // trace ring so spans and decision events land under the original
 // correlation ID — even when the job is a recovered re-run after a
-// restart. The problem is the stored canonical serialisation, so
-// recovered jobs re-run identically.
+// restart. A job admitted by this process solves the problem its
+// submission decoded and handed over (jobs.Decoded), canonicalised to
+// equal the stored bytes' decoding; a recovered job decodes the stored
+// canonical serialisation. Either way the same problem is solved.
 func (s *Server) runJobFunc(ctx context.Context, algorithm string, problem json.RawMessage) (json.RawMessage, error) {
 	if tid := obs.TraceIDFrom(ctx); tid != "" {
 		s.traces.Start(tid)
@@ -262,9 +269,11 @@ func (s *Server) runJobFunc(ctx context.Context, algorithm string, problem json.
 	if err != nil {
 		return nil, err
 	}
-	pr, err := decodeProblem(problem)
-	if err != nil {
-		return nil, err
+	pr, _ := jobs.Decoded(ctx).(*sched.Problem)
+	if pr == nil {
+		if pr, err = decodeProblem(problem); err != nil {
+			return nil, err
+		}
 	}
 	out := s.runSchedule(ctx, alg, pr, false, false, false)
 	if out.err != nil {
@@ -317,7 +326,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	saturated := false
 	traceID := obs.TraceIDFrom(r.Context())
 	for i, sub := range subs {
-		j, err := s.jobs.SubmitTraced(sub.algorithm, sub.hash, traceID, sub.canonical)
+		j, err := s.jobs.SubmitTraced(sub.algorithm, sub.hash, traceID, sub.canonical, sub.problem)
 		switch {
 		case errors.Is(err, jobs.ErrSaturated):
 			saturated = true

@@ -265,7 +265,7 @@ func embedWire(raw []byte, depth int, indent bool) (out []byte, ok bool) {
 
 var embedSeeds = []string{`{"t":1,"kind":"place","task":"<a&b>","vals":[1, 2.50, -0e+3]}`, " [ ] ", "{ }", `[{},[],[{}],{"a":[]}]`,
 	`"\u00e9\/\n"`, "\"sep\xe2\x80\xa8\xe2\x80\xa9 bad\xff \xe2\x80\"", "{\n  \"a\" :\t[ 1 ,\r\n 2 ] ,\"b\":{\"c\":null}}", `7`, `true`,
-	`{"a":1,}`, `[1 2]`, ``, `{} {}`}
+	`{"a":1,}`, `[1 2]`, ``, `{} {}`, strings.Repeat(`[{"a":`, 20) + "1" + strings.Repeat("}]", 20)}
 
 func TestEmbedMatchesEncoder(t *testing.T) {
 	for _, raw := range embedSeeds {
@@ -364,5 +364,86 @@ func TestTimeMatchesMarshalJSON(t *testing.T) {
 			t.Errorf("Time(%v) = %s, %v; MarshalJSON writes %s", tm, w.Bytes(), w.Err(), want)
 		}
 		w.Free()
+	}
+}
+
+// rawWire renders raw, made compact by a compact Writer's Embed as the
+// process's own output is, with Writer.Raw nested depth arrays deep; ok is
+// false when Embed rejects raw.
+func rawWire(raw []byte, depth int, indent bool) (out []byte, ok bool) {
+	c := GetWriter(false)
+	defer c.Free()
+	if c.Embed(raw) != nil {
+		return nil, false
+	}
+	w := GetWriter(indent)
+	defer w.Free()
+	for i := 0; i < depth; i++ {
+		w.BeginArray()
+	}
+	w.Raw(c.Bytes())
+	for i := 0; i < depth; i++ {
+		w.EndArray()
+	}
+	w.Newline()
+	return append([]byte(nil), w.Bytes()...), true
+}
+
+// TestRawMatchesEmbed: on compact values this process wrote, Raw writes
+// what Embed writes, compact and indented, at any depth.
+func TestRawMatchesEmbed(t *testing.T) {
+	seeds := append(embedSeeds, `{"graph":{"tasks":[{"name":"a"},{"name":"b","pseudo":true}],"edges":null},"costs":[[1,2],[]]}`,
+		`["{,}[:]\"\\",{"":{}}]`, `[[[[]]],{"a":{"b":{"c":[1e-7,-0]}}}]`)
+	for _, raw := range seeds {
+		for depth := 0; depth < 3; depth++ {
+			for _, indent := range []bool{false, true} {
+				want, wok := embedWire([]byte(raw), depth, indent)
+				got, gok := rawWire([]byte(raw), depth, indent)
+				if wok != gok || !bytes.Equal(got, want) {
+					t.Errorf("Raw(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, depth, indent, got, gok, want, wok)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRawMatchesEmbed holds Writer.Raw to Writer.Embed, which
+// FuzzEmbedMatchesEncoder holds to encoding/json, on compact values.
+func FuzzRawMatchesEmbed(f *testing.F) {
+	for i, seed := range embedSeeds {
+		f.Add([]byte(seed), uint8(i%4), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, depth uint8, indent bool) {
+		d := int(depth % 8)
+		want, wok := embedWire(raw, d, indent)
+		got, gok := rawWire(raw, d, indent)
+		if wok != gok || !bytes.Equal(got, want) {
+			t.Fatalf("Raw(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, d, indent, got, gok, want, wok)
+		}
+	})
+}
+
+// TestTruncateSwap: Truncate takes back a document and the error it left,
+// and Swap hands over the bytes and goes on in the buffer given.
+func TestTruncateSwap(t *testing.T) {
+	var w Writer
+	w.String("a")
+	w.Newline()
+	n := len(w.Bytes())
+	w.Float(math.NaN())
+	if w.Err() == nil {
+		t.Fatal("NaN kept no error")
+	}
+	w.Truncate(n)
+	if w.Err() != nil || string(w.Bytes()) != "\"a\"\n" {
+		t.Fatalf("after Truncate: %q, %v", w.Bytes(), w.Err())
+	}
+	spare := make([]byte, 3, 64)
+	if got := w.Swap(spare); string(got) != "\"a\"\n" {
+		t.Fatalf("Swap returned %q", got)
+	}
+	w.Int(7)
+	if string(w.Bytes()) != "7" || &w.Bytes()[0] != &spare[0] {
+		t.Fatalf("after Swap: %q, not in the buffer given", w.Bytes())
 	}
 }

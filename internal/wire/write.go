@@ -61,27 +61,56 @@ func (w *Writer) reset(indent bool) {
 // buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// A Writer may append several documents one after another, such as the
+// lines of a log; Truncate and Swap work between them.
+
+// Truncate drops what was written after the first n bytes, and the error
+// the Writer kept: it takes back the documents written since Bytes was
+// n bytes long.
+func (w *Writer) Truncate(n int) {
+	w.buf = w.buf[:n]
+	w.err = nil
+}
+
+// Swap returns the bytes written so far and goes on appending into buf,
+// emptied; the returned slice is the caller's.
+func (w *Writer) Swap(buf []byte) []byte {
+	old := w.buf
+	w.buf = buf[:0]
+	return old
+}
+
 // Err returns the first unsupported value the Writer met, if any.
 func (w *Writer) Err() error { return w.err }
 
 // Newline ends an indented document the way Encoder.Encode does.
 func (w *Writer) Newline() { w.buf = append(w.buf, '\n') }
 
-const spaces = "                                                                "
+// newlineSpaces is a line break and the indentation of up to 32 levels.
+const newlineSpaces = "\n                                                                "
 
 func (w *Writer) newline() { w.newlineAt(w.depth) }
 
 // newlineAt breaks the line and indents it for the given nesting depth.
 func (w *Writer) newlineAt(depth int) {
-	if !w.indent {
-		return
+	if w.indent {
+		w.buf = appendNewline(w.buf, depth)
 	}
-	w.buf = append(w.buf, '\n')
-	for n := 2 * depth; n > 0; {
-		k := min(n, len(spaces))
-		w.buf = append(w.buf, spaces[:k]...)
+}
+
+// appendNewline appends a line break and the indentation of depth.
+func appendNewline(buf []byte, depth int) []byte {
+	n := 2 * depth
+	if n < len(newlineSpaces) {
+		return append(buf, newlineSpaces[:1+n]...)
+	}
+	buf = append(buf, newlineSpaces...)
+	for n -= len(newlineSpaces) - 1; n > 0; {
+		k := min(n, len(newlineSpaces)-1)
+		buf = append(buf, newlineSpaces[1:1+k]...)
 		n -= k
 	}
+	return buf
 }
 
 // sep writes what precedes a member of the innermost container: a comma
@@ -278,6 +307,58 @@ func (w *Writer) Embed(raw []byte) error {
 	}
 	return nil
 }
+
+// Raw writes raw, one JSON value a compact Writer of this process wrote
+// (or a Scanner.Raw slice of one), trusting it: nothing is checked or
+// escaped. A compact Writer appends it as it is; an indented one lays it
+// out as Embed does, copying the bytes between structural characters in
+// runs. Other bytes are written as they come, whitespace in raw
+// included.
+func (w *Writer) Raw(raw []byte) {
+	w.value()
+	if !w.indent {
+		w.buf = append(w.buf, raw...)
+		return
+	}
+	buf, depth := w.buf, w.depth
+	from := 0 // raw[from:i] is still to be copied
+	for i := 0; i < len(raw); i++ {
+		if !layoutByte[raw[i]] {
+			continue
+		}
+		switch raw[i] {
+		case '"':
+			for i++; i < len(raw) && raw[i] != '"'; i++ {
+				if raw[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if i+1 < len(raw) && (raw[i+1] == '}' || raw[i+1] == ']') {
+				i++ // an empty container stays on its line
+				continue
+			}
+			depth++
+			buf = appendNewline(append(buf, raw[from:i+1]...), depth)
+			from = i + 1
+		case '}', ']':
+			depth--
+			buf = appendNewline(append(buf, raw[from:i]...), depth)
+			from = i
+		case ',':
+			buf = appendNewline(append(buf, raw[from:i+1]...), depth)
+			from = i + 1
+		case ':':
+			buf = append(append(buf, raw[from:i+1]...), ' ')
+			from = i + 1
+		}
+	}
+	w.buf = append(buf, raw[from:]...)
+}
+
+// layoutByte marks the bytes Raw lays out around, and the quote that
+// starts a string it copies whole.
+var layoutByte = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true}
 
 // embedString copies the string literal starting at raw[i] with
 // encoding/json's HTML escaping and returns the index of its closing
