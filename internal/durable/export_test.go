@@ -17,3 +17,14 @@ func (s *Store[R]) Compact() error {
 	}
 	return s.log.compact(w.Bytes())
 }
+
+// LogFile is what the store needs of its open WAL file.
+type LogFile = logFile
+
+// WrapWAL puts wrap(f) between the store and its open WAL file f, so a
+// test can make writes, fsyncs or truncates fail.
+func (s *Store[R]) WrapWAL(wrap func(LogFile) LogFile) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.log.f = wrap(s.log.f)
+}

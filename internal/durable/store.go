@@ -118,11 +118,23 @@ type Store[R Record] struct {
 // runs under the Store's writer lock.
 type wal struct {
 	dir   string
-	f     *os.File
-	bytes int            // WAL bytes since the last compaction
+	f     logFile
+	bytes int            // WAL bytes since the last compaction: the file's length
 	snap  int            // bytes of the snapshot last written or loaded
 	fsync *obs.Histogram // per-flush fsync latency, owner-named
+	torn  bool           // a failed batch could not be cut off; append nothing after it
 }
+
+// logFile is what the WAL needs of its open file, an *os.File.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// errTorn refuses a batch once a failed one could not be cut off the WAL.
+var errTorn = errors.New("durable: append wal: refused after a failed batch could not be cut off")
 
 // Open builds a Store guarded by mu and, when cfg.Dir is set, recovers it
 // from the directory's snapshot and WAL. It returns the recovered records
@@ -513,7 +525,9 @@ func (s *Store[R]) snapshot(w *wire.Writer) error {
 // holds because a caller's lines are either in the batch this flush
 // writes or were written by a concurrent flusher that claimed them first —
 // claiming under the writer lock keeps batches in staging order. Failures
-// are counted, not returned.
+// are counted, not returned. A batch that fails is dropped and cut back
+// off the WAL; while a cut fails, every later batch is dropped and
+// counted too, until a compaction restarts the WAL.
 func (s *Store[R]) Flush() {
 	if s.log == nil {
 		return
@@ -554,11 +568,31 @@ func (s *Store[R]) Flush() {
 }
 
 // append durably writes a batch of lines: one write, one fsync
-// (timed into the fsync histogram) for the whole group.
+// (timed into the fsync histogram) for the whole group. A failed write or
+// fsync cuts the file back to its length before the batch, since replay
+// refuses a store with a broken line before its end; if the cut fails
+// too, the WAL is torn and refuses every later batch.
 func (w *wal) append(batch []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	if w.torn {
+		return errTorn
+	}
+	err := w.write(batch)
+	if err == nil {
+		w.bytes += len(batch)
+		return nil
+	}
+	if cerr := w.f.Truncate(int64(w.bytes)); cerr != nil {
+		w.torn = true
+		return errors.Join(err, fmt.Errorf("durable: cut failed batch off the wal: %w", cerr))
+	}
+	return err
+}
+
+// write writes and fsyncs one batch.
+func (w *wal) write(batch []byte) error {
 	if _, err := w.f.Write(batch); err != nil {
 		return fmt.Errorf("durable: append wal: %w", err)
 	}
@@ -569,7 +603,6 @@ func (w *wal) append(batch []byte) error {
 	if w.fsync != nil {
 		w.fsync.ObserveSince(start)
 	}
-	w.bytes += len(batch)
 	return nil
 }
 
@@ -598,7 +631,7 @@ func (w *wal) compact(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: compact: %w", err)
 	}
-	w.bytes, w.snap = 0, len(b)
+	w.bytes, w.snap, w.torn = 0, len(b), false
 	return nil
 }
 
@@ -611,6 +644,5 @@ func (s *Store[R]) Close() error {
 	s.Flush()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	//lint:hdltsvet-ignore lockedio shutdown path: closing the WAL must serialise with the final flush under the writer lock
 	return s.log.f.Close()
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -246,7 +247,20 @@ func (m *Manager) Submit(algorithm, hash string, problem json.RawMessage) (*Job,
 // cache hit or a coalesced submission drops it, and a job recovered after
 // a restart runs from problem alone, so the RunFunc must get the same
 // answer from either.
+//
+// The WAL writes problem as it is, so its bytes must be one compact JSON
+// value. A submitter that hands over decoded vouches for that: it
+// rendered problem from decoded. Without decoded, problem goes through
+// json.Compact first, and a problem that is not one JSON value is refused
+// with an error and nothing recorded.
 func (m *Manager) SubmitTraced(algorithm, hash, traceID string, problem json.RawMessage, decoded any) (*Job, error) {
+	if decoded == nil {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, problem); err != nil {
+			return nil, fmt.Errorf("jobs: problem is not one JSON value: %w", err)
+		}
+		problem = buf.Bytes()
+	}
 	j, err := m.submitLocked(algorithm, hash, traceID, problem, decoded)
 	// Group commit: the flush after releasing the job-table lock makes the
 	// admission durable before Submit returns, batching with any records

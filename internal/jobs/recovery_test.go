@@ -280,3 +280,43 @@ func TestRecoveryBacklogWaitsForPool(t *testing.T) {
 		t.Errorf("runs = %d, want %d", got, n)
 	}
 }
+
+// TestSubmitCompactsProblem: a submission that hands over no decoded
+// problem is stored compact, so an indented problem cannot put a line
+// break into a WAL line and make the store unreadable, and bytes that are
+// not one JSON value are refused with nothing recorded.
+func TestSubmitCompactsProblem(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Metrics: obs.NewRegistry(), Run: okRun(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit("HDLTS", "h-indented", json.RawMessage("{\n  \"procs\": 3\n}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, j.ID, Done)
+	for i, bad := range []string{"", `{"procs":`, `{} {}`, "nul"} {
+		if _, err := m.SubmitTraced("HDLTS", fmt.Sprintf("h-bad%d", i), "", json.RawMessage(bad), nil); err == nil {
+			t.Errorf("SubmitTraced(%q) admitted a problem that is not JSON", bad)
+		}
+	}
+	if _, total := m.List("", 0, 10); total != 1 {
+		t.Errorf("%d jobs recorded, want only the indented one", total)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := newTestManager(t, Config{Dir: dir, Run: okRun(nil)})
+	got, err := reopened.Get(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Problem) != `{"procs":3}` || got.State != Done {
+		t.Errorf("recovered job: problem %q, state %s; want {\"procs\":3}, done", got.Problem, got.State)
+	}
+	if _, total := reopened.List("", 0, 10); total != 1 {
+		t.Errorf("%d jobs recovered, want 1", total)
+	}
+}

@@ -201,9 +201,7 @@ func appendScheduleResponse(w *wire.Writer, r *ScheduleResponse, sc *sched.Sched
 	}
 	if len(r.Explain) > 0 {
 		w.Key("explain")
-		if err := w.Embed(r.Explain); err != nil {
-			return err
-		}
+		w.Raw(r.Explain)
 	}
 	w.Key("elapsed_seconds")
 	w.Float(r.ElapsedSeconds)

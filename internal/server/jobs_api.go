@@ -349,14 +349,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if outs[0].job.State == jobs.Done {
 			status = http.StatusOK // answered from the result cache
 		}
-		err = appendJob(body, outs[0].job)
+		appendJob(body, outs[0].job)
 	default:
 		if saturated {
 			status = http.StatusTooManyRequests
 		}
-		err = appendJobBatch(body, outs)
+		appendJobBatch(body, outs)
 	}
-	s.writeJobBody(w, status, body, err)
+	s.writeJobBody(w, status, body)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -366,7 +366,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := wire.GetWriter(true)
-	s.writeJobBody(w, http.StatusOK, body, appendJob(body, j))
+	appendJob(body, j)
+	s.writeJobBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -391,7 +392,8 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	page, total := s.jobs.List(state, offset, limit)
 	body := wire.GetWriter(true)
-	s.writeJobBody(w, http.StatusOK, body, appendJobList(body, page, total, offset, limit))
+	appendJobList(body, page, total, offset, limit)
+	s.writeJobBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -405,7 +407,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, http.StatusInternalServerError, "cancel", err)
 	default:
 		body := wire.GetWriter(true)
-		s.writeJobBody(w, http.StatusOK, body, appendJob(body, j))
+		appendJob(body, j)
+		s.writeJobBody(w, http.StatusOK, body)
 	}
 }
 
@@ -416,11 +419,10 @@ func (s *Server) jobError(w http.ResponseWriter, status int, reason string, err 
 	writeError(w, status, err.Error())
 }
 
-// writeJobBody sends a jobs-API reply body, or a 500 when the body could
-// not be encoded — err, the append's, or the Writer's own: a stored result
-// that is not valid JSON, or a time outside RFC 3339's years.
-func (s *Server) writeJobBody(w http.ResponseWriter, status int, body *wire.Writer, err error) {
-	if err = errors.Join(err, body.Err()); err != nil {
+// writeJobBody sends a jobs-API reply body, or a 500 when the Writer kept
+// an error: a time outside RFC 3339's years.
+func (s *Server) writeJobBody(w http.ResponseWriter, status int, body *wire.Writer) {
+	if err := body.Err(); err != nil {
 		body.Free()
 		s.jobError(w, http.StatusInternalServerError, "encode", fmt.Errorf("encode reply: %w", err))
 		return
@@ -430,13 +432,14 @@ func (s *Server) writeJobBody(w http.ResponseWriter, status int, body *wire.Writ
 
 // The jobs-API replies are appended by an indented wire.Writer with the
 // bytes an Encoder with SetIndent("", "  ") writes for their wire types
-// (JobView, JobBatchResponse, JobListResponse, ErrorResponse). An append
-// returns the error of a stored result it could not embed; the Writer
-// keeps the rest in its Err.
+// (JobView, JobBatchResponse, JobListResponse, ErrorResponse). A value
+// the Writer cannot write is kept in its Err.
 
 // appendJob writes j as its JobView: every field but the stored problem,
-// the empty optional ones left out.
-func appendJob(w *wire.Writer, j *jobs.Job) error {
+// the empty optional ones left out. The stored result goes in with
+// wire.Writer.Raw, unchecked: a worker of this process wrote it, or WAL
+// replay checked it.
+func appendJob(w *wire.Writer, j *jobs.Job) {
 	w.BeginObject()
 	w.Key("id")
 	w.String(j.ID)
@@ -466,10 +469,9 @@ func appendJob(w *wire.Writer, j *jobs.Job) error {
 		w.Key("error")
 		w.String(j.Error)
 	}
-	var err error
 	if len(j.Result) > 0 {
 		w.Key("result")
-		err = w.Embed(j.Result)
+		w.Raw(j.Result)
 	}
 	w.Key("submitted_at")
 	w.Time(j.SubmittedAt)
@@ -482,13 +484,11 @@ func appendJob(w *wire.Writer, j *jobs.Job) error {
 		w.Time(j.FinishedAt)
 	}
 	w.EndObject()
-	return err
 }
 
 // appendJobBatch writes a batch submission's outcomes as a
 // JobBatchResponse.
-func appendJobBatch(w *wire.Writer, outs []submitOutcome) error {
-	var err error
+func appendJobBatch(w *wire.Writer, outs []submitOutcome) {
 	w.BeginObject()
 	w.Key("jobs")
 	w.BeginArray()
@@ -496,7 +496,7 @@ func appendJobBatch(w *wire.Writer, outs []submitOutcome) error {
 		w.BeginObject()
 		if o.job != nil {
 			w.Key("job")
-			err = errors.Join(err, appendJob(w, o.job))
+			appendJob(w, o.job)
 		}
 		if o.err != "" {
 			w.Key("error")
@@ -510,17 +510,15 @@ func appendJobBatch(w *wire.Writer, outs []submitOutcome) error {
 	}
 	w.EndArray()
 	w.EndObject()
-	return err
 }
 
 // appendJobList writes one page of jobs as a JobListResponse.
-func appendJobList(w *wire.Writer, page []*jobs.Job, total, offset, limit int) error {
-	var err error
+func appendJobList(w *wire.Writer, page []*jobs.Job, total, offset, limit int) {
 	w.BeginObject()
 	w.Key("jobs")
 	w.BeginArray()
 	for _, j := range page {
-		err = errors.Join(err, appendJob(w, j))
+		appendJob(w, j)
 	}
 	w.EndArray()
 	w.Key("total")
@@ -530,7 +528,6 @@ func appendJobList(w *wire.Writer, page []*jobs.Job, total, offset, limit int) e
 	w.Key("limit")
 	w.Int(limit)
 	w.EndObject()
-	return err
 }
 
 // appendError writes an ErrorResponse.

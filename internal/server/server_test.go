@@ -271,8 +271,7 @@ func TestSaturationGets429(t *testing.T) {
 
 	var wg sync.WaitGroup
 	codes := make(chan int, 2)
-	// First request occupies the only worker; second fills the queue.
-	for i := 0; i < 2; i++ {
+	post := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -280,7 +279,12 @@ func TestSaturationGets429(t *testing.T) {
 			codes <- rec.Code
 		}()
 	}
+	// First request occupies the only worker; second fills the queue. The
+	// second starts only once the worker has taken the first, or both
+	// could reach the one-slot queue at once and the second get the 429.
+	post()
 	<-blk.started // worker is busy
+	post()
 	// Wait until the queue slot is taken too (trySubmit for the second
 	// request has happened once its depth gauge reads 1).
 	waitFor(t, 5*time.Second, func() bool { return srv.queueDepth.Value() >= 1 })

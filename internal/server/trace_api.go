@@ -23,7 +23,7 @@ func (s *Server) writeTrace(rw http.ResponseWriter, tr *obs.Trace, jobID string)
 	w.String(tr.TraceID)
 	w.Key("spans")
 	if err == nil {
-		err = w.Embed(spans)
+		w.Raw(spans)
 	}
 	if len(tr.Events) > 0 {
 		w.Key("events")

@@ -11,7 +11,7 @@
 //     a repeated key wins, and null leaves scalars untouched.
 //   - Writer appends compact or indented JSON with encoding/json's number
 //     format and string escaping, so its bytes match json.Marshal and an
-//     Encoder with SetIndent("", "  ") at every depth; Embed copies a
+//     Encoder with SetIndent("", "  ") at every depth; Raw copies a
 //     pre-encoded value in as encoding/json embeds a json.RawMessage.
 package wire
 

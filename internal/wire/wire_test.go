@@ -246,54 +246,124 @@ func embedOracle(raw []byte, depth int, indent bool) (out []byte, ok bool) {
 	return buf.Bytes(), true
 }
 
-// embedWire renders the same document with Writer.Embed.
-func embedWire(raw []byte, depth int, indent bool) (out []byte, ok bool) {
+// rawWire renders raw with Writer.Raw nested depth arrays deep, compact
+// or indented, as embedOracle renders it.
+func rawWire(raw []byte, depth int, indent bool) []byte {
 	w := GetWriter(indent)
 	defer w.Free()
 	for i := 0; i < depth; i++ {
 		w.BeginArray()
 	}
-	if err := w.Embed(raw); err != nil {
-		return nil, false
-	}
+	w.Raw(raw)
 	for i := 0; i < depth; i++ {
 		w.EndArray()
 	}
 	w.Newline()
-	return append([]byte(nil), w.Bytes()...), true
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// checkRaw holds Writer.Raw, the one way pre-encoded JSON enters a
+// Writer, to encoding/json's embedding of raw as a json.RawMessage depth
+// arrays deep: indented for any valid raw, and compact for the bytes
+// json.Marshal writes for it, the only input a compact Raw is given.
+// Invalid raw is only written, to show that Raw does not panic on it.
+func checkRaw(t *testing.T, raw []byte, depth int) {
+	t.Helper()
+	if !json.Valid(raw) {
+		rawWire(raw, depth, true)
+		rawWire(raw, depth, false)
+		return
+	}
+	expectRaw(t, raw, raw, depth, true)
+	expectRaw(t, marshalRaw(t, raw), raw, depth, false)
+}
+
+// checkRawCompact holds Raw, given the compact bytes json.Marshal writes
+// for a valid raw, as this process's own output is, to encoding/json's
+// embedding of raw, compact and indented. Invalid raw is skipped.
+func checkRawCompact(t *testing.T, raw []byte, depth int) {
+	t.Helper()
+	if !json.Valid(raw) {
+		return
+	}
+	in := marshalRaw(t, raw)
+	expectRaw(t, in, raw, depth, false)
+	expectRaw(t, in, raw, depth, true)
+}
+
+// marshalRaw returns the compact, escaped bytes json.Marshal writes for
+// the valid value raw.
+func marshalRaw(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	out, err := json.Marshal(json.RawMessage(raw))
+	if err != nil {
+		t.Fatalf("json.Marshal(%q): %v", raw, err)
+	}
+	return out
+}
+
+// expectRaw checks that Raw(in), depth arrays deep, writes what
+// encoding/json writes for raw as a json.RawMessage there.
+func expectRaw(t *testing.T, in, raw []byte, depth int, indent bool) {
+	t.Helper()
+	want, ok := embedOracle(raw, depth, indent)
+	if !ok {
+		t.Fatalf("encoding/json refuses valid %q", raw)
+	}
+	if got := rawWire(in, depth, indent); !bytes.Equal(got, want) {
+		t.Errorf("Raw(%q) depth %d indent=%v:\n got %s\nwant %s", in, depth, indent, got, want)
+	}
 }
 
 var embedSeeds = []string{`{"t":1,"kind":"place","task":"<a&b>","vals":[1, 2.50, -0e+3]}`, " [ ] ", "{ }", `[{},[],[{}],{"a":[]}]`,
 	`"\u00e9\/\n"`, "\"sep\xe2\x80\xa8\xe2\x80\xa9 bad\xff \xe2\x80\"", "{\n  \"a\" :\t[ 1 ,\r\n 2 ] ,\"b\":{\"c\":null}}", `7`, `true`,
 	`{"a":1,}`, `[1 2]`, ``, `{} {}`, strings.Repeat(`[{"a":`, 20) + "1" + strings.Repeat("}]", 20)}
 
+// TestEmbedMatchesEncoder: Raw embeds every seed as encoding/json embeds
+// a json.RawMessage, compact and indented, at depths 0 to 7.
 func TestEmbedMatchesEncoder(t *testing.T) {
-	for _, raw := range embedSeeds {
-		for depth := 0; depth < 3; depth++ {
-			for _, indent := range []bool{false, true} {
-				want, wok := embedOracle([]byte(raw), depth, indent)
-				got, gok := embedWire([]byte(raw), depth, indent)
-				if wok != gok || !bytes.Equal(got, want) {
-					t.Errorf("Embed(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, depth, indent, got, gok, want, wok)
-				}
-			}
+	seeds := append(embedSeeds, `{"graph":{"tasks":[{"name":"a"},{"name":"b","pseudo":true}],"edges":null},"costs":[[1,2],[]]}`,
+		`["{,}[:]\"\\",{"":{}}]`, `[[[[]]],{"a":{"b":{"c":[1e-7,-0]}}}]`, "\t{ \"<&>\" : [ \"\xe2\x80\xa9\" , { } ] }\n",
+		`"\u2028<\"&\\>"`, "[\n]", "\"\xe2\x80\"", "\"\xe2\"")
+	for _, raw := range seeds {
+		for depth := 0; depth < 8; depth++ {
+			checkRaw(t, []byte(raw), depth)
 		}
 	}
 }
 
-// FuzzEmbedMatchesEncoder holds Writer.Embed to encoding/json's embedding
-// of a json.RawMessage, compact and indented, at any depth.
+// FuzzEmbedMatchesEncoder holds Writer.Raw to encoding/json's embedding
+// of a json.RawMessage at any depth up to 7, as checkRaw does.
 func FuzzEmbedMatchesEncoder(f *testing.F) {
 	for i, seed := range embedSeeds {
-		f.Add([]byte(seed), uint8(i%4), i%2 == 0)
+		f.Add([]byte(seed), uint8(i%4))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, depth uint8, indent bool) {
-		d := int(depth % 8)
-		want, wok := embedOracle(raw, d, indent)
-		got, gok := embedWire(raw, d, indent)
-		if wok != gok || !bytes.Equal(got, want) {
-			t.Fatalf("Embed(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, d, indent, got, gok, want, wok)
+	f.Fuzz(func(t *testing.T, raw []byte, depth uint8) {
+		checkRaw(t, raw, int(depth%8))
+	})
+}
+
+// TestRawMatchesEmbed: on compact values, as this process writes them,
+// Raw writes encoding/json's embedding, compact and indented, at depths 0
+// to 7.
+func TestRawMatchesEmbed(t *testing.T) {
+	seeds := append(embedSeeds, `{"graph":{"tasks":[{"name":"a"},{"name":"b","pseudo":true}],"edges":null},"costs":[[1,2],[]]}`,
+		`["{,}[:]\"\\",{"":{}}]`, `[[[[]]],{"a":{"b":{"c":[1e-7,-0]}}}]`)
+	for _, raw := range seeds {
+		for depth := 0; depth < 8; depth++ {
+			checkRawCompact(t, []byte(raw), depth)
 		}
+	}
+}
+
+// FuzzRawMatchesEmbed holds Writer.Raw on compact values to
+// encoding/json's embedding, as checkRawCompact does.
+func FuzzRawMatchesEmbed(f *testing.F) {
+	for i, seed := range embedSeeds {
+		f.Add([]byte(seed), uint8(i%4))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, depth uint8) {
+		checkRawCompact(t, raw, int(depth%8))
 	})
 }
 
@@ -365,62 +435,6 @@ func TestTimeMatchesMarshalJSON(t *testing.T) {
 		}
 		w.Free()
 	}
-}
-
-// rawWire renders raw, made compact by a compact Writer's Embed as the
-// process's own output is, with Writer.Raw nested depth arrays deep; ok is
-// false when Embed rejects raw.
-func rawWire(raw []byte, depth int, indent bool) (out []byte, ok bool) {
-	c := GetWriter(false)
-	defer c.Free()
-	if c.Embed(raw) != nil {
-		return nil, false
-	}
-	w := GetWriter(indent)
-	defer w.Free()
-	for i := 0; i < depth; i++ {
-		w.BeginArray()
-	}
-	w.Raw(c.Bytes())
-	for i := 0; i < depth; i++ {
-		w.EndArray()
-	}
-	w.Newline()
-	return append([]byte(nil), w.Bytes()...), true
-}
-
-// TestRawMatchesEmbed: on compact values this process wrote, Raw writes
-// what Embed writes, compact and indented, at any depth.
-func TestRawMatchesEmbed(t *testing.T) {
-	seeds := append(embedSeeds, `{"graph":{"tasks":[{"name":"a"},{"name":"b","pseudo":true}],"edges":null},"costs":[[1,2],[]]}`,
-		`["{,}[:]\"\\",{"":{}}]`, `[[[[]]],{"a":{"b":{"c":[1e-7,-0]}}}]`)
-	for _, raw := range seeds {
-		for depth := 0; depth < 3; depth++ {
-			for _, indent := range []bool{false, true} {
-				want, wok := embedWire([]byte(raw), depth, indent)
-				got, gok := rawWire([]byte(raw), depth, indent)
-				if wok != gok || !bytes.Equal(got, want) {
-					t.Errorf("Raw(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, depth, indent, got, gok, want, wok)
-				}
-			}
-		}
-	}
-}
-
-// FuzzRawMatchesEmbed holds Writer.Raw to Writer.Embed, which
-// FuzzEmbedMatchesEncoder holds to encoding/json, on compact values.
-func FuzzRawMatchesEmbed(f *testing.F) {
-	for i, seed := range embedSeeds {
-		f.Add([]byte(seed), uint8(i%4), i%2 == 0)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte, depth uint8, indent bool) {
-		d := int(depth % 8)
-		want, wok := embedWire(raw, d, indent)
-		got, gok := rawWire(raw, d, indent)
-		if wok != gok || !bytes.Equal(got, want) {
-			t.Fatalf("Raw(%q) depth %d indent=%v:\n got %s (ok %v)\nwant %s (ok %v)", raw, d, indent, got, gok, want, wok)
-		}
-	})
 }
 
 // TestTruncateSwap: Truncate takes back a document and the error it left,

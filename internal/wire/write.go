@@ -22,7 +22,6 @@ type Writer struct {
 	nonEmpty []bool // per open container: has a member been written
 	afterKey bool
 	err      error
-	check    Scanner // Embed's syntax check, kept for its stack
 }
 
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
@@ -89,12 +88,10 @@ func (w *Writer) Newline() { w.buf = append(w.buf, '\n') }
 // newlineSpaces is a line break and the indentation of up to 32 levels.
 const newlineSpaces = "\n                                                                "
 
-func (w *Writer) newline() { w.newlineAt(w.depth) }
-
-// newlineAt breaks the line and indents it for the given nesting depth.
-func (w *Writer) newlineAt(depth int) {
+// newline breaks the line and indents it for the current depth.
+func (w *Writer) newline() {
 	if w.indent {
-		w.buf = appendNewline(w.buf, depth)
+		w.buf = appendNewline(w.buf, w.depth)
 	}
 }
 
@@ -251,69 +248,16 @@ func (w *Writer) Null() {
 	w.buf = append(w.buf, "null"...)
 }
 
-// Embed writes one pre-encoded JSON value the way encoding/json embeds a
-// json.RawMessage: space between tokens dropped, '<', '>', '&', U+2028
-// and U+2029 escaped, and in an indented document the value laid out as
-// json.Indent lays it out at the current depth. Strings and numbers are
-// copied as they are, escapes included. It is one pass over raw after a
-// syntax check; invalid JSON is an error and writes nothing.
-func (w *Writer) Embed(raw []byte) error {
-	w.check = Scanner{data: raw, stack: w.check.stack[:0]}
-	w.check.Skip()
-	valid := w.check.AtEOF() && w.check.err == nil
-	w.check.data = nil
-	if !valid {
-		return errors.New("wire: embedded value is not one valid JSON value")
-	}
-	w.value()
-	depth := w.depth
-	open := false // a '{' or '[' was just written; indent once it proves non-empty
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		if open && c != '}' && c != ']' {
-			open = false
-			depth++
-			w.newlineAt(depth)
-		}
-		switch c {
-		case '"':
-			i = w.embedString(raw, i)
-		case '{', '[':
-			open = true
-			w.buf = append(w.buf, c)
-		case ',':
-			w.buf = append(w.buf, c)
-			w.newlineAt(depth)
-		case ':':
-			w.buf = append(w.buf, c)
-			if w.indent {
-				w.buf = append(w.buf, ' ')
-			}
-		case '}', ']':
-			if open {
-				open = false
-			} else {
-				depth--
-				w.newlineAt(depth)
-			}
-			w.buf = append(w.buf, c)
-		default:
-			w.buf = append(w.buf, c)
-		}
-	}
-	return nil
-}
-
-// Raw writes raw, one JSON value a compact Writer of this process wrote
-// (or a Scanner.Raw slice of one), trusting it: nothing is checked or
-// escaped. A compact Writer appends it as it is; an indented one lays it
-// out as Embed does, copying the bytes between structural characters in
-// runs. Other bytes are written as they come, whitespace in raw
-// included.
+// Raw writes raw, one JSON value, the way encoding/json embeds a
+// json.RawMessage, with no syntax check: raw is this process's own output
+// or a value a Scanner checked where it entered. An indented Writer drops
+// the space between tokens, escapes '<', '>', '&', U+2028 and U+2029 in
+// strings, and lays the value out at the current depth as json.Indent
+// does, empty containers on one line; it copies the bytes between the
+// ones it acts on in runs. A compact Writer appends raw as it is, so raw
+// must already be compact and escaped, as json.Marshal and a compact
+// Writer write it. Invalid input writes bytes that are not JSON, and
+// never panics.
 func (w *Writer) Raw(raw []byte) {
 	w.value()
 	if !w.indent {
@@ -328,21 +272,48 @@ func (w *Writer) Raw(raw []byte) {
 		}
 		switch raw[i] {
 		case '"':
-			for i++; i < len(raw) && raw[i] != '"'; i++ {
-				if raw[i] == '\\' {
+			for i++; i < len(raw); i++ {
+				c := raw[i]
+				if !stringByte[c] {
+					continue
+				}
+				if c == '"' {
+					break
+				}
+				switch {
+				case c == '\\':
 					i++
+				case c == 0xE2: // U+2028 and U+2029 are E2 80 A8 and E2 80 A9
+					if i+2 < len(raw) && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8 {
+						buf = append(append(buf, raw[from:i]...), '\\', 'u', '2', '0', '2', hexDigits[raw[i+2]&0xF])
+						i += 2
+						from = i + 1
+					}
+				default: // '<', '>', '&'
+					buf = append(append(buf, raw[from:i]...), '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+					from = i + 1
 				}
 			}
+		case ' ', '\t', '\n', '\r':
+			buf = append(buf, raw[from:i]...)
+			from = skipSpace(raw, i)
+			i = from - 1
 		case '{', '[':
-			if i+1 < len(raw) && (raw[i+1] == '}' || raw[i+1] == ']') {
-				i++ // an empty container stays on its line
+			j := skipSpace(raw, i+1)
+			if j < len(raw) && (raw[j] == '}' || raw[j] == ']') {
+				// An empty container stays on its line.
+				if j > i+1 {
+					buf = append(buf, raw[from:i+1]...)
+					from = j
+				}
+				i = j
 				continue
 			}
 			depth++
 			buf = appendNewline(append(buf, raw[from:i+1]...), depth)
 			from = i + 1
 		case '}', ']':
-			depth--
+			depth = max(depth-1, 0) // an unmatched closer is invalid input
 			buf = appendNewline(append(buf, raw[from:i]...), depth)
 			from = i
 		case ',':
@@ -356,34 +327,15 @@ func (w *Writer) Raw(raw []byte) {
 	w.buf = append(buf, raw[from:]...)
 }
 
-// layoutByte marks the bytes Raw lays out around, and the quote that
-// starts a string it copies whole.
-var layoutByte = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true}
+// layoutByte marks the bytes Raw lays out around or drops, and the quote
+// that starts a string it scans.
+var layoutByte = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true,
+	' ': true, '\t': true, '\n': true, '\r': true}
 
-// embedString copies the string literal starting at raw[i] with
-// encoding/json's HTML escaping and returns the index of its closing
-// quote. raw has passed the syntax check, so the literal is terminated.
-func (w *Writer) embedString(raw []byte, i int) int {
-	start := i
-	for i++; ; i++ {
-		switch c := raw[i]; {
-		case c == '\\':
-			i++
-		case c == '"':
-			w.buf = append(w.buf, raw[start:i+1]...)
-			return i
-		case c == '<' || c == '>' || c == '&':
-			w.buf = append(w.buf, raw[start:i]...)
-			w.buf = append(w.buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			start = i + 1
-		case c == 0xE2 && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8: // U+2028, U+2029
-			w.buf = append(w.buf, raw[start:i]...)
-			w.buf = append(w.buf, '\\', 'u', '2', '0', '2', hexDigits[raw[i+2]&0xF])
-			i += 2
-			start = i + 1
-		}
-	}
-}
+// stringByte marks the bytes Raw acts on inside a string: its end, an
+// escape whose next byte it skips, the bytes it HTML-escapes, and the
+// lead byte of U+2028 and U+2029.
+var stringByte = [256]bool{'"': true, '\\': true, '<': true, '>': true, '&': true, 0xE2: true}
 
 // AppendFloat appends f as encoding/json formats a float64: the shortest
 // representation that round-trips, in 'f' form unless the exponent is
