@@ -8,9 +8,10 @@ import (
 	"sort"
 )
 
-// LockedIO flags blocking operations — file writes and fsyncs, network
-// round-trips, writes to interface writers, channel sends/receives, sleeps
-// — that are reachable while a sync.Mutex or sync.RWMutex is held. A slow
+// LockedIO flags blocking operations — file writes and fsyncs (on an
+// *os.File or through a file-like interface), network round-trips, writes
+// to interface writers, channel sends/receives, sleeps — that are
+// reachable while a sync.Mutex or sync.RWMutex is held. A slow
 // disk or scraper must never stall every other request behind a hot lock:
 // the WAL fsync path and the trace/metrics stores are the motivating
 // call sites (lockedio ⇔ WAL latency, metrics-scrape availability).
@@ -30,7 +31,8 @@ var LockedIO = &Analyzer{
 	Run: runLockedIO,
 }
 
-// fileBlockingMethods are *os.File methods that hit the disk.
+// fileBlockingMethods are *os.File methods that hit the disk, also when
+// called through a file-like interface (see fileLike).
 var fileBlockingMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteAt": true, "Sync": true,
 	"Close": true, "Truncate": true, "ReadFrom": true, "Read": true, "ReadAt": true,
@@ -56,6 +58,9 @@ func baseBlockingReason(pass *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	name := f.Name()
+	if iface, ok := fileLike(f); ok && fileBlockingMethods[name] {
+		return iface + "." + name + " (a file-like interface)"
+	}
 	if recv := recvNamed(f); recv != nil {
 		switch {
 		case namedIs(recv, "os", "File") && fileBlockingMethods[name]:
@@ -104,6 +109,36 @@ func baseBlockingReason(pass *Pass, call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// fileLike reports whether f is a method of an interface whose method
+// set has Write plus Sync or Truncate, the mark of a file behind an
+// interface, and names the interface.
+func fileLike(f *types.Func) (string, bool) {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return "", false
+	}
+	t := sig.Recv().Type()
+	iface, ok := t.Underlying().(*types.Interface)
+	if !ok {
+		return "", false
+	}
+	has := func(name string) bool {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == name {
+				return true
+			}
+		}
+		return false
+	}
+	if !has("Write") || !has("Sync") && !has("Truncate") {
+		return "", false
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name(), true
+	}
+	return "interface", true
 }
 
 // writerMayBlock reports whether the static type of a writer argument can

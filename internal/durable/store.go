@@ -644,5 +644,6 @@ func (s *Store[R]) Close() error {
 	s.Flush()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	//lint:hdltsvet-ignore lockedio shutdown path: closing the WAL must serialise with the final flush under the writer lock
 	return s.log.f.Close()
 }

@@ -16,6 +16,7 @@
 package wire
 
 import (
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -205,10 +206,19 @@ func (s *Scanner) mismatch(got Kind, want string) error {
 	return &TypeError{Value: got.String(), Want: want, Offset: off}
 }
 
-// float converts the number at the cursor with strconv.ParseFloat, the
-// conversion encoding/json uses; a number out of float64 range is a
-// TypeError.
+// float converts the number at the cursor in the pass that checks its
+// grammar (numLit.scan and numLit.float). A literal that pass cannot prove
+// exact, or one that breaks the grammar, goes to strconv.ParseFloat, the
+// conversion encoding/json uses, so values and errors are its: a number
+// out of float64 range is a TypeError.
 func (s *Scanner) float() (float64, error) {
+	var n numLit
+	if n.scan(s.data, s.pos) {
+		if f, ok := n.float(); ok {
+			s.pos = n.end
+			return f, nil
+		}
+	}
 	off := s.pos
 	lit := s.number()
 	if s.err != nil {
@@ -221,20 +231,29 @@ func (s *Scanner) float() (float64, error) {
 	return f, nil
 }
 
-// int converts the number at the cursor with strconv.ParseInt, so
-// fractions, exponents and out-of-range values are TypeErrors, as in
-// encoding/json.
+// int converts an integer literal of up to maxDigits digits that fits an
+// int in the pass that checks its grammar; anything else goes to
+// strconv.ParseInt, so fractions, exponents and out-of-range values are
+// TypeErrors, as in encoding/json.
 func (s *Scanner) int() (int, error) {
+	var n numLit
+	if n.scan(s.data, s.pos) && n.plain && n.digits <= maxDigits && n.man <= math.MaxInt {
+		s.pos = n.end
+		if n.neg {
+			return -int(n.man), nil
+		}
+		return int(n.man), nil
+	}
 	off := s.pos
 	lit := s.number()
 	if s.err != nil {
 		return 0, s.err
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
 		return 0, &TypeError{Value: "number " + string(lit), Want: "int", Offset: off}
 	}
-	return int(n), nil
+	return int(v), nil
 }
 
 // The *Into accessors decode one value into a Go destination with
@@ -275,15 +294,23 @@ func (s *Scanner) IntInto(dst *int) error {
 	}
 }
 
-// Uint64Into decodes a non-negative integer or null into *dst, with
-// strconv.ParseUint as encoding/json converts into a uint64: signs,
-// fractions, exponents and out-of-range values are TypeErrors.
+// Uint64Into decodes a non-negative integer or null into *dst, as
+// encoding/json converts into a uint64: an integer literal of up to
+// maxDigits digits converts in the pass that checks its grammar, and
+// anything else goes to strconv.ParseUint, so signs, fractions,
+// exponents and out-of-range values are TypeErrors.
 func (s *Scanner) Uint64Into(dst *uint64) error {
 	switch k := s.Peek(); k {
 	case Null:
 		s.literal("null")
 		return s.err
 	case Number:
+		var n numLit
+		if n.scan(s.data, s.pos) && n.plain && !n.neg && n.digits <= maxDigits {
+			s.pos = n.end
+			*dst = n.man
+			return nil
+		}
 		off := s.pos
 		lit := s.number()
 		if s.err != nil {

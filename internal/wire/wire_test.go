@@ -196,33 +196,134 @@ func FuzzSkipMatchesValid(f *testing.F) {
 	})
 }
 
-// TestFloatMatchesParseFloat checks the scanner's number grammar and
-// conversion against json.Valid and strconv.ParseFloat/ParseInt.
+// numberSeeds are literals at the edges of the scanner's number
+// conversion: the exact float path (2^53 and 10^22), the 19 digits a
+// uint64 mantissa holds, int64 and uint64 range, subnormals, overflow,
+// signed zeros, leading zeros, and malformed literals.
+var numberSeeds = []string{"0", "-0", "0.0", "-0.000", "1", "10", "123456789012345", "4503599627370495", "4503599627370496",
+	"9007199254740993", "1234567890123456789", "12345678901234567890", "0.1", "0.000000123", "1e22", "1e23",
+	"1.5e-22", "1.5e-23", "3e37", "12e36", "1e15", "1000000000000000e22", "17.698535185700088", "37.93230500720051",
+	"1E+2", "1e-0", "1e0004", "1e00004", "00", "0.00000000000000000000000000001234", "-12.5e3",
+	"9007199254740991", "9007199254740992", "-9007199254740993", "9007199254740991.5", "900719925474099.3e1",
+	"9999999999999999999", "10000000000000000000", "99999999999999999999", "-1234567890123456789", "1.234567890123456789",
+	"12345678901234567891", "1.2345678901234567891", "0.1234567890123456789e-5", "123456789012345678e5",
+	"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+	"18446744073709551615", "18446744073709551616", "-1e22", "1e-22", "1e-23", "9.999999999999999e22",
+	"5e-324", "4.9e-324", "2e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+	"2.2250738585072011e-308", "2.2250738585072014e-308", "1e-307", "1e-320", "1e-400", "-1e-400",
+	"1e308", "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308", "1e309", "-1e309",
+	"0e999999", "-0e-999999", "1e99999999999999999999", "0.000000000000000000000", "-0.0e0",
+	"0.000000000000000000000000000000000000000001", "0.0000000000000000000000123456789012345678901",
+	"0.00000000000000000000001234567890123456789", "00.5", "-", "-x", "1.", "1.e5", "1e", "1e+", "1e-x", "-01",
+	"1.5.3", "1e5.3", "1E5e", "+1", ".5", " \t\n\r7", "12345678.12345678", "1234567812345678.5",
+	"1.2345678e2x", "7,", "7]", "7}", "3 ", "-0.5E-3 "}
+
+// TestFloatMatchesParseFloat holds the scanner's number grammar and
+// conversion to json.Valid and strconv over numberSeeds and random
+// literals (see checkNumber).
 func TestFloatMatchesParseFloat(t *testing.T) {
-	lits := []string{"0", "-0", "0.0", "-0.000", "1", "10", "123456789012345", "4503599627370495", "4503599627370496",
-		"9007199254740993", "1234567890123456789", "12345678901234567890", "0.1", "0.000000123", "1e22", "1e23",
-		"1.5e-22", "1.5e-23", "3e37", "12e36", "1e15", "1000000000000000e22", "17.698535185700088", "37.93230500720051",
-		"1E+2", "1e-0", "1e0004", "1e00004", "00", "0.00000000000000000000000000001234", "-12.5e3"}
+	lits := append([]string(nil), numberSeeds...)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
 		lits = append(lits, strconv.FormatFloat(rng.ExpFloat64()*math.Pow(10, float64(rng.Intn(40)-20)), 'f', rng.Intn(18), 64),
-			strconv.FormatFloat(rng.NormFloat64(), 'e', rng.Intn(20), 64), strconv.Itoa(rng.Int()>>rng.Intn(60)))
+			strconv.FormatFloat(rng.NormFloat64(), 'e', rng.Intn(20), 64), strconv.Itoa(rng.Int()>>rng.Intn(60)),
+			strconv.FormatFloat(math.Float64frombits(rng.Uint64()), 'g', -1, 64))
 	}
 	for _, lit := range lits {
-		if !json.Valid([]byte(lit)) {
+		checkNumber(t, []byte(lit))
+	}
+}
+
+// FuzzNumberMatchesStrconv holds FloatInto, IntInto and Uint64Into on
+// arbitrary bytes to json.Valid and strconv (see checkNumber).
+func FuzzNumberMatchesStrconv(f *testing.F) {
+	for _, seed := range numberSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkNumber(t, data)
+	})
+}
+
+// checkNumber holds the scanner's numeric accessors on data to an oracle
+// built from json.Valid and strconv. When data, after JSON whitespace,
+// starts a number, the literal the scanner should read is the longest
+// prefix json.Valid accepts; if a longer prefix of data still begins some
+// valid number (it does when appending "0" makes it valid), the grammar
+// broke inside the literal and the scanner must report a SyntaxError at
+// the first byte past that longer prefix. Otherwise each accessor must
+// consume exactly the literal and agree with strconv.ParseFloat,
+// ParseInt or ParseUint: the same bits, or a TypeError at the literal
+// that leaves the destination as it was.
+func checkNumber(t *testing.T, data []byte) {
+	t.Helper()
+	ws := 0
+	for ws < len(data) && strings.IndexByte(" \t\n\r", data[ws]) >= 0 {
+		ws++
+	}
+	if ws == len(data) || data[ws] != '-' && (data[ws] < '0' || data[ws] > '9') {
+		return
+	}
+	valid, begins := 0, 0 // the longest prefixes that are, and that begin, a number
+	for n := 1; ws+n <= len(data) && strings.IndexByte("0123456789+-.eE", data[ws+n-1]) >= 0; n++ {
+		p := data[ws : ws+n]
+		if json.Valid(p) {
+			valid = n
+		} else if !json.Valid(append(p[:n:n], '0')) {
+			break
+		}
+		begins = n
+	}
+	lit := string(data[ws : ws+valid])
+	for _, acc := range []struct {
+		want string
+		read func(*Scanner) (uint64, error)
+		std  func() (uint64, error)
+	}{
+		{"float64", func(s *Scanner) (uint64, error) {
+			v := math.Pi
+			err := s.FloatInto(&v)
+			return math.Float64bits(v), err
+		}, func() (uint64, error) {
+			v, err := strconv.ParseFloat(lit, 64)
+			return math.Float64bits(v), err
+		}},
+		{"int", func(s *Scanner) (uint64, error) {
+			v := 42
+			err := s.IntInto(&v)
+			return uint64(v), err
+		}, func() (uint64, error) {
+			v, err := strconv.ParseInt(lit, 10, strconv.IntSize)
+			return uint64(v), err
+		}},
+		{"uint64", func(s *Scanner) (uint64, error) {
+			v := uint64(42)
+			err := s.Uint64Into(&v)
+			return v, err
+		}, func() (uint64, error) { return strconv.ParseUint(lit, 10, 64) }},
+	} {
+		s := NewScanner(data)
+		unset, _ := acc.read(NewScanner([]byte("null")))
+		got, err := acc.read(s)
+		if begins > valid || valid == 0 {
+			if se, ok := err.(*SyntaxError); !ok || se.Offset != ws+begins || s.Err() != err || got != unset {
+				t.Errorf("%q into %s: got %#x, %v; want a syntax error at offset %d", data, acc.want, got, err, ws+begins)
+			}
 			continue
 		}
-		want, werr := strconv.ParseFloat(lit, 64)
-		var got float64
-		gerr := NewScanner([]byte(lit)).FloatInto(&got)
-		if (werr == nil) != (gerr == nil) || werr == nil && math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("Float(%s) = %v (%v), ParseFloat %v (%v)", lit, got, gerr, want, werr)
+		want, werr := acc.std()
+		if s.pos != ws+valid {
+			t.Errorf("%q into %s: cursor at %d, want %d past %q", data, acc.want, s.pos, ws+valid, lit)
 		}
-		if n, err := strconv.ParseInt(lit, 10, 64); err == nil {
-			var got int
-			if err := NewScanner([]byte(lit)).IntInto(&got); err != nil || got != int(n) {
-				t.Errorf("Int(%s) = %d, %v; want %d", lit, got, err, n)
+		if werr != nil {
+			te, ok := err.(*TypeError)
+			if !ok || te.Offset != ws || te.Value != "number "+lit || te.Want != acc.want || got != unset || s.Err() != nil {
+				t.Errorf("%q into %s: got %#x, %v; strconv refuses %q (%v)", data, acc.want, got, err, lit, werr)
 			}
+			continue
+		}
+		if err != nil || got != want {
+			t.Errorf("%q into %s: got %#x, %v; strconv reads %#x", data, acc.want, got, err, want)
 		}
 	}
 }
