@@ -76,7 +76,7 @@ func solverPhaseSeconds(algs []sched.Algorithm) float64 {
 	total := 0.0
 	for _, a := range algs {
 		total += obs.Default().Histogram(obs.MetricSolverPhase,
-			"alg", a.Name(), "phase", obs.PhaseSchedule.String()).Sum()
+			"alg", a.Name(), "phase", "schedule").Sum()
 	}
 	return total
 }

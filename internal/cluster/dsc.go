@@ -34,8 +34,7 @@ func (*DSC) Name() string { return "DSC" }
 
 // Schedule implements sched.Algorithm.
 func (*DSC) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("DSC")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("DSC").Stop()
 	pr = pr.Normalize()
 	clusters, err := clusterize(pr)
 	if err != nil {

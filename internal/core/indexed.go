@@ -11,11 +11,6 @@ import (
 	"hdlts/internal/stats"
 )
 
-// timeSampleStride is the phase-timing sampling stride: one iteration in
-// this many is clocked and the flushed totals scale by the same factor.
-// Must be a power of two (the sample test is a mask).
-const timeSampleStride = 8
-
 // The indexed core is the one HDLTS engine: the paper's loop (kept in
 // literal form as the test oracle in reference_test.go), restated over
 // flat index-keyed state so that the steady state of a solve allocates
@@ -391,8 +386,7 @@ func (h *HDLTS) bestEstimate(a *arena, t dag.TaskID, row int32) sched.Estimate {
 //
 //hdlts:hotpath
 func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
-	prof := obs.SolverProfileFor(h.Name())
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve(h.Name()).Stop()
 	pr := s.Problem()
 	g := pr.G
 	pol := h.policy()
@@ -402,23 +396,10 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 	defer a.recycle()
 	a.bind(s, pr, pol, h.opts.PopulationSigma, n, np)
 
-	scanAcc := prof.Accum(obs.PhaseScan)
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer scanAcc.FlushScaled(timeSampleStride)
-	defer eftAcc.FlushScaled(timeSampleStride)
-	defer insAcc.FlushScaled(timeSampleStride)
-	// Phase attribution samples one iteration in timeSampleStride and the
-	// flush scales the totals back up: iterations are statistically alike
-	// enough that the per-phase split keeps its shape, and the skipped
-	// iterations save their clock reads — unsampled, the clock alone was
-	// ~10% of solve time at 10k tasks. Within a sampled iteration each
-	// Lap both closes a phase and opens the next with one reading.
-	timedAll := scanAcc.Enabled()
-
-	// Estimates are batch-accounted: EstimateArrived does not bump the
-	// substrate counter per call, so one Add lands the same total the
-	// reference oracle accumulates one atomic increment at a time.
+	// Estimates and iterations are batch-accounted: neither
+	// EstimateArrived nor the loop bumps its counter per call, so one Add
+	// each on every exit (countWork) lands the totals per-call increments
+	// would.
 	estimates := int64(0)
 	for t := 0; t < n; t++ {
 		left := int32(-1) // placed: never queued
@@ -444,13 +425,6 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 	iter := uint32(0)
 	for len(a.live) > 0 {
 		iter++
-		iterationCount.Inc()
-		timed := timedAll && (iter-1)&(timeSampleStride-1) == 0
-		var tick obs.SampledTick
-		if timed {
-			tick = obs.StartSample()
-		}
-
 		// Phase 1+2: bring EFT vectors and PVs current and pick the winner.
 		// After a plain commit only the committed processor's column can
 		// have moved for already-queued tasks; after a duplication every
@@ -463,7 +437,7 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 			row, refreshed, err := a.refreshRows(iter)
 			estimates += refreshed
 			if err != nil {
-				sched.CountEstimates(estimates)
+				countWork(estimates, iter)
 				return fmt.Errorf("core: refreshing estimates: %w", err)
 			}
 			selRow = row
@@ -473,9 +447,6 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 			selRow = row
 			estimates += updated
 		}
-		if timed {
-			tick.Lap(&scanAcc)
-		}
 
 		// Phase 3: highest PV (ties to the smaller task ID) goes to its
 		// minimum-EFT processor (or best lookahead score).
@@ -484,17 +455,10 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 		if rec != nil {
 			rec.record(a, t, selRow, best, iter)
 		}
-		if timed {
-			tick.Lap(&eftAcc)
-		}
 		// The recorder reports this placement in its record, so the
 		// commit itself emits nothing.
-		err := s.CommitUntraced(best)
-		if timed {
-			tick.Lap(&insAcc)
-		}
-		if err != nil {
-			sched.CountEstimates(estimates)
+		if err := s.CommitUntraced(best); err != nil {
+			countWork(estimates, iter)
 			return fmt.Errorf("core: committing task %d on P%d: %w", t, best.Proc+1, err)
 		}
 		lastProc = best.Proc
@@ -508,20 +472,24 @@ func (h *HDLTS) runIndexed(s *sched.Schedule, rec *recorder) error {
 			a.remaining[arc.Task]--
 			if a.remaining[arc.Task] == 0 {
 				if err := a.enqueue(arc.Task, iter); err != nil {
-					sched.CountEstimates(estimates)
+					countWork(estimates, iter)
 					return fmt.Errorf("core: estimating task %d: %w", arc.Task, err)
 				}
 				estimates += int64(np)
 			}
 		}
-		if timed {
-			tick.Lap(&eftAcc)
-		}
 	}
-	sched.CountEstimates(estimates)
+	countWork(estimates, iter)
 
 	if !s.Complete() {
 		return fmt.Errorf("core: scheduler stalled with %d/%d tasks placed", s.NumPlaced(), n)
 	}
 	return nil
+}
+
+// countWork lands one solve's batch-accounted totals: iters ITQ
+// iterations and estimates substrate estimates.
+func countWork(estimates int64, iters uint32) {
+	sched.CountEstimates(estimates)
+	iterationCount.Add(int64(iters))
 }

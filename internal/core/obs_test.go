@@ -4,8 +4,49 @@ import (
 	"testing"
 
 	"hdlts/internal/obs"
+	"hdlts/internal/sched"
 	"hdlts/internal/workflows"
 )
+
+// TestIterationCounterPerSolve pins hdlts_iterations_total, which the
+// indexed core lands once per solve: the paper example takes 10 ITQ
+// iterations, and a seeded Extend one per task it places.
+func TestIterationCounterPerSolve(t *testing.T) {
+	before := iterationCount.Value()
+	if _, err := New().Schedule(workflows.PaperExample()); err != nil {
+		t.Fatal(err)
+	}
+	if d := iterationCount.Value() - before; d != 10 {
+		t.Errorf("paper example advanced the counter by %d, want 10", d)
+	}
+
+	pr := workflows.PaperExample().Normalize()
+	order, err := pr.G.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeded = 4
+	s := sched.NewSchedule(pr)
+	for _, task := range order[:seeded] {
+		e, err := s.BestEFT(task, sched.InsertionPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = iterationCount.Value()
+	if err := New().Extend(s); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Complete() {
+		t.Fatal("Extend left tasks unplaced")
+	}
+	if d, want := iterationCount.Value()-before, int64(pr.NumTasks()-seeded); d != want {
+		t.Errorf("seeded Extend advanced the counter by %d, want %d", d, want)
+	}
+}
 
 // TestTracerEventStream checks that an HDLTS run against a traced problem
 // emits the generalised Table-I stream: per-iteration PV and selection

@@ -299,11 +299,6 @@ func Execute(r *Reality, pol Policy) (*Result, error) {
 		}
 	}
 	pickTime := obs.Default().Histogram(metricPickTime, "policy", pol.Name())
-	// Replan decisions also land in the solver phase histogram, so dynamic
-	// policies share the per-phase vocabulary with the static solvers. The
-	// clock read from pickTime is reused.
-	replanAcc := obs.SolverProfileFor(pol.Name()).Accum(obs.PhaseReplan)
-	defer replanAcc.Flush()
 
 	// failed tracks which processor failures have been reported already.
 	failed := make([]bool, pr.NumProcs())
@@ -342,7 +337,6 @@ func Execute(r *Reality, pol Policy) (*Result, error) {
 			pickStart := time.Now()
 			task, proc, ok := pol.Pick(view)
 			pickTime.ObserveSince(pickStart)
-			replanAcc.ObserveSince(pickStart)
 			if !ok {
 				break
 			}

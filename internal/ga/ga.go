@@ -95,8 +95,7 @@ type individual struct {
 
 // Schedule implements sched.Algorithm.
 func (ga *GA) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor(ga.Name())
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve(ga.Name()).Stop()
 	pr = pr.Normalize()
 	p := ga.params
 	rng := rand.New(rand.NewSource(p.Seed))

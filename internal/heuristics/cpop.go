@@ -28,29 +28,20 @@ func (*CPOP) Name() string { return "CPOP" }
 
 // Schedule implements sched.Algorithm.
 func (c *CPOP) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("CPOP")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("CPOP").Stop()
 	pr = pr.Normalize()
 	g := pr.G
-	var prio []float64
-	var err error
-	prof.Do(obs.PhaseRank, func() {
-		var up, down []float64
-		up, err = UpwardRank(pr, meanNode(pr))
-		if err != nil {
-			return
-		}
-		down, err = DownwardRank(pr)
-		if err != nil {
-			return
-		}
-		prio = make([]float64, g.NumTasks())
-		for i := range prio {
-			prio[i] = up[i] + down[i]
-		}
-	})
+	up, err := UpwardRank(pr, meanNode(pr))
 	if err != nil {
 		return nil, err
+	}
+	down, err := DownwardRank(pr)
+	if err != nil {
+		return nil, err
+	}
+	prio := make([]float64, g.NumTasks())
+	for i := range prio {
+		prio[i] = up[i] + down[i]
 	}
 
 	// Walk the critical path: start at the entry; repeatedly follow the
@@ -104,27 +95,18 @@ func (c *CPOP) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 			q.push(dag.TaskID(t))
 		}
 	}
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer eftAcc.Flush()
-	defer insAcc.Flush()
 	for q.len() > 0 {
 		t := q.pop()
 		var est sched.Estimate
-		eftTick := eftAcc.Tick()
 		if onCP[t] {
 			est, err = s.Estimate(t, bestProc, c.Pol)
 		} else {
 			est, err = s.BestEFT(t, c.Pol)
 		}
-		eftTick.End()
 		if err != nil {
 			return nil, err
 		}
-		insTick := insAcc.Tick()
-		err = s.Commit(est)
-		insTick.End()
-		if err != nil {
+		if err := s.Commit(est); err != nil {
 			return nil, err
 		}
 		for _, a := range g.Succs(t) {

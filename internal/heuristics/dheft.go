@@ -128,8 +128,7 @@ func dheftEstimate(s *sched.Schedule, t dag.TaskID, p platform.Proc) (sched.Esti
 
 // Schedule implements sched.Algorithm.
 func (*DHEFT) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("DHEFT")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("DHEFT").Stop()
 	pr = pr.Normalize()
 	rank, err := UpwardRank(pr, meanNode(pr))
 	if err != nil {

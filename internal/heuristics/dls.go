@@ -33,8 +33,7 @@ func (*DLS) Name() string { return "DLS" }
 
 // Schedule implements sched.Algorithm.
 func (*DLS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("DLS")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("DLS").Stop()
 	pr = pr.Normalize()
 	g := pr.G
 	sl, err := g.DownwardDistance(meanNode(pr), dag.ZeroEdges)

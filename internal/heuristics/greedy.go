@@ -19,8 +19,7 @@ import (
 // commit it. Estimates use insertion-based placement, the stronger and more
 // common choice for these heuristics.
 func greedyRun(name string, pr *sched.Problem, pick func(best []sched.Estimate) int) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor(name)
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve(name).Stop()
 	pr = pr.Normalize()
 	g := pr.G
 	s := sched.NewSchedule(pr)
@@ -32,13 +31,8 @@ func greedyRun(name string, pr *sched.Problem, pick func(best []sched.Estimate) 
 			ready = append(ready, dag.TaskID(t))
 		}
 	}
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer eftAcc.Flush()
-	defer insAcc.Flush()
 	for len(ready) > 0 {
 		best := make([]sched.Estimate, len(ready))
-		eftTick := eftAcc.Tick()
 		for i, t := range ready {
 			e, err := s.BestEFT(t, sched.InsertionPolicy)
 			if err != nil {
@@ -46,16 +40,12 @@ func greedyRun(name string, pr *sched.Problem, pick func(best []sched.Estimate) 
 			}
 			best[i] = e
 		}
-		eftTick.End()
 		idx := pick(best)
 		if idx < 0 || idx >= len(ready) {
 			return nil, fmt.Errorf("heuristics: %s picked out-of-range index %d", name, idx)
 		}
 		chosen := best[idx]
-		insTick := insAcc.Tick()
-		err := s.Commit(chosen)
-		insTick.End()
-		if err != nil {
+		if err := s.Commit(chosen); err != nil {
 			return nil, err
 		}
 		ready = append(ready[:idx], ready[idx+1:]...)

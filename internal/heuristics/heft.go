@@ -1,7 +1,6 @@
 package heuristics
 
 import (
-	"hdlts/internal/dag"
 	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 )
@@ -26,21 +25,15 @@ func (*HEFT) Name() string { return "HEFT" }
 
 // Schedule implements sched.Algorithm.
 func (h *HEFT) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("HEFT")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("HEFT").Stop()
 	pr = pr.Normalize()
-	var order []dag.TaskID
-	var err error
-	prof.Do(obs.PhaseRank, func() {
-		var rank []float64
-		rank, err = UpwardRank(pr, meanNode(pr))
-		if err != nil {
-			return
-		}
-		order, err = orderByRankDesc(pr.G, rank)
-	})
+	rank, err := UpwardRank(pr, meanNode(pr))
 	if err != nil {
 		return nil, err
 	}
-	return scheduleByList(pr, order, h.Pol, prof)
+	order, err := orderByRankDesc(pr.G, rank)
+	if err != nil {
+		return nil, err
+	}
+	return scheduleByList(pr, order, h.Pol)
 }

@@ -83,30 +83,21 @@ func oct(pr *sched.Problem) ([]float64, error) {
 
 // Schedule implements sched.Algorithm.
 func (pe *PEFT) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("PEFT")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("PEFT").Stop()
 	pr = pr.Normalize()
 	g := pr.G
 	np := pr.NumProcs()
-	var table []float64
-	var rank []float64
-	var err error
-	prof.Do(obs.PhaseRank, func() {
-		table, err = oct(pr)
-		if err != nil {
-			return
-		}
-		rank = make([]float64, g.NumTasks())
-		for t := range rank {
-			sum := 0.0
-			for _, v := range table[t*np : t*np+np] {
-				sum += v
-			}
-			rank[t] = sum / float64(np)
-		}
-	})
+	table, err := oct(pr)
 	if err != nil {
 		return nil, err
+	}
+	rank := make([]float64, g.NumTasks())
+	for t := range rank {
+		sum := 0.0
+		for _, v := range table[t*np : t*np+np] {
+			sum += v
+		}
+		rank[t] = sum / float64(np)
 	}
 
 	s := sched.NewSchedule(pr)
@@ -118,15 +109,10 @@ func (pe *PEFT) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 			q.push(dag.TaskID(t))
 		}
 	}
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer eftAcc.Flush()
-	defer insAcc.Flush()
 	for q.len() > 0 {
 		t := q.pop()
 		var best sched.Estimate
 		bestOEFT := -1.0
-		eftTick := eftAcc.Tick()
 		for p := 0; p < np; p++ {
 			e, err := s.Estimate(t, platform.Proc(p), pe.Pol)
 			if err != nil {
@@ -136,11 +122,7 @@ func (pe *PEFT) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 				bestOEFT, best = oeft, e
 			}
 		}
-		eftTick.End()
-		insTick := insAcc.Tick()
-		err = s.Commit(best)
-		insTick.End()
-		if err != nil {
+		if err := s.Commit(best); err != nil {
 			return nil, err
 		}
 		for _, a := range g.Succs(t) {

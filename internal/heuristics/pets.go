@@ -34,8 +34,7 @@ func (*PETS) Name() string { return "PETS" }
 
 // Schedule implements sched.Algorithm.
 func (p *PETS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("PETS")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("PETS").Stop()
 	pr = pr.Normalize()
 	g := pr.G
 	levels, err := g.Levels()
@@ -45,7 +44,6 @@ func (p *PETS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 
 	rank := make([]float64, g.NumTasks())
 	order := make([]dag.TaskID, 0, g.NumTasks())
-	stopRank := prof.Start(obs.PhaseRank)
 	for _, level := range levels {
 		for _, t := range level {
 			acc := pr.W.Mean(int(t))
@@ -70,6 +68,5 @@ func (p *PETS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 		})
 		order = append(order, sorted...)
 	}
-	stopRank.Stop()
-	return scheduleByList(pr, order, p.Pol, prof)
+	return scheduleByList(pr, order, p.Pol)
 }

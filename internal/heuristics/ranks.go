@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"hdlts/internal/dag"
-	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 )
 
@@ -90,28 +89,17 @@ func orderByRankDesc(g *dag.Graph, rank []float64) ([]dag.TaskID, error) {
 }
 
 // scheduleByList places tasks in the given order, each on its minimum-EFT
-// processor under the policy, attributing EFT evaluation and commit time
-// to prof's eft/insertion phases (prof may be nil). The order must be
-// precedence-compatible.
+// processor under the policy. The order must be precedence-compatible.
 //
 //hdlts:hotpath
-func scheduleByList(pr *sched.Problem, order []dag.TaskID, pol sched.Policy, prof *obs.Profile) (*sched.Schedule, error) {
+func scheduleByList(pr *sched.Problem, order []dag.TaskID, pol sched.Policy) (*sched.Schedule, error) {
 	s := sched.NewSchedule(pr)
-	eftAcc := prof.Accum(obs.PhaseEFT)
-	insAcc := prof.Accum(obs.PhaseInsertion)
-	defer eftAcc.Flush()
-	defer insAcc.Flush()
 	for _, t := range order {
-		eftTick := eftAcc.Tick()
 		best, err := s.BestEFT(t, pol)
-		eftTick.End()
 		if err != nil {
 			return nil, err
 		}
-		insTick := insAcc.Tick()
-		err = s.Commit(best)
-		insTick.End()
-		if err != nil {
+		if err := s.Commit(best); err != nil {
 			return nil, err
 		}
 	}

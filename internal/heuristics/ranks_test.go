@@ -105,7 +105,7 @@ func TestScheduleByListRejectsBadOrder(t *testing.T) {
 	g.MustAddEdge(a, b, 1)
 	w := platform.MustCostsFromRows([][]float64{{1, 1}, {1, 1}})
 	pr := sched.MustProblem(g, platform.MustUniform(2), w)
-	if _, err := scheduleByList(pr, []dag.TaskID{b, a}, sched.InsertionPolicy, nil); err == nil {
+	if _, err := scheduleByList(pr, []dag.TaskID{b, a}, sched.InsertionPolicy); err == nil {
 		t.Fatal("precedence-violating list accepted")
 	}
 }

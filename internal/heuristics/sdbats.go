@@ -1,7 +1,6 @@
 package heuristics
 
 import (
-	"hdlts/internal/dag"
 	"hdlts/internal/obs"
 	"hdlts/internal/platform"
 	"hdlts/internal/sched"
@@ -30,19 +29,13 @@ func (*SDBATS) Name() string { return "SDBATS" }
 
 // Schedule implements sched.Algorithm.
 func (sd *SDBATS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	prof := obs.SolverProfileFor("SDBATS")
-	defer prof.Start(obs.PhaseSchedule).Stop()
+	defer obs.StartSolve("SDBATS").Stop()
 	pr = pr.Normalize()
-	var order []dag.TaskID
-	var err error
-	prof.Do(obs.PhaseRank, func() {
-		var rank []float64
-		rank, err = UpwardRank(pr, sigmaNode(pr))
-		if err != nil {
-			return
-		}
-		order, err = orderByRankDesc(pr.G, rank)
-	})
+	rank, err := UpwardRank(pr, sigmaNode(pr))
+	if err != nil {
+		return nil, err
+	}
+	order, err := orderByRankDesc(pr.G, rank)
 	if err != nil {
 		return nil, err
 	}

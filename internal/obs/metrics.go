@@ -138,8 +138,8 @@ type Registry struct {
 	counters map[metricKey]*Counter
 	gauges   map[metricKey]*Gauge
 	hists    map[metricKey]*Histogram
-	buckets  map[string][]float64 // per-name bounds for histogram creation
-	profiles map[string]*Profile  // solver phase profiles by algorithm
+	buckets  map[string][]float64  // per-name bounds for histogram creation
+	solves   map[string]*Histogram // solve timing series by algorithm (solve.go)
 }
 
 // NewRegistry returns an empty registry.
@@ -149,7 +149,7 @@ func NewRegistry() *Registry {
 		gauges:   map[metricKey]*Gauge{},
 		hists:    map[metricKey]*Histogram{},
 		buckets:  map[string][]float64{},
-		profiles: map[string]*Profile{},
+		solves:   map[string]*Histogram{},
 	}
 }
 
@@ -258,8 +258,8 @@ func ExpBuckets(min, max float64, perDecade int) []float64 {
 	return out
 }
 
-// Reset drops every registered metric, bucket override, and cached solver
-// profile (tests and fresh CLI runs).
+// Reset drops every registered metric, bucket override, and cached solve
+// series (tests and fresh CLI runs).
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,7 +267,7 @@ func (r *Registry) Reset() {
 	r.gauges = map[metricKey]*Gauge{}
 	r.hists = map[metricKey]*Histogram{}
 	r.buckets = map[string][]float64{}
-	r.profiles = map[string]*Profile{}
+	r.solves = map[string]*Histogram{}
 }
 
 // sortedKeys returns map keys ordered by name then label string, so

@@ -168,17 +168,13 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
-func TestSolverProfileRecordsIntoDefault(t *testing.T) {
+func TestSolveTimerRecordsIntoDefault(t *testing.T) {
 	Default().Reset()
 	defer Default().Reset()
-	prof := SolverProfileFor("HEFT")
-	if prof == nil {
-		t.Fatal("SolverProfileFor returned nil with profiling enabled")
-	}
-	prof.Start(PhaseRank).Stop()
-	h := Default().Histogram(MetricSolverPhase, "alg", "HEFT", "phase", "rank")
+	StartSolve("HEFT").Stop()
+	h := Default().Histogram(MetricSolverPhase, "alg", "HEFT", "phase", "schedule")
 	if h.Count() != 1 {
-		t.Errorf("phase observation count = %d, want 1", h.Count())
+		t.Errorf("solve observation count = %d, want 1", h.Count())
 	}
 	if got := len(h.bounds); got != len(ExpBuckets(1e-6, 10, 3)) {
 		t.Errorf("solver phase histogram has %d bounds, want the µs-resolution set", got)

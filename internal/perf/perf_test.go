@@ -109,31 +109,11 @@ func TestSuiteShape(t *testing.T) {
 		t.Errorf("suite has %d quick and %d hot benches; the CI gate needs both populated", quick, hot)
 	}
 	for _, name := range []string{"solver/hdlts/v1k", "solver/hdlts/v10k", "solver/hdlts/v100k",
-		"hash/canonical/v1k", "wal/submit_fsync", "service/schedule_roundtrip", "phase/timer_tick",
+		"hash/canonical/v1k", "wal/submit_fsync", "service/schedule_roundtrip",
 		"layer/decode/v100", "layer/decode/v1k", "layer/canonical/v100", "layer/canonical/v1k", "layer/encode/v1k"} {
 		if !seen[name] {
 			t.Errorf("canonical bench %q missing from the suite", name)
 		}
-	}
-}
-
-// TestPhaseTickBenchRuns executes the one suite benchmark cheap enough for
-// the unit-test tier end to end through the real runner.
-func TestPhaseTickBenchRuns(t *testing.T) {
-	rep, err := RunSuite(Suite(), RunOptions{
-		Filter: regexp.MustCompile(`^phase/timer_tick$`),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bench's own pinned Benchtime wins over any RunOptions default,
-	// so N is the suite's pinned iteration count.
-	r := rep.Find("phase/timer_tick")
-	if r == nil || r.N == 0 {
-		t.Fatalf("phase/timer_tick did not run: %+v", r)
-	}
-	if r.AllocsPerOp != 0 {
-		t.Errorf("phase tick allocates %d/op; the zero-alloc guarantee broke", r.AllocsPerOp)
 	}
 }
 

@@ -52,7 +52,6 @@ func Suite() []Bench {
 		{Name: "solver/cpop/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("cpop", 1000)},
 		{Name: "solver/pets/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("pets", 1000)},
 		{Name: "solver/peft/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("peft", 1000)},
-		{Name: "phase/timer_tick", HotPath: true, Quick: true, Benchtime: "500000x", F: phaseTickBench},
 		// Codec layers, named after the server spans they time
 		// (schedule.decode, the canonicalise half of schedule.hash,
 		// schedule.encode). Hot-gated: a quiet return to reflection
@@ -238,20 +237,6 @@ func layerBench(v int, layer codecLayer) func(*testing.B) {
 			}
 		}
 	}
-}
-
-// phaseTickBench times one solver phase-timer tick boundary, the primitive
-// the instrumented inner loops pay per iteration.
-func phaseTickBench(b *testing.B) {
-	prof := obs.SolverProfileFor("BENCH")
-	acc := prof.Accum(obs.PhaseScan)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick := acc.Tick()
-		tick.End()
-	}
-	acc.Flush()
 }
 
 // walBench times durable job admission: each Submit appends one record to

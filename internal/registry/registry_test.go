@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"hdlts/internal/obs"
 	"hdlts/internal/workflows"
 )
 
@@ -121,4 +125,52 @@ func TestPaperModeHDLTSUnchanged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveTimerOnePerSchedule pins the solver timing series: each
+// algorithm's Schedule call adds exactly one phase="schedule" sample under
+// its own name, and the exposition carries no other phase value.
+func TestSolveTimerOnePerSchedule(t *testing.T) {
+	obs.Default().Reset()
+	defer obs.Default().Reset()
+	pr := workflows.PaperExample()
+	for _, a := range Extended() {
+		for call := 1; call <= 2; call++ {
+			if _, err := a.Schedule(pr); err != nil {
+				t.Fatalf("%s: %v", a.Name(), err)
+			}
+			if got := solveCounts(t)[a.Name()]; got != call {
+				t.Errorf("%s: %d schedule samples after %d calls", a.Name(), got, call)
+			}
+		}
+	}
+}
+
+var solveCountLine = regexp.MustCompile(`^` + obs.MetricSolverPhase + `_count\{alg="([^"]+)",phase="([^"]+)"\} (\d+)$`)
+
+// solveCounts reads the default registry's exposition and returns the
+// solve sample count per algorithm, failing on any phase but "schedule".
+func solveCounts(t *testing.T) map[string]int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, obs.MetricSolverPhase) {
+			continue
+		}
+		if !strings.Contains(line, `phase="schedule"`) {
+			t.Fatalf("exposition carries a phase other than schedule: %s", line)
+		}
+		if m := solveCountLine.FindStringSubmatch(line); m != nil {
+			n, err := strconv.Atoi(m[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[m[1]] = n
+		}
+	}
+	return counts
 }

@@ -474,8 +474,7 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	var sc *sched.Schedule
 	var err error
 	// pprof goroutine labels make CPU profiles from the -debug-addr
-	// listener attribute solve samples to {algorithm, phase}; solver-
-	// internal Profile.Do calls refine phase further while they run.
+	// listener attribute solve samples to {algorithm, phase}.
 	obs.WithPprofLabels(ctx, alg.Name(), "solve", func(context.Context) {
 		sc, err = alg.Schedule(prA)
 	})
